@@ -115,83 +115,51 @@ impl ExperimentPoint {
     /// grids are validated up front, so hitting this means the grid
     /// construction is buggy, not the input.
     pub fn run_trial(&self, registry: &Registry, rep: usize, seed: u64) -> TrialRecord {
-        self.run_trial_pooled(registry, rep, seed, &mut disp_sim::WorldPool::new())
+        self.run_trial_pooled(registry, rep, seed, &mut disp_sim::WorldPool::new(), None)
+            .0
     }
 
-    /// [`ExperimentPoint::run_trial`] with a [`disp_sim::WorldPool`]: the
-    /// trial's world is built from (and returned to) the pool, so a batch
-    /// of small trials sharing one pool allocates world buffers only once.
-    /// Records are byte-identical to [`ExperimentPoint::run_trial`] of the
-    /// same seed — the pool contract is state identity.
+    /// [`ExperimentPoint::run_trial`] with a [`disp_sim::WorldPool`] — the
+    /// trial's world is built from (and returned to) the pool, so the
+    /// trials an engine thread runs allocate world buffers only once — and,
+    /// with `timeline = Some(budget)`, the flight recorder attached: the
+    /// run's [`Timeline`](disp_sim::Timeline) (settled/active/role counts
+    /// at round/epoch boundaries, decimated into `budget` points) comes
+    /// back beside the record. Pooling and recording are observation,
+    /// never content: the record is byte-identical to
+    /// [`ExperimentPoint::run_trial`] of the same seed. A limit-exceeded
+    /// run keeps its faithful partial record but returns no timeline.
     pub fn run_trial_pooled(
         &self,
         registry: &Registry,
         rep: usize,
         seed: u64,
         pool: &mut disp_sim::WorldPool,
-    ) -> TrialRecord {
+        timeline: Option<usize>,
+    ) -> (TrialRecord, Option<disp_sim::Timeline>) {
         use disp_core::scenario::ScenarioError;
-        use disp_core::scenario::ScenarioReport;
-        use disp_sim::RunError;
+        use disp_sim::{RunError, TimelineRecorder};
+        let mut recorder = timeline.map(TimelineRecorder::with_budget);
         let report = self
             .scenario
-            .run_pooled(registry, seed, pool)
-            .unwrap_or_else(|e| match e {
-                ScenarioError::Run(RunError::LimitExceeded { outcome }) => ScenarioReport {
-                    scenario: self.scenario.label(),
-                    outcome,
-                    dispersed: false,
-                },
-                other => panic!("scenario '{}': {other}", self.scenario.label()),
-            });
-        TrialRecord {
+            .run_recorded(registry, seed, pool, recorder.as_mut());
+        let (outcome, dispersed, timeline) = match report {
+            Ok(report) => (
+                report.outcome,
+                report.dispersed,
+                recorder.map(TimelineRecorder::finish),
+            ),
+            Err(ScenarioError::Run(RunError::LimitExceeded { outcome })) => (outcome, false, None),
+            Err(other) => panic!("scenario '{}': {other}", self.scenario.label()),
+        };
+        let record = TrialRecord {
             point: self.clone(),
             rep,
             seed,
-            outcome: report.outcome,
-            dispersed: report.dispersed,
-        }
-    }
-
-    /// [`ExperimentPoint::run_trial`] with the flight recorder attached:
-    /// returns the record together with the run's
-    /// [`Timeline`](disp_sim::Timeline) (settled/active/role counts at
-    /// round/epoch boundaries, decimated into `budget` points). The record
-    /// is byte-identical to [`ExperimentPoint::run_trial`] of the same
-    /// seed — recording is observation, never content. A limit-exceeded
-    /// run keeps its faithful partial record but returns no timeline.
-    pub fn run_trial_with_timeline(
-        &self,
-        registry: &Registry,
-        rep: usize,
-        seed: u64,
-        budget: usize,
-    ) -> (TrialRecord, Option<disp_sim::Timeline>) {
-        use disp_core::scenario::ScenarioError;
-        use disp_sim::RunError;
-        match self.scenario.run_with_timeline(registry, seed, budget) {
-            Ok((report, timeline)) => (
-                TrialRecord {
-                    point: self.clone(),
-                    rep,
-                    seed,
-                    outcome: report.outcome,
-                    dispersed: report.dispersed,
-                },
-                Some(timeline),
-            ),
-            Err(ScenarioError::Run(RunError::LimitExceeded { outcome })) => (
-                TrialRecord {
-                    point: self.clone(),
-                    rep,
-                    seed,
-                    outcome,
-                    dispersed: false,
-                },
-                None,
-            ),
-            Err(other) => panic!("scenario '{}': {other}", self.scenario.label()),
-        }
+            outcome,
+            dispersed,
+        };
+        (record, timeline)
     }
 
     /// Run this point's repetitions (with the legacy fixed seed schedule)

@@ -77,31 +77,6 @@ pub fn dedup_trials(records: Vec<TrialRecord>) -> Vec<TrialRecord> {
     by_id.into_values().collect()
 }
 
-/// Arrange out-of-order records into a prescribed trial-id order — the
-/// merge step for cluster shard results, which complete in lease order,
-/// not grid order.
-///
-/// `order` is the submitting grid's trial-id sequence (duplicates allowed:
-/// a grid that mentions the same trial twice gets the same record twice).
-/// Errors if any id has no record — a shard result set that cannot cover
-/// its grid is a bug upstream, never something to paper over by skipping.
-pub fn arrange_grid_order(
-    records: Vec<TrialRecord>,
-    order: &[String],
-) -> Result<Vec<TrialRecord>, String> {
-    let by_id: std::collections::HashMap<String, TrialRecord> =
-        records.into_iter().map(|r| (r.trial_id(), r)).collect();
-    order
-        .iter()
-        .map(|id| {
-            by_id
-                .get(id)
-                .cloned()
-                .ok_or_else(|| format!("no record for trial '{id}'"))
-        })
-        .collect()
-}
-
 /// Merge (possibly partial) trial records into per-point measurements.
 ///
 /// Records are grouped by [`crate::experiment::ExperimentPoint::point_id`];
@@ -168,23 +143,6 @@ mod tests {
         let deduped = dedup_trials(vec![a, b.clone()]);
         assert_eq!(deduped.len(), 1);
         assert_eq!(deduped[0].seed, b.seed);
-    }
-
-    #[test]
-    fn arrange_grid_order_restores_grid_order_and_rejects_holes() {
-        let reg = Registry::builtin();
-        let r0 = point(8).run_trial(&reg, 0, 1);
-        let r1 = point(8).run_trial(&reg, 1, 2);
-        let other = point(16).run_trial(&reg, 0, 3);
-        let order = vec![r0.trial_id(), r1.trial_id(), other.trial_id()];
-        // Shard completion order is arbitrary; arrangement is not.
-        let arranged =
-            arrange_grid_order(vec![other.clone(), r1.clone(), r0.clone()], &order).unwrap();
-        let ids: Vec<String> = arranged.iter().map(TrialRecord::trial_id).collect();
-        assert_eq!(ids, order);
-        assert_eq!(arranged[0].to_json_line(), r0.to_json_line());
-        let err = arrange_grid_order(vec![r0, r1], &order).unwrap_err();
-        assert!(err.contains("no record"), "{err}");
     }
 
     #[test]

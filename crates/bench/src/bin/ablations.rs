@@ -53,23 +53,18 @@ fn seeker_fraction_study(threads: usize) {
     println!("## Ablation: seeker-pool cap (star graph, k = 96)\n");
     let k = 96;
     let caps = vec![Some(k / 12), Some(k / 6), Some(k / 3), Some(k / 2), None];
-    let (rows, _) = parallel_map(
-        caps,
-        threads,
-        |_, &cap| {
-            let config = SyncConfig {
-                wait_rounds: 1,
-                max_probers: cap,
-            };
-            let (rounds, iters) = run_once(k, config);
-            vec![
-                cap.map(|c| c.to_string()).unwrap_or_else(|| "all".into()),
-                rounds.to_string(),
-                iters.to_string(),
-            ]
-        },
-        |_, _| {},
-    );
+    let (rows, _) = parallel_map(caps, threads, |_, &cap| {
+        let config = SyncConfig {
+            wait_rounds: 1,
+            max_probers: cap,
+        };
+        let (rounds, iters) = run_once(k, config);
+        vec![
+            cap.map(|c| c.to_string()).unwrap_or_else(|| "all".into()),
+            rounds.to_string(),
+            iters.to_string(),
+        ]
+    });
     println!(
         "{}",
         markdown_table(&["seeker cap", "rounds", "max probe iterations"], &rows)
@@ -81,27 +76,22 @@ fn wait_length_study(threads: usize) {
     println!("## Ablation: neighbor wait length (random tree, k = 96)\n");
     let k = 96;
     let waits: Vec<u32> = vec![0, 1, 2, 4, 6, 8];
-    let (rows, _) = parallel_map(
-        waits,
-        threads,
-        |_, &wait| {
-            let g = generators::random_tree(k, 7);
-            let mut world = World::new_rooted(g, k, NodeId(0));
-            let mut proto = RootedSyncDisp::with_config(
-                &world,
-                SyncConfig {
-                    wait_rounds: wait,
-                    max_probers: None,
-                },
-            );
-            let out = SyncRunner::new(RunConfig::default())
-                .run(&mut world, &mut proto)
-                .expect("must terminate");
-            check_dispersion(&world).expect("must disperse");
-            vec![wait.to_string(), out.rounds.to_string()]
-        },
-        |_, _| {},
-    );
+    let (rows, _) = parallel_map(waits, threads, |_, &wait| {
+        let g = generators::random_tree(k, 7);
+        let mut world = World::new_rooted(g, k, NodeId(0));
+        let mut proto = RootedSyncDisp::with_config(
+            &world,
+            SyncConfig {
+                wait_rounds: wait,
+                max_probers: None,
+            },
+        );
+        let out = SyncRunner::new(RunConfig::default())
+            .run(&mut world, &mut proto)
+            .expect("must terminate");
+        check_dispersion(&world).expect("must disperse");
+        vec![wait.to_string(), out.rounds.to_string()]
+    });
     println!("{}", markdown_table(&["wait rounds", "rounds"], &rows));
     println!("The 6-round wait is the price of soundness when tree nodes may be empty");
     println!("(covered by oscillating settlers, Lemma 2); with every node settled it is");

@@ -70,9 +70,9 @@ pub const MICRO_TRIALS: usize = 512;
 pub const MICRO_BATCH: usize = 32;
 
 /// The micro workload's campaign: [`MICRO_TRIALS`] repetitions of a small
-/// rooted `line/k=256` SYNC trial, executed through the *batched*
-/// micro-trial engine path ([`run_campaign_batched`]) so each batch of
-/// [`MICRO_BATCH`] trials shares one warm world-allocation pool. This is
+/// rooted `line/k=256` SYNC trial, executed through the trial pipeline
+/// ([`run_campaign_batched`]) in batches of [`MICRO_BATCH`] trials, each
+/// built in its engine thread's warm world-allocation pool. This is
 /// the gate's per-trial-overhead probe: the trials are small enough that
 /// setup (graph + world construction, protocol init) is a real fraction of
 /// the cost. Shared with the `bench-gate scaling` subcommand, which runs

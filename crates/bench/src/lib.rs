@@ -1,10 +1,9 @@
 //! Shared pieces for the reproduction harness binaries (`table1`,
 //! `figures`, `ablations`) and the wall-clock benches.
 //!
-//! The sweep machinery that used to live here moved into `disp-campaign`
-//! (grids, seeds, the work-stealing engine) and `disp-analysis` (row
-//! formatting); the re-exports below keep the old call sites working. What
-//! remains local is [`harness`], the criterion-shaped bench harness.
+//! The sweep machinery lives in `disp-campaign` (grids, seeds, the trial
+//! pipeline) and `disp-analysis` (row formatting). What remains local is
+//! [`harness`], the criterion-shaped bench harness, and [`gate`].
 
 // `count-allocs` swaps in a counting global allocator, whose `GlobalAlloc`
 // impl has no safe-Rust expression — that build carries the crate's single
@@ -71,9 +70,6 @@ pub mod alloc_counter {
     }
 }
 
-pub use disp_analysis::report::{measurement_header, measurement_row};
-pub use disp_campaign::grid::{full_ks, quick_ks, section_points};
-
 /// Minimal argument helpers shared by the harness binaries (they accept a
 /// handful of `--flag value` pairs; anything richer lives in the
 /// `disp-campaign` CLI).
@@ -103,41 +99,5 @@ pub mod cli {
         flag_value(args, "--seed")
             .and_then(|s| s.parse().ok())
             .unwrap_or(1)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use disp_analysis::experiment::ExperimentPoint;
-    use disp_core::scenario::{Registry, ScenarioSpec, Schedule};
-    use disp_graph::generators::GraphFamily;
-    use disp_sim::Placement;
-
-    #[test]
-    fn section_points_cover_the_grid() {
-        let pts = section_points(
-            &[GraphFamily::Line, GraphFamily::Star],
-            &[16, 32],
-            &["ks-dfs", "probe-dfs"],
-            Placement::Rooted,
-            Schedule::Sync,
-            1,
-        );
-        assert_eq!(pts.len(), 2 * 2 * 2);
-    }
-
-    #[test]
-    fn header_and_row_lengths_match() {
-        let m = ExperimentPoint::new(ScenarioSpec::new(GraphFamily::Line, 16, "probe-dfs"), 1)
-            .measure(&Registry::builtin());
-        assert_eq!(measurement_row(&m).len(), measurement_header().len());
-    }
-
-    #[test]
-    fn quick_ks_is_a_prefix_of_full_ks() {
-        let quick = quick_ks();
-        let full = full_ks();
-        assert_eq!(&full[..quick.len()], &quick[..]);
     }
 }

@@ -24,9 +24,9 @@ use disp_campaign::grid::{CampaignSpec, Mode};
 use disp_campaign::report::{
     campaign_report_json, render_section_csv, render_section_markdown, section_measurements,
 };
-use disp_campaign::run::{run_campaign_observed, RunSummary};
+use disp_campaign::run::{run_trials, RunOptions, RunSummary};
 use disp_campaign::signal;
-use disp_campaign::store::CampaignStore;
+use disp_campaign::store::{CampaignStore, TrialStore};
 use disp_campaign::telemetry::{
     timeline_to_jsonl, trace_to_jsonl, JsonlSink, Telemetry, TimelineSidecar,
 };
@@ -34,7 +34,6 @@ use disp_core::scenario::{grammar_help, Registry, ScenarioSpec};
 use disp_sim::{DEFAULT_TIMELINE_BUDGET, DEFAULT_TRACE_CAP};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::AtomicBool;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -364,25 +363,7 @@ fn cmd_run(args: &[String], registry: &Registry) -> Result<(), String> {
         Some(dir) => Some(CampaignStore::create(dir, &spec, flags.force)?),
         None => None,
     };
-    let telemetry = start_events(&flags, store.as_ref())?;
-    let timelines = start_timelines(&flags, store.as_ref())?;
-    let cancel: &AtomicBool = signal::install();
-    let (records, summary) = run_campaign_observed(
-        &spec,
-        store.as_ref(),
-        flags.threads,
-        flags.batch,
-        registry,
-        cancel,
-        telemetry.as_ref().map(Telemetry::handle).as_ref(),
-        timelines.as_ref(),
-    )?;
-    finish_events(telemetry, store.as_ref());
-    print_summary(&spec, &summary, flags.threads);
-    if summary.cancelled {
-        return Err(interrupt_error(&flags, &summary));
-    }
-    render(&flags, &spec, records)
+    execute(&flags, &spec, store.as_ref(), registry)
 }
 
 fn cmd_resume(args: &[String], registry: &Registry) -> Result<(), String> {
@@ -393,25 +374,37 @@ fn cmd_resume(args: &[String], registry: &Registry) -> Result<(), String> {
         .ok_or("resume requires --out DIR (the directory of the killed run)")?;
     let (store, manifest) = CampaignStore::open(dir)?;
     let spec = manifest.rebuild_spec()?;
-    let telemetry = start_events(&flags, Some(&store))?;
-    let timelines = start_timelines(&flags, Some(&store))?;
-    let cancel: &AtomicBool = signal::install();
-    let (records, summary) = run_campaign_observed(
-        &spec,
-        Some(&store),
-        flags.threads,
-        flags.batch,
-        registry,
-        cancel,
-        telemetry.as_ref().map(Telemetry::handle).as_ref(),
-        timelines.as_ref(),
-    )?;
-    finish_events(telemetry, Some(&store));
-    print_summary(&spec, &summary, flags.threads);
+    execute(&flags, &spec, Some(&store), registry)
+}
+
+/// The shared tail of `run` and `resume`: the grid through the trial
+/// pipeline, checkpointed into `store` when there is one, with the
+/// `--events`/`--timeline` sidecars and Ctrl-C draining.
+fn execute(
+    flags: &Flags,
+    spec: &CampaignSpec,
+    store: Option<&CampaignStore>,
+    registry: &Registry,
+) -> Result<(), String> {
+    let telemetry = start_events(flags, store)?;
+    let timelines = start_timelines(flags, store)?;
+    let checkpoint = store.map(CampaignStore::checkpoint).transpose()?;
+    let handle = telemetry.as_ref().map(Telemetry::handle);
+    let opts = RunOptions {
+        threads: flags.threads,
+        batch: flags.batch,
+        cancel: Some(signal::install()),
+        telemetry: handle.as_ref(),
+        timelines: timelines.as_ref(),
+    };
+    let checkpoint = checkpoint.as_ref().map(|c| c as &dyn TrialStore);
+    let (records, summary) = run_trials(spec.trials(), registry, checkpoint, &opts)?;
+    finish_events(telemetry, store);
+    print_summary(spec, &summary, flags.threads);
     if summary.cancelled {
-        return Err(interrupt_error(&flags, &summary));
+        return Err(interrupt_error(flags, &summary));
     }
-    render(&flags, &spec, records)
+    render(flags, spec, records)
 }
 
 /// `trace`: run one trial of one scenario with the simulator's event trace

@@ -32,21 +32,14 @@ pub struct EngineStats {
 
 /// Map `f` over `items` on `threads` workers with work stealing.
 ///
-/// `f(i, &items[i])` is called exactly once per item; `on_done(i, &result)`
-/// is called from the worker thread immediately after (this is where the
-/// campaign store appends its JSONL line, so a kill can lose at most the
-/// in-flight trials). Results are returned in item order.
-pub fn parallel_map<T, R, F, S>(
-    items: Vec<T>,
-    threads: usize,
-    f: F,
-    on_done: S,
-) -> (Vec<R>, EngineStats)
+/// `f(i, &items[i])` is called exactly once per item, on the worker thread
+/// that owns the item at that moment (one thread — the caller's — when
+/// `threads` is 1). Results are returned in item order.
+pub fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> (Vec<R>, EngineStats)
 where
     T: Send,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
-    S: Fn(usize, &R) + Sync,
 {
     let threads = threads.max(1);
     if threads == 1 || items.len() <= 1 {
@@ -54,11 +47,7 @@ where
         let results = items
             .iter()
             .enumerate()
-            .map(|(i, item)| {
-                let r = f(i, item);
-                on_done(i, &r);
-                r
-            })
+            .map(|(i, item)| f(i, item))
             .collect();
         return (
             results,
@@ -90,7 +79,6 @@ where
             let steals = &steals;
             let per_worker = &per_worker;
             let f = &f;
-            let on_done = &on_done;
             scope.spawn(move || {
                 loop {
                     // Local work first.
@@ -127,7 +115,6 @@ where
                         }
                     };
                     let r = f(i, &item);
-                    on_done(i, &r);
                     *results[i].lock().unwrap() = Some(r);
                     per_worker[worker].fetch_add(1, Ordering::Relaxed);
                 }
@@ -164,15 +151,10 @@ mod tests {
         for threads in [1, 2, 4, 8] {
             let items: Vec<u64> = (0..257).collect();
             let calls = AtomicUsize::new(0);
-            let (out, stats) = parallel_map(
-                items,
-                threads,
-                |i, &x| {
-                    calls.fetch_add(1, Ordering::Relaxed);
-                    x * 2 + i as u64
-                },
-                |_, _| {},
-            );
+            let (out, stats) = parallel_map(items, threads, |i, &x| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                x * 2 + i as u64
+            });
             assert_eq!(calls.load(Ordering::Relaxed), 257, "threads={threads}");
             assert_eq!(out, (0..257).map(|x| x * 3).collect::<Vec<u64>>());
             assert_eq!(stats.per_worker.iter().sum::<usize>(), 257);
@@ -190,30 +172,16 @@ mod tests {
             acc
         };
         let items: Vec<u64> = (0..100).collect();
-        let (seq, _) = parallel_map(items.clone(), 1, work, |_, _| {});
-        let (par, _) = parallel_map(items, 8, work, |_, _| {});
+        let (seq, _) = parallel_map(items.clone(), 1, work);
+        let (par, _) = parallel_map(items, 8, work);
         assert_eq!(seq, par);
     }
 
     #[test]
-    fn on_done_sees_every_completion() {
-        let done = Mutex::new(Vec::new());
-        let (_, _) = parallel_map(
-            (0..50).collect::<Vec<usize>>(),
-            4,
-            |_, &x| x,
-            |i, &r| done.lock().unwrap().push((i, r)),
-        );
-        let mut seen = done.into_inner().unwrap();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..50).map(|i| (i, i)).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn empty_and_singleton_inputs() {
-        let (out, _) = parallel_map(Vec::<u8>::new(), 4, |_, &x| x, |_, _| {});
+        let (out, _) = parallel_map(Vec::<u8>::new(), 4, |_, &x| x);
         assert!(out.is_empty());
-        let (out, stats) = parallel_map(vec![9u8], 4, |_, &x| x + 1, |_, _| {});
+        let (out, stats) = parallel_map(vec![9u8], 4, |_, &x| x + 1);
         assert_eq!(out, vec![10]);
         assert_eq!(stats.steals, 0);
     }

@@ -676,6 +676,13 @@ mod tests {
     }
 
     #[test]
+    fn quick_ks_is_a_prefix_of_full_ks() {
+        let quick = quick_ks();
+        let full = full_ks();
+        assert_eq!(&full[..quick.len()], &quick[..]);
+    }
+
+    #[test]
     fn trial_seeds_are_stable_and_distinct() {
         let spec = CampaignSpec::table1(Mode::Quick, 42);
         let a = spec.trials();

@@ -1,9 +1,9 @@
 //! # disp-campaign
 //!
 //! The parallel, deterministic experiment-orchestration engine for the
-//! dispersion reproduction — the single execution substrate behind the
-//! harness binaries (`table1`, `figures`, `ablations`) and the
-//! `disp-campaign` CLI.
+//! dispersion reproduction — the one trial pipeline ([`run`]) behind the
+//! `disp-campaign` CLI, the harness binaries, `disp-serve` jobs and cluster
+//! workers.
 //!
 //! ## Guarantees
 //!
@@ -29,8 +29,9 @@
 //! * [`engine`] — the generic work-stealing parallel map.
 //! * [`grid`] — campaign descriptions (named sections of experiment
 //!   points), trial expansion and seed derivation.
-//! * [`store`] — the manifest + JSONL checkpoint directory.
-//! * [`run`] — orchestration: skip-completed, execute, stream.
+//! * [`store`] — the manifest + JSONL checkpoint directory, and the
+//!   [`store::TrialStore`] seam the pipeline looks trials up in.
+//! * [`run`] — the trial pipeline: plan → execute → assemble.
 //! * [`telemetry`] — live per-trial events (bounded channel → pluggable
 //!   sink; timing is non-content and lands in a sidecar, never in results).
 //! * [`report`] — per-section tables, scaling fits, CSV series.
@@ -69,8 +70,8 @@ pub use engine::{parallel_map, EngineStats};
 pub use grid::{
     full_ks, quick_ks, section_points, trial_seed, CampaignSpec, Mode, Section, TrialSpec,
 };
-pub use run::{run_campaign, run_campaign_cancellable, run_campaign_telemetered, RunSummary};
-pub use store::{CampaignStore, Manifest, TrialWriter};
+pub use run::{run_campaign, run_campaign_batched, run_trials, Plan, RunOptions, RunSummary};
+pub use store::{CampaignStore, Checkpoint, Manifest, TrialStore, TrialWriter};
 pub use telemetry::{
     trace_to_jsonl, JsonlSink, Telemetry, TelemetryHandle, TelemetrySink, TrialEvent,
 };

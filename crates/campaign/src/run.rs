@@ -1,119 +1,312 @@
-//! Campaign orchestration: expand a grid, skip completed trials, execute
-//! the rest on the work-stealing engine, stream checkpoints.
+//! The trial pipeline: the one path every trial takes to the simulator —
+//! the CLI's `run`/`resume`, the campaign API, `disp-serve` jobs and
+//! cluster workers alike.
+//!
+//! ```text
+//! plan     validate every slot against the registry; look each slot up
+//!          once in the store; dedupe the misses by trial id
+//! execute  cut the misses into contiguous batches; run them on
+//!          `parallel_map`, one warm `WorldPool` per engine thread; insert
+//!          each fresh record into the store as it finishes
+//! assemble the grid in order: held records, fresh ones, repeated slots
+//!          filled from their miss; a hole is an error
+//! ```
+//!
+//! [`run_trials`] chains the three stages. The cluster coordinator keeps
+//! the plan and assembly stages and swaps execution for its lease board;
+//! a cluster worker plans and executes the slots its coordinator lacks.
+//! The store is the [`TrialStore`] seam: the campaign checkpoint
+//! ([`crate::store::Checkpoint`]) or the service's trial cache.
 
 use crate::engine::{parallel_map, EngineStats};
 use crate::grid::{CampaignSpec, TrialSpec};
-use crate::store::CampaignStore;
+use crate::store::{CampaignStore, TrialStore};
 use crate::telemetry::{timeline_to_jsonl, TelemetryHandle, TimelineSidecar, TrialEvent};
-use disp_analysis::jsonl::dedup_trials;
 use disp_analysis::TrialRecord;
 use disp_core::scenario::Registry;
+use disp_sim::{WorldPool, DEFAULT_TIMELINE_BUDGET};
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-/// What a campaign execution did.
+/// What a pipeline run did.
 #[derive(Debug, Clone)]
 pub struct RunSummary {
-    /// Trials in the (possibly section-filtered) grid.
+    /// Slots in the grid.
     pub total: usize,
-    /// Trials skipped because the store already had them.
+    /// Slots the store already held.
     pub skipped: usize,
-    /// Trials executed in this call.
+    /// Trials executed in this call (a trial listed twice runs once).
     pub executed: usize,
-    /// Wall-clock time of the execution phase.
+    /// Wall-clock time of the execution stage.
     pub wall: Duration,
-    /// Engine execution counters.
+    /// Engine execution counters; [`EngineStats::per_worker`] counts
+    /// batches, the stealing unit.
     pub stats: EngineStats,
-    /// Whether the run was cut short by the cancellation latch — `true`
-    /// means some grid trials were neither on disk nor executed (the
-    /// checkpoint, if any, is a valid prefix to `resume` from).
+    /// Whether the cancellation latch cut the run short — `true` means
+    /// some slots were neither held nor executed (the checkpoint, if any,
+    /// is a valid prefix to `resume` from).
     pub cancelled: bool,
+}
+
+/// How a pipeline run executes — today's engine knobs and observers in one
+/// value. None of them changes a byte of any record.
+#[derive(Clone, Copy)]
+pub struct RunOptions<'a> {
+    /// Engine worker threads.
+    pub threads: usize,
+    /// Contiguous misses per stealing unit. Each batch runs sequentially
+    /// on one engine thread; `1` steals single trials.
+    pub batch: usize,
+    /// Cooperative cancellation latch, checked before each trial starts:
+    /// a set latch drains the queue in microseconds while trials in
+    /// flight finish and reach the store normally.
+    pub cancel: Option<&'a AtomicBool>,
+    /// Live per-trial events: `cached` for store hits up front, then
+    /// `started`/`completed` (with wall-clock micros) per executed trial.
+    pub telemetry: Option<&'a TelemetryHandle>,
+    /// Flight-recorder sidecar: one decimated timeline chunk per executed
+    /// trial, appended as it finishes.
+    pub timelines: Option<&'a TimelineSidecar>,
+}
+
+impl Default for RunOptions<'_> {
+    fn default() -> Self {
+        RunOptions {
+            threads: 1,
+            batch: 1,
+            cancel: None,
+            telemetry: None,
+            timelines: None,
+        }
+    }
+}
+
+/// How a planned slot gets its record.
+#[derive(Debug)]
+pub enum Fill {
+    /// The store already held it.
+    Held(Box<TrialRecord>),
+    /// Entry `m` of [`Plan::misses`] produces it.
+    Miss(usize),
+}
+
+/// A grid after the plan stage: every slot valid, looked up once, and
+/// either held or mapped to one distinct miss.
+#[derive(Debug)]
+pub struct Plan {
+    grid: Vec<TrialSpec>,
+    fills: Vec<Fill>,
+    /// Grid index of each distinct miss's first slot, in grid order.
+    misses: Vec<usize>,
+}
+
+/// One executed trial: its record and wall-clock micros (non-content).
+pub type Fresh = (TrialRecord, u64);
+
+thread_local! {
+    /// The warm world pool of each engine thread: every trial a thread runs
+    /// is built in the buffers its previous trial left behind. Pooling is
+    /// state identity, so it never changes a record.
+    static POOL: RefCell<WorldPool> = RefCell::new(WorldPool::new());
+}
+
+impl Plan {
+    /// The plan stage. Every slot is validated against `registry` — an
+    /// illegal combination is a typed error before anything runs — and
+    /// looked up once in `store`; a hit is announced on `telemetry` as
+    /// [`TrialEvent::Cached`], in grid order. Misses are deduplicated by
+    /// trial id: a grid that lists one trial twice executes it once.
+    pub fn new(
+        grid: Vec<TrialSpec>,
+        registry: &Registry,
+        store: Option<&dyn TrialStore>,
+        telemetry: Option<&TelemetryHandle>,
+    ) -> Result<Plan, String> {
+        for trial in &grid {
+            let scenario = &trial.point.scenario;
+            scenario
+                .validate(registry)
+                .map_err(|e| format!("scenario '{}': {e}", scenario.label()))?;
+        }
+        let mut misses = Vec::new();
+        let mut first: HashMap<String, usize> = HashMap::new();
+        let fills = grid
+            .iter()
+            .enumerate()
+            .map(|(slot, trial)| match store.and_then(|s| s.lookup(trial)) {
+                Some(record) => {
+                    if let Some(telemetry) = telemetry {
+                        telemetry.emit(TrialEvent::cached(&record));
+                    }
+                    Fill::Held(Box::new(record))
+                }
+                None => Fill::Miss(*first.entry(trial.trial_id()).or_insert_with(|| {
+                    misses.push(slot);
+                    misses.len() - 1
+                })),
+            })
+            .collect();
+        Ok(Plan {
+            grid,
+            fills,
+            misses,
+        })
+    }
+
+    /// How each slot gets its record, in grid order.
+    pub fn fills(&self) -> &[Fill] {
+        &self.fills
+    }
+
+    /// The distinct trials the store lacks, in grid order.
+    pub fn misses(&self) -> impl Iterator<Item = &TrialSpec> {
+        self.misses.iter().map(|&slot| &self.grid[slot])
+    }
+
+    /// Slots the store held.
+    pub fn held(&self) -> usize {
+        self.fills
+            .iter()
+            .filter(|f| matches!(f, Fill::Held(_)))
+            .count()
+    }
+
+    /// Slots filled from a miss that an earlier slot of the same trial
+    /// already accounts for.
+    pub fn repeats(&self) -> usize {
+        self.grid.len() - self.held() - self.misses.len()
+    }
+
+    /// The execution stage: the misses, cut into contiguous batches of
+    /// `opts.batch`, stolen by `opts.threads` engine threads, each trial
+    /// built in its thread's warm pool. Every fresh record goes into
+    /// `store` on the thread that ran it, as soon as it finishes, so a
+    /// kill loses at most the trials in flight. Returns one entry per
+    /// miss, `None` where the latch stopped the trial from starting.
+    pub fn execute(
+        &self,
+        registry: &Registry,
+        store: Option<&dyn TrialStore>,
+        opts: &RunOptions,
+    ) -> (Vec<Option<Fresh>>, EngineStats) {
+        let run_one = |trial: &TrialSpec, pool: &mut WorldPool| -> Option<Fresh> {
+            if opts.cancel.is_some_and(|c| c.load(Ordering::SeqCst)) {
+                return None;
+            }
+            if let Some(telemetry) = opts.telemetry {
+                telemetry.emit(TrialEvent::started(&trial.point.point_id(), trial.rep));
+            }
+            let begun = Instant::now();
+            let budget = opts.timelines.map(|_| DEFAULT_TIMELINE_BUDGET);
+            let (record, timeline) = trial
+                .point
+                .run_trial_pooled(registry, trial.rep, trial.seed, pool, budget);
+            let wall_micros = begun.elapsed().as_micros() as u64;
+            if let (Some(sidecar), Some(timeline)) = (opts.timelines, &timeline) {
+                let label = trial.point.point_id();
+                sidecar.append(&timeline_to_jsonl(timeline, &label, trial.seed));
+            }
+            if let Some(store) = store {
+                store.insert(&record);
+            }
+            if let Some(telemetry) = opts.telemetry {
+                telemetry.emit(TrialEvent::completed(&record, wall_micros));
+            }
+            Some((record, wall_micros))
+        };
+        let batches: Vec<&[usize]> = self.misses.chunks(opts.batch.max(1)).collect();
+        let (nested, stats) = parallel_map(batches, opts.threads, |_, batch| {
+            POOL.with_borrow_mut(|pool| {
+                batch
+                    .iter()
+                    .map(|&slot| run_one(&self.grid[slot], pool))
+                    .collect::<Vec<_>>()
+            })
+        });
+        (nested.into_iter().flatten().collect(), stats)
+    }
+
+    /// The assembly stage: every slot's record in grid order — held
+    /// records as looked up, each miss's record (`fresh[m]`, aligned with
+    /// [`Plan::misses`]) in every slot it fills. A slot left without a
+    /// record is an error naming it, never a silent gap.
+    pub fn assemble(self, fresh: Vec<Option<TrialRecord>>) -> Result<Vec<TrialRecord>, String> {
+        self.grid
+            .iter()
+            .zip(self.fills)
+            .map(|(trial, fill)| match fill {
+                Fill::Held(record) => Ok(*record),
+                Fill::Miss(m) => fresh
+                    .get(m)
+                    .cloned()
+                    .flatten()
+                    .ok_or_else(|| format!("no record for trial '{}'", trial.trial_id())),
+            })
+            .collect()
+    }
+}
+
+/// The whole pipeline over `grid`: plan → execute → assemble, through
+/// `store` when given. Returns every slot's record in grid order — held or
+/// executed in this call — plus a summary. A cancelled run returns no
+/// records (`summary.cancelled`); its store holds what did finish.
+pub fn run_trials(
+    grid: Vec<TrialSpec>,
+    registry: &Registry,
+    store: Option<&dyn TrialStore>,
+    opts: &RunOptions,
+) -> Result<(Vec<TrialRecord>, RunSummary), String> {
+    let plan = Plan::new(grid, registry, store, opts.telemetry)?;
+    let start = Instant::now();
+    let (fresh, stats) = plan.execute(registry, store, opts);
+    let executed = fresh.iter().flatten().count();
+    let summary = RunSummary {
+        total: plan.grid.len(),
+        skipped: plan.held(),
+        executed,
+        wall: start.elapsed(),
+        stats,
+        cancelled: executed < fresh.len(),
+    };
+    if summary.cancelled {
+        return Ok((Vec::new(), summary));
+    }
+    let fresh = fresh.into_iter().map(|f| f.map(|(record, _)| record));
+    Ok((plan.assemble(fresh.collect())?, summary))
 }
 
 /// Execute `spec` on `threads` workers, resolving algorithms through
 /// `registry` — pass [`Registry::builtin`] for the paper's algorithms, or
 /// a registry extended with your own factories.
 ///
-/// Every scenario in the grid is validated against the registry before
-/// anything runs, so an illegal combination is a typed error up front, not
-/// a mid-campaign panic.
-///
-/// With a store, completed trials (already on disk) are skipped and every
-/// finished trial is appended + flushed before the engine moves on; without
-/// one the campaign runs purely in memory. Returns the **complete** record
-/// set for the grid — executed this call or recovered from the store — in
-/// deterministic grid order, plus a summary.
+/// With a store, trials already in its checkpoint are skipped and every
+/// finished trial is appended and flushed as it completes; without one the
+/// campaign runs purely in memory. Returns the **complete** record set for
+/// the grid in deterministic grid order, plus a summary. See
+/// [`run_trials`] for the pipeline behind it.
 pub fn run_campaign(
     spec: &CampaignSpec,
     store: Option<&CampaignStore>,
     threads: usize,
     registry: &Registry,
 ) -> Result<(Vec<TrialRecord>, RunSummary), String> {
-    run_campaign_cancellable(spec, store, threads, registry, &AtomicBool::new(false))
+    run_campaign_batched(
+        spec,
+        store,
+        threads,
+        1,
+        registry,
+        &AtomicBool::new(false),
+        None,
+    )
 }
 
-/// [`run_campaign`] with a cooperative cancellation latch.
-///
-/// Once `cancel` reads `true`, workers stop *starting* trials; everything
-/// already in flight finishes and is checkpointed normally, so the store is
-/// left a valid prefix of the grid and `resume` continues exactly where the
-/// interrupt landed. The returned summary has `cancelled` set if any grid
-/// trial was left unexecuted. This is the path behind Ctrl-C handling in
-/// the CLI (`disp_campaign::signal`) and job cancellation in `disp-serve`.
-pub fn run_campaign_cancellable(
-    spec: &CampaignSpec,
-    store: Option<&CampaignStore>,
-    threads: usize,
-    registry: &Registry,
-    cancel: &AtomicBool,
-) -> Result<(Vec<TrialRecord>, RunSummary), String> {
-    run_campaign_telemetered(spec, store, threads, registry, cancel, None)
-}
-
-/// [`run_campaign_cancellable`] with an optional live-telemetry handle.
-///
-/// With a handle, workers emit [`TrialEvent`]s as trials start and finish
-/// (wall-clock micros, moves, rounds), and trials satisfied from the store's
-/// checkpoint emit [`TrialEvent::Cached`] up front. Telemetry is pure
-/// observation: the returned records — and any store checkpoint — are
-/// byte-identical with and without a handle, across thread counts (timing
-/// is non-content and never enters the results stream; see
-/// [`crate::telemetry`]).
-pub fn run_campaign_telemetered(
-    spec: &CampaignSpec,
-    store: Option<&CampaignStore>,
-    threads: usize,
-    registry: &Registry,
-    cancel: &AtomicBool,
-    telemetry: Option<&TelemetryHandle>,
-) -> Result<(Vec<TrialRecord>, RunSummary), String> {
-    run_campaign_batched(spec, store, threads, 1, registry, cancel, telemetry)
-}
-
-/// [`run_campaign_telemetered`] with **batched micro-trials**: work is
-/// stolen at the granularity of `batch` contiguous grid trials instead of
-/// single trials, and each batch runs its trials sequentially through one
-/// [`disp_sim::WorldPool`] — after the batch's first trial, world
-/// construction reuses the pooled buffers and allocates nothing new. This
-/// is how campaigns of many *small* trials (k ≲ few hundred) amortize
-/// per-trial setup; for grids of big trials keep `batch = 1`, which is
-/// exactly the unbatched path.
-///
-/// Semantics are unchanged in every observable way:
-///
-/// - **Results** are byte-identical to the unbatched path for any thread
-///   count (each trial still depends only on its own seed; the pool
-///   contract is state identity).
-/// - **Checkpointing** appends a batch's records in grid order as each
-///   batch completes; a kill loses at most the in-flight batches, and
-///   `resume` skips by trial id exactly as before.
-/// - **Telemetry** still emits per-trial start/completion events from the
-///   worker.
-/// - **Cancellation** is still checked per trial, so a set latch drains
-///   even a large batch in microseconds.
-///
-/// The summary's [`EngineStats::per_worker`] counts batches (the stealing
-/// unit), not trials, when `batch > 1`.
+/// [`run_campaign`] with the remaining engine knobs spelled out: `batch`
+/// contiguous trials per stealing unit, a cancellation latch and a
+/// live-telemetry handle (see [`RunOptions`]). Results and checkpoints are
+/// byte-identical for every thread count, batch size and observer setting.
 pub fn run_campaign_batched(
     spec: &CampaignSpec,
     store: Option<&CampaignStore>,
@@ -123,231 +316,16 @@ pub fn run_campaign_batched(
     cancel: &AtomicBool,
     telemetry: Option<&TelemetryHandle>,
 ) -> Result<(Vec<TrialRecord>, RunSummary), String> {
-    run_campaign_observed(
-        spec, store, threads, batch, registry, cancel, telemetry, None,
-    )
-}
-
-/// [`run_campaign_batched`] with an optional flight-recorder sidecar.
-///
-/// With a sidecar, every *executed* trial also records a decimated
-/// [`disp_sim::Timeline`] and appends it (as one JSONL chunk) to the
-/// sidecar as the trial finishes. Trials satisfied from the checkpoint
-/// never re-execute, so they contribute no timeline — the sidecar covers
-/// exactly what this call ran. Recording is pure observation: the returned
-/// records and any store checkpoint are byte-identical with and without a
-/// sidecar, across thread counts and batch sizes (pinned by test and CI).
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_observed(
-    spec: &CampaignSpec,
-    store: Option<&CampaignStore>,
-    threads: usize,
-    batch: usize,
-    registry: &Registry,
-    cancel: &AtomicBool,
-    telemetry: Option<&TelemetryHandle>,
-    timelines: Option<&TimelineSidecar>,
-) -> Result<(Vec<TrialRecord>, RunSummary), String> {
-    let grid = spec.trials();
-    let total = grid.len();
-
-    for point in spec.sections.iter().flat_map(|s| &s.points) {
-        point
-            .scenario
-            .validate(registry)
-            .map_err(|e| format!("scenario '{}': {e}", point.scenario.label()))?;
-    }
-
-    let (prior, completed) = match store {
-        Some(store) => {
-            let prior = if store.trials_path().exists() {
-                store.read_trials()?.records
-            } else {
-                Vec::new()
-            };
-            let ids: std::collections::HashSet<String> =
-                prior.iter().map(TrialRecord::trial_id).collect();
-            (prior, ids)
-        }
-        None => (Vec::new(), Default::default()),
-    };
-
-    let todo: Vec<TrialSpec> = grid
-        .iter()
-        .filter(|t| !completed.contains(&t.trial_id()))
-        .cloned()
-        .collect();
-    let skipped = total - todo.len();
-
-    if let Some(telemetry) = telemetry {
-        // Checkpoint hits are announced up front, in grid order: the store
-        // already holds their outcomes, nothing will execute for them.
-        let by_id: std::collections::HashMap<String, &TrialRecord> =
-            prior.iter().map(|r| (r.trial_id(), r)).collect();
-        for trial in &grid {
-            if let Some(record) = by_id.get(&trial.trial_id()) {
-                telemetry.emit(TrialEvent::cached(record));
-            }
-        }
-    }
-
-    let writer = match store {
-        Some(store) => Some(store.appender()?),
-        None => None,
-    };
-    let start = Instant::now();
-    let todo_len = todo.len();
-    // One trial through the latch + telemetry + pool plumbing; shared by
-    // both execution shapes below.
-    let run_one = |trial: &TrialSpec, pool: &mut disp_sim::WorldPool| -> Option<TrialRecord> {
-        // The latch is checked per trial: a set latch makes the
-        // remaining queue drain in microseconds while in-flight trials
-        // complete and checkpoint normally.
-        if cancel.load(Ordering::SeqCst) {
-            None
-        } else {
-            if let Some(telemetry) = telemetry {
-                telemetry.emit(TrialEvent::started(&trial.point.point_id(), trial.rep));
-            }
-            let begun = Instant::now();
-            let record = match timelines {
-                // Recorded trials skip the pool: pooling is a perf-only
-                // contract (state identity), so results are unchanged, and
-                // grids big enough to want timelines are not the
-                // many-tiny-trials shape the pool exists for.
-                Some(sidecar) => {
-                    let (record, timeline) = trial.point.run_trial_with_timeline(
-                        registry,
-                        trial.rep,
-                        trial.seed,
-                        disp_sim::DEFAULT_TIMELINE_BUDGET,
-                    );
-                    if let Some(timeline) = timeline {
-                        sidecar.append(&timeline_to_jsonl(
-                            &timeline,
-                            &trial.point.point_id(),
-                            trial.seed,
-                        ));
-                    }
-                    record
-                }
-                None => trial
-                    .point
-                    .run_trial_pooled(registry, trial.rep, trial.seed, pool),
-            };
-            if let Some(telemetry) = telemetry {
-                let wall_micros = begun.elapsed().as_micros() as u64;
-                telemetry.emit(TrialEvent::completed(&record, wall_micros));
-            }
-            Some(record)
-        }
-    };
-    let (executed, stats) = if batch <= 1 {
-        parallel_map(
-            todo,
-            threads,
-            |_, trial: &TrialSpec| run_one(trial, &mut disp_sim::WorldPool::new()),
-            |_, record: &Option<TrialRecord>| {
-                if let (Some(w), Some(record)) = (&writer, record) {
-                    w.append(record);
-                }
-            },
-        )
-    } else {
-        // Contiguous runs of `batch` trials are the stealing unit; each
-        // runs sequentially through one warm pool.
-        let batches: Vec<Vec<TrialSpec>> = {
-            let mut todo = todo;
-            let mut out = Vec::with_capacity(todo.len().div_ceil(batch));
-            while !todo.is_empty() {
-                let rest = todo.split_off(batch.min(todo.len()));
-                out.push(std::mem::replace(&mut todo, rest));
-            }
-            out
-        };
-        let (nested, stats) = parallel_map(
-            batches,
-            threads,
-            |_, batch: &Vec<TrialSpec>| {
-                let mut pool = disp_sim::WorldPool::new();
-                batch
-                    .iter()
-                    .map(|trial| run_one(trial, &mut pool))
-                    .collect::<Vec<Option<TrialRecord>>>()
-            },
-            |_, records: &Vec<Option<TrialRecord>>| {
-                if let Some(w) = &writer {
-                    for record in records.iter().flatten() {
-                        w.append(record);
-                    }
-                }
-            },
-        );
-        (nested.into_iter().flatten().collect(), stats)
-    };
-    let wall = start.elapsed();
-
-    // Merge prior + fresh records and return them in grid order.
-    let executed: Vec<TrialRecord> = executed.into_iter().flatten().collect();
-    let executed_count = executed.len();
-    let cancelled = executed_count < todo_len;
-    let mut all = prior;
-    all.extend(executed);
-    let all = dedup_trials(all);
-    let by_id: std::collections::HashMap<String, TrialRecord> =
-        all.into_iter().map(|r| (r.trial_id(), r)).collect();
-    let ordered: Vec<TrialRecord> = grid
-        .iter()
-        .filter_map(|t| by_id.get(&t.trial_id()).cloned())
-        .collect();
-
-    Ok((
-        ordered,
-        RunSummary {
-            total,
-            skipped,
-            executed: executed_count,
-            wall,
-            stats,
-            cancelled,
-        },
-    ))
-}
-
-/// Execute an explicit list of trials — a shard batch — on the
-/// work-stealing engine, without grid expansion, store, or telemetry.
-///
-/// This is the batch-granular entry point the cluster worker uses: the
-/// coordinator already expanded and deduplicated the grid, so the worker
-/// receives bare [`TrialSpec`]s and needs only deterministic execution.
-/// Results come back in item order, each paired with its wall-clock
-/// micros; a slot is `None` iff the latch was set before it started (the
-/// lease was lost — the batch's new owner re-executes it).
-///
-/// The records are byte-identical to what [`run_campaign`] would produce
-/// for the same slots: the trial seed is carried in the spec, and the
-/// engine's work stealing never touches result content.
-pub fn run_trial_batch(
-    trials: Vec<TrialSpec>,
-    threads: usize,
-    registry: &Registry,
-    cancel: &AtomicBool,
-) -> Vec<Option<(TrialRecord, u64)>> {
-    let (results, _stats) = parallel_map(
-        trials,
+    let checkpoint = store.map(CampaignStore::checkpoint).transpose()?;
+    let opts = RunOptions {
         threads,
-        |_, trial: &TrialSpec| {
-            if cancel.load(Ordering::SeqCst) {
-                None
-            } else {
-                let begun = Instant::now();
-                let record = trial.point.run_trial(registry, trial.rep, trial.seed);
-                Some((record, begun.elapsed().as_micros() as u64))
-            }
-        },
-        |_, _: &Option<(TrialRecord, u64)>| {},
-    );
-    results
+        batch,
+        cancel: Some(cancel),
+        telemetry,
+        timelines: None,
+    };
+    let store = checkpoint.as_ref().map(|c| c as &dyn TrialStore);
+    run_trials(spec.trials(), registry, store, &opts)
 }
 
 #[cfg(test)]
@@ -473,7 +451,8 @@ mod tests {
     fn pre_set_cancel_latch_executes_nothing_and_reports_cancelled() {
         let spec = tiny_spec(6);
         let cancel = AtomicBool::new(true);
-        let (records, summary) = run_campaign_cancellable(&spec, None, 2, &reg(), &cancel).unwrap();
+        let (records, summary) =
+            run_campaign_batched(&spec, None, 2, 1, &reg(), &cancel, None).unwrap();
         assert!(records.is_empty());
         assert_eq!(summary.executed, 0);
         assert!(summary.cancelled);
@@ -516,11 +495,11 @@ mod tests {
         drop(writer);
         assert!(cancel.load(Ordering::SeqCst));
 
-        // Resuming through the cancellable API with a clear latch finishes
-        // the grid and matches an uninterrupted run record-for-record.
+        // Resuming with a clear latch finishes the grid and matches an
+        // uninterrupted run record-for-record.
         let clear = AtomicBool::new(false);
         let (records, summary) =
-            run_campaign_cancellable(&spec, Some(&store), 2, &registry, &clear).unwrap();
+            run_campaign_batched(&spec, Some(&store), 2, 1, &registry, &clear, None).unwrap();
         assert!(!summary.cancelled);
         assert_eq!(summary.skipped, 3);
         let (full, _) = run_campaign(&spec, None, 1, &registry).unwrap();
@@ -592,7 +571,6 @@ mod tests {
         // with the flight recorder on and off, across thread counts and
         // batch sizes.
         let spec = tiny_spec(14);
-        let none = AtomicBool::new(false);
         let (reference, _) = run_campaign(&spec, None, 1, &reg()).unwrap();
         let lines = |rs: &[TrialRecord]| -> Vec<String> {
             rs.iter().map(TrialRecord::to_json_line).collect()
@@ -606,17 +584,13 @@ mod tests {
             for batch in [1, 32] {
                 let path = dir.join(format!("timelines-t{threads}-b{batch}.jsonl"));
                 let sidecar = TimelineSidecar::create(&path).unwrap();
-                let (records, summary) = run_campaign_observed(
-                    &spec,
-                    None,
+                let opts = RunOptions {
                     threads,
                     batch,
-                    &reg(),
-                    &none,
-                    None,
-                    Some(&sidecar),
-                )
-                .unwrap();
+                    timelines: Some(&sidecar),
+                    ..RunOptions::default()
+                };
+                let (records, summary) = run_trials(spec.trials(), &reg(), None, &opts).unwrap();
                 assert_eq!(
                     lines(&records),
                     lines(&reference),
@@ -653,26 +627,61 @@ mod tests {
     }
 
     #[test]
-    fn trial_batches_match_the_campaign_path_across_thread_counts() {
-        let spec = tiny_spec(9);
-        let grid = spec.trials();
-        let (campaign, _) = run_campaign(&spec, None, 1, &reg()).unwrap();
-        for threads in [1, 4] {
-            let results = run_trial_batch(grid.clone(), threads, &reg(), &AtomicBool::new(false));
-            let lines: Vec<String> = results
-                .iter()
-                .map(|r| r.as_ref().unwrap().0.to_json_line())
-                .collect();
-            let expected: Vec<String> = campaign.iter().map(TrialRecord::to_json_line).collect();
-            assert_eq!(lines, expected, "threads={threads}");
-        }
+    fn a_trial_listed_twice_runs_once_and_fills_both_slots() {
+        let dir = std::env::temp_dir().join(format!(
+            "disp-campaign-duplicate-test-{}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let label = "line/k8/rooted/sync/probe-dfs";
+        let scenario = ScenarioSpec::parse(label, &reg()).unwrap();
+        let spec = CampaignSpec::custom(vec![scenario.clone(), scenario], 2, 3);
+        let store = CampaignStore::create(&dir, &spec, false).unwrap();
+        let (records, summary) = run_campaign(&spec, Some(&store), 2, &reg()).unwrap();
+        assert_eq!(summary.executed, 2);
+        assert_eq!(summary.total, 4);
+        let ids: Vec<String> = records.iter().map(TrialRecord::trial_id).collect();
+        let expected: Vec<String> = spec.trials().iter().map(|t| t.trial_id()).collect();
+        assert_eq!(ids, expected);
+        assert_eq!(records[0], records[2]);
+        assert_eq!(records[1], records[3]);
+        assert_eq!(store.read_trials().unwrap().records.len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn trial_batches_honor_the_cancel_latch() {
-        let spec = tiny_spec(10);
-        let results = run_trial_batch(spec.trials(), 2, &reg(), &AtomicBool::new(true));
-        assert!(results.iter().all(Option::is_none));
+    fn plan_assembly_fills_held_missed_and_repeated_slots_and_rejects_holes() {
+        let spec = tiny_spec(9);
+        let mut grid = spec.trials();
+        grid.push(grid[0].clone());
+        // A store that holds the second slot only.
+        struct One(TrialRecord);
+        impl TrialStore for One {
+            fn lookup(&self, trial: &TrialSpec) -> Option<TrialRecord> {
+                (trial.trial_id() == self.0.trial_id()).then(|| self.0.clone())
+            }
+            fn insert(&self, _: &TrialRecord) {}
+        }
+        let held = grid[1].point.run_trial(&reg(), grid[1].rep, grid[1].seed);
+        let store = One(held.clone());
+        let plan = Plan::new(grid.clone(), &reg(), Some(&store), None).unwrap();
+        assert_eq!(plan.held(), 1);
+        assert_eq!(plan.repeats(), 1);
+        assert_eq!(plan.misses().count(), grid.len() - 2);
+        let (fresh, _) = plan.execute(&reg(), None, &RunOptions::default());
+        let fresh: Vec<Option<TrialRecord>> = fresh.into_iter().map(|f| f.map(|f| f.0)).collect();
+        let mut holed = fresh.clone();
+        holed[0] = None;
+        let err = Plan::new(grid.clone(), &reg(), Some(&store), None)
+            .unwrap()
+            .assemble(holed)
+            .unwrap_err();
+        assert!(err.contains(&grid[0].trial_id()), "{err}");
+        let records = plan.assemble(fresh).unwrap();
+        let (reference, _) = run_campaign(&spec, None, 1, &reg()).unwrap();
+        assert_eq!(records[..reference.len()], reference[..]);
+        assert_eq!(records[1], held);
+        assert_eq!(records.last(), records.first());
     }
 
     #[test]

@@ -13,14 +13,17 @@
 //! be torn; ingestion skips it). `resume` reopens the directory, verifies
 //! the manifest fingerprint against the rebuilt grid, and appends only the
 //! missing trials.
+//!
+//! The trial pipeline ([`crate::run`]) sees a store only through the
+//! [`TrialStore`] seam; [`Checkpoint`] is this directory behind it.
 
-use crate::grid::{CampaignSpec, Mode, Section};
+use crate::grid::{CampaignSpec, Mode, Section, TrialSpec};
 use disp_analysis::experiment::ExperimentPoint;
 use disp_analysis::json::Json;
 use disp_analysis::jsonl::{self, Ingest};
 use disp_analysis::TrialRecord;
 use disp_core::scenario::ScenarioSpec;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -332,17 +335,19 @@ impl CampaignStore {
         jsonl::read_trials(BufReader::new(file)).map_err(|e| e.to_string())
     }
 
-    /// The ids of trials already completed on disk.
-    pub fn completed_ids(&self) -> Result<HashSet<String>, String> {
-        if !self.trials_path().exists() {
-            return Ok(HashSet::new());
-        }
-        Ok(self
-            .read_trials()?
-            .records
-            .iter()
-            .map(TrialRecord::trial_id)
-            .collect())
+    /// Open this directory as the pipeline's store: the records already in
+    /// `trials.jsonl` answer lookups (the resume scan), and an appender
+    /// takes every fresh record.
+    pub fn checkpoint(&self) -> Result<Checkpoint, String> {
+        let records = if self.trials_path().exists() {
+            self.read_trials()?.records
+        } else {
+            Vec::new()
+        };
+        Ok(Checkpoint {
+            held: records.into_iter().map(|r| (r.trial_id(), r)).collect(),
+            writer: self.appender()?,
+        })
     }
 
     /// An appending, per-line-flushing trial writer (shareable across
@@ -377,6 +382,37 @@ impl TrialWriter {
         // drop checkpoints.
         writeln!(w, "{}", record.to_json_line()).expect("append trial record");
         w.flush().expect("flush trial record");
+    }
+}
+
+/// A store of finished trials — the trial pipeline's one lookup/insert
+/// seam, implemented by the campaign [`Checkpoint`] and by the service's
+/// content-addressed trial cache.
+pub trait TrialStore: Sync {
+    /// The finished record for `trial`, if held — byte-identical to what
+    /// executing it would produce.
+    fn lookup(&self, trial: &TrialSpec) -> Option<TrialRecord>;
+    /// Keep one freshly executed record. Called once per record, on the
+    /// engine thread that ran it, as soon as it finishes.
+    fn insert(&self, record: &TrialRecord);
+}
+
+/// A campaign directory opened as a [`TrialStore`] (see
+/// [`CampaignStore::checkpoint`]): lookups by trial id against the records
+/// on disk when it was opened, inserts appended and flushed one line each.
+#[derive(Debug)]
+pub struct Checkpoint {
+    held: HashMap<String, TrialRecord>,
+    writer: TrialWriter,
+}
+
+impl TrialStore for Checkpoint {
+    fn lookup(&self, trial: &TrialSpec) -> Option<TrialRecord> {
+        self.held.get(&trial.trial_id()).cloned()
+    }
+
+    fn insert(&self, record: &TrialRecord) {
+        self.writer.append(record);
     }
 }
 
@@ -427,9 +463,10 @@ mod tests {
         let (store2, manifest) = CampaignStore::open(&dir).unwrap();
         assert_eq!(manifest.campaign, "table1");
         assert_eq!(manifest.total_trials, trials.len());
-        let done = store2.completed_ids().unwrap();
-        assert_eq!(done.len(), 1);
-        assert!(done.contains(&trials[0].trial_id()));
+        let checkpoint = store2.checkpoint().unwrap();
+        assert_eq!(checkpoint.lookup(&trials[0]), Some(rec));
+        assert_eq!(checkpoint.lookup(&trials[1]), None);
+        drop(checkpoint);
 
         // A torn tail is tolerated.
         use std::fs::OpenOptions;

@@ -7,7 +7,7 @@
 use disp_analysis::json::Json;
 use disp_analysis::TrialRecord;
 use disp_campaign::grid::CampaignSpec;
-use disp_campaign::run::{run_campaign, run_campaign_telemetered};
+use disp_campaign::run::{run_campaign, run_campaign_batched};
 use disp_campaign::store::CampaignStore;
 use disp_campaign::telemetry::{JsonlSink, Telemetry, TrialEvent, VecSink};
 use disp_core::scenario::{Registry, ScenarioSpec};
@@ -46,10 +46,11 @@ fn telemetry_on_or_off_and_thread_count_change_no_result_byte() {
         let (sink, collected) = VecSink::new();
         let telemetry = Telemetry::start(Box::new(sink));
         let handle = telemetry.handle();
-        let (records, summary) = run_campaign_telemetered(
+        let (records, summary) = run_campaign_batched(
             &spec,
             None,
             threads,
+            1,
             &registry,
             &AtomicBool::new(false),
             Some(&handle),
@@ -105,10 +106,11 @@ fn sidecar_accounts_for_runs_and_resumes_without_touching_the_checkpoint() {
     let store = CampaignStore::create(&dir, &spec, false).unwrap();
     let telemetry = Telemetry::start(Box::new(JsonlSink::create(&store.events_path()).unwrap()));
     let handle = telemetry.handle();
-    run_campaign_telemetered(
+    run_campaign_batched(
         &spec,
         Some(&store),
         4,
+        1,
         &registry,
         &AtomicBool::new(false),
         Some(&handle),
@@ -156,10 +158,11 @@ fn sidecar_accounts_for_runs_and_resumes_without_touching_the_checkpoint() {
     let (sink, collected) = VecSink::new();
     let telemetry = Telemetry::start(Box::new(sink));
     let handle = telemetry.handle();
-    let (records, summary) = run_campaign_telemetered(
+    let (records, summary) = run_campaign_batched(
         &spec,
         Some(&store),
         2,
+        1,
         &registry,
         &AtomicBool::new(false),
         Some(&handle),

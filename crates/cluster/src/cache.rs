@@ -47,6 +47,8 @@
 
 use disp_analysis::jsonl;
 use disp_analysis::TrialRecord;
+use disp_campaign::grid::TrialSpec;
+use disp_campaign::store::TrialStore;
 use disp_rng::{fnv1a, mix};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs::File;
@@ -457,6 +459,20 @@ impl TrialCache {
     /// Parseable lines currently in the on-disk log (0 for in-memory).
     pub fn disk_lines(&self) -> u64 {
         self.disk.as_ref().map_or(0, |d| d.lock().unwrap().lines)
+    }
+}
+
+/// The trial pipeline's store seam: a lookup by the trial's content triple
+/// (its advertised repetition count rewritten, as in [`TrialCache::lookup`]),
+/// an insert as [`TrialCache::insert`].
+impl TrialStore for TrialCache {
+    fn lookup(&self, trial: &TrialSpec) -> Option<TrialRecord> {
+        let label = trial.point.point_id();
+        TrialCache::lookup(self, &label, trial.rep, trial.seed, trial.point.repetitions)
+    }
+
+    fn insert(&self, record: &TrialRecord) {
+        TrialCache::insert(self, record);
     }
 }
 

@@ -1,9 +1,9 @@
 //! The worker loop.
 //!
-//! A worker is a pull client: lease a batch, serve what it can from its
-//! *local* trial cache, execute the rest through the campaign engine,
-//! reconcile digests with the coordinator, upload the missing records, and
-//! go back for more. The loop is generic over a [`Coordinator`] transport
+//! A worker is a pull client: lease a batch, reconcile digests of what its
+//! *local* trial cache holds with the coordinator, run the slots the
+//! coordinator is missing through the trial pipeline (served from the
+//! local cache or executed into it), upload them, and go back for more. The loop is generic over a [`Coordinator`] transport
 //! so the whole protocol is unit-testable in-process; the HTTP transport
 //! lives in `disp-serve` next to its client.
 //!
@@ -19,9 +19,9 @@ use crate::proto::{
     line_digest, BatchAssignment, CompleteHeader, CompleteReply, LeaseReply, ReconcileReply,
     SlotSpec, Upload, WorkerStats,
 };
-use disp_analysis::{ExperimentPoint, TrialRecord};
+use disp_analysis::ExperimentPoint;
 use disp_campaign::grid::TrialSpec;
-use disp_campaign::run::run_trial_batch;
+use disp_campaign::run::{Fill, Plan, RunOptions};
 use disp_core::scenario::{Registry, ScenarioSpec};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -177,8 +177,8 @@ pub fn heartbeat_loop<C: Coordinator>(transport: &mut C, shared: &WorkerShared, 
     }
 }
 
-/// The worker main loop: lease → local lookup → execute → reconcile →
-/// upload, until [`WorkerShared::request_stop`] or the coordinator drains.
+/// The worker main loop: lease → reconcile → plan and execute the missing
+/// slots → upload, until [`WorkerShared::request_stop`] or the coordinator drains.
 /// Transport errors are retried with backoff; a coordinator that stays
 /// unreachable ends the loop with an error.
 pub fn run_worker_loop<C: Coordinator>(
@@ -267,75 +267,67 @@ fn drive_batch<C: Coordinator>(
     summary: &mut WorkerSummary,
 ) -> Result<(), String> {
     let slots = &assignment.slots;
-    // 1. Serve what the local cache holds; `lookup` rewrites the record's
-    //    advertised repetition count to the submitting grid's value, so a
-    //    local hit is byte-identical to a fresh execution.
-    let mut held: Vec<Option<TrialRecord>> = slots
+    // 1. Reconcile: advertise digests of what the local cache holds (a
+    //    pure read) and learn what the coordinator is missing.
+    let digests: Vec<Option<u64>> = slots
         .iter()
-        .map(|s| cache.lookup(&s.label, s.rep, s.seed, s.repetitions))
-        .collect();
-    summary.local_hits += held.iter().flatten().count() as u64;
-    // 2. Reconcile: advertise digests of held slots; learn what the
-    //    coordinator is missing.
-    let digests: Vec<Option<u64>> = held
-        .iter()
-        .map(|r| r.as_ref().map(|rec| line_digest(&rec.to_json_line())))
+        .map(|s| {
+            let held = cache.peek(&s.label, s.rep, s.seed, s.repetitions);
+            held.map(|rec| line_digest(&rec.to_json_line()))
+        })
         .collect();
     let reconcile = transport.reconcile(&cfg.id, &assignment.job, assignment.batch, &digests)?;
     if reconcile.stale {
         summary.abandoned += 1;
         return Ok(());
     }
-    // 3. Execute the slots that neither side holds.
-    let need_exec: Vec<usize> = reconcile
+    // 2. Plan the missing slots against the local cache: every label is
+    //    validated against the registry (a bad slot is an error, not a
+    //    crash), and a hit comes back with the submitting grid's repetition
+    //    count, byte-identical to a fresh execution.
+    let trials = reconcile
         .missing
         .iter()
-        .copied()
-        .filter(|&i| held[i].is_none())
-        .collect();
-    let mut wall = vec![0u64; slots.len()];
-    if !need_exec.is_empty() {
-        let trials: Vec<TrialSpec> = need_exec
-            .iter()
-            .map(|&i| trial_of(&slots[i]))
-            .collect::<Result<_, _>>()?;
-        let results = run_trial_batch(trials, cfg.threads, registry, cancel);
-        if results.iter().any(Option::is_none) {
-            // Lease lost mid-batch; its new owner re-executes. Local work
-            // already done stays cached for the next reconcile.
-            for (&i, result) in need_exec.iter().zip(results) {
-                if let Some((rec, _)) = result {
-                    cache.insert(&rec);
-                    held[i] = Some(rec);
-                }
-            }
-            summary.abandoned += 1;
-            return Ok(());
-        }
-        for (&i, result) in need_exec.iter().zip(results) {
-            let (rec, micros) = result.expect("checked above");
-            cache.insert(&rec);
-            wall[i] = micros;
-            summary.executed += 1;
-            held[i] = Some(rec);
-        }
-    }
-    if cancel.load(Ordering::SeqCst) {
+        .map(|&i| match slots.get(i) {
+            Some(slot) => trial_of(slot),
+            None => Err(format!(
+                "coordinator named slot {i} of a {}-slot batch",
+                slots.len()
+            )),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let plan = Plan::new(trials, registry, Some(cache), None)?;
+    summary.local_hits += plan.held() as u64;
+    // 3. Execute what neither side holds. Each record lands in the local
+    //    cache as it finishes, so work done before a lost lease (the
+    //    heartbeat trips `cancel`) is served at the next reconcile.
+    let opts = RunOptions {
+        threads: cfg.threads,
+        cancel: Some(cancel),
+        ..RunOptions::default()
+    };
+    let (fresh, _) = plan.execute(registry, Some(cache), &opts);
+    if cancel.load(Ordering::SeqCst) || fresh.iter().any(Option::is_none) {
         summary.abandoned += 1;
         return Ok(());
     }
+    summary.executed += fresh.len() as u64;
     // 4. Upload exactly the missing slots.
     let uploads: Vec<Upload> = reconcile
         .missing
         .iter()
-        .map(|&i| {
-            let rec = held[i].clone().expect("missing slot resolved above");
+        .zip(plan.fills())
+        .map(|(&slot, fill)| {
+            let (record, wall_micros) = match fill {
+                Fill::Held(rec) => ((**rec).clone(), 0),
+                Fill::Miss(m) => fresh[*m].clone().expect("checked above"),
+            };
             Upload {
-                slot: i,
-                wall_micros: wall[i],
-                cached: wall[i] == 0,
-                line: rec.to_json_line(),
-                record: rec,
+                slot,
+                wall_micros,
+                cached: matches!(fill, Fill::Held(_)),
+                line: record.to_json_line(),
+                record,
             }
         })
         .collect();
@@ -354,10 +346,10 @@ fn drive_batch<C: Coordinator>(
     Ok(())
 }
 
-/// Rebuild the executable trial from its wire slot. The label is
-/// validated against the registry — the coordinator validated it at
-/// submission, so a failure here means the two sides disagree about the
-/// algorithm registry and the worker must not guess.
+/// Rebuild the executable trial from its wire slot. The label is only
+/// parsed here; the pipeline's plan stage validates it against the
+/// registry, so a slot the two sides' registries disagree about fails the
+/// worker loop with a typed error instead of guessing.
 fn trial_of(slot: &SlotSpec) -> Result<TrialSpec, String> {
     let spec = ScenarioSpec::from_label(&slot.label)
         .map_err(|e| format!("bad slot label {:?}: {e}", slot.label))?;
@@ -501,6 +493,43 @@ mod tests {
                     .run_trial(&Registry::builtin(), slot.rep, slot.seed);
             assert_eq!(rec.to_json_line(), direct.to_json_line());
         }
+    }
+
+    #[test]
+    fn a_slot_the_registry_rejects_fails_the_loop_instead_of_crashing_it() {
+        let board = Arc::new(ClusterBoard::new(Duration::from_secs(60)));
+        // Parses as a label, but ks-dfs does not tolerate crashes.
+        let label = "ring/k8/rooted/sync/crash2/ks-dfs";
+        board.publish(
+            "r2",
+            plan_batches(
+                vec![SlotSpec {
+                    label: label.into(),
+                    rep: 0,
+                    seed: 1,
+                    repetitions: 1,
+                }],
+                1,
+            ),
+        );
+        let mut transport = LocalTransport {
+            board,
+            cache: Arc::new(TrialCache::in_memory()),
+        };
+        let cfg = WorkerConfig {
+            id: "w1".into(),
+            threads: 1,
+            poll: Duration::from_millis(10),
+        };
+        let err = run_worker_loop(
+            &mut transport,
+            &TrialCache::in_memory(),
+            &Registry::builtin(),
+            &cfg,
+            &WorkerShared::new(),
+        )
+        .unwrap_err();
+        assert!(err.contains(label) && err.contains("crash"), "{err}");
     }
 
     #[test]

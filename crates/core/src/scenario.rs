@@ -1335,19 +1335,9 @@ impl ScenarioSpec {
     }
 
     /// Drive a prepared world/protocol pair to completion under this
-    /// spec's schedule and fault plans.
+    /// spec's schedule and fault plans, with an optional flight recorder
+    /// sampling round/epoch boundaries (see [`disp_sim::timeline`]).
     fn execute(
-        &self,
-        world: &mut World,
-        protocol: &mut dyn AgentProtocol,
-        seed: u64,
-    ) -> Result<Outcome, RunError> {
-        self.execute_recorded(world, protocol, seed, None)
-    }
-
-    /// [`ScenarioSpec::execute`] with an optional flight recorder sampling
-    /// round/epoch boundaries (see [`disp_sim::timeline`]).
-    fn execute_recorded(
         &self,
         world: &mut World,
         protocol: &mut dyn AgentProtocol,
@@ -1380,40 +1370,66 @@ impl ScenarioSpec {
         }
     }
 
+    /// The one trial body behind every `run*` entry point: build in
+    /// `pool` → execute → verify, then hand the world back to the pool.
+    /// `trace_cap` turns on the event trace (returned; empty otherwise);
+    /// neither it nor `recorder` perturbs the run.
+    fn run_body(
+        &self,
+        registry: &Registry,
+        seed: u64,
+        pool: &mut WorldPool,
+        trace_cap: Option<usize>,
+        recorder: Option<&mut TimelineRecorder>,
+    ) -> Result<(ScenarioReport, disp_sim::Trace), ScenarioError> {
+        let (mut world, mut protocol) = self.build_pooled(registry, seed, pool)?;
+        if let Some(cap) = trace_cap {
+            world.enable_trace_with_cap(cap);
+        }
+        let outcome = self.execute(&mut world, protocol.as_mut(), seed, recorder);
+        let dispersed = outcome.is_ok() && verify::is_dispersed_at(&world, self.min_distance);
+        let trace = world.take_trace();
+        pool.put(world);
+        let report = ScenarioReport {
+            scenario: self.label(),
+            outcome: outcome?,
+            dispersed,
+        };
+        Ok((report, trace))
+    }
+
     /// Execute the scenario under `seed`. The seed fully determines the run:
     /// graph instance, placement, adversary and algorithm-internal
     /// randomness all derive from it through fixed sub-seed tags.
     pub fn run(&self, registry: &Registry, seed: u64) -> Result<ScenarioReport, ScenarioError> {
-        let (mut world, mut protocol) = self.build(registry, seed)?;
-        let outcome = self.execute(&mut world, protocol.as_mut(), seed)?;
-        Ok(ScenarioReport {
-            scenario: self.label(),
-            outcome,
-            dispersed: verify::is_dispersed_at(&world, self.min_distance),
-        })
+        self.run_pooled(registry, seed, &mut WorldPool::new())
     }
 
     /// [`ScenarioSpec::run`] with a [`WorldPool`]: the trial's world is
     /// built from the pool's allocations and returned to it afterwards.
-    /// The batched micro-trial campaign path drives contiguous runs of
-    /// small trials through one pool so only the first trial pays the
-    /// world's allocation cost. Reports are byte-identical to unpooled
-    /// runs of the same seed.
+    /// The campaign pipeline drives every trial an engine thread runs
+    /// through one pool, so only the first pays the world's allocation
+    /// cost. Reports are byte-identical to unpooled runs of the same seed.
     pub fn run_pooled(
         &self,
         registry: &Registry,
         seed: u64,
         pool: &mut WorldPool,
     ) -> Result<ScenarioReport, ScenarioError> {
-        let (mut world, mut protocol) = self.build_pooled(registry, seed, pool)?;
-        let outcome = self.execute(&mut world, protocol.as_mut(), seed)?;
-        let report = ScenarioReport {
-            scenario: self.label(),
-            outcome,
-            dispersed: verify::is_dispersed_at(&world, self.min_distance),
-        };
-        pool.put(world);
-        Ok(report)
+        self.run_recorded(registry, seed, pool, None)
+    }
+
+    /// [`ScenarioSpec::run_pooled`] with an optional flight recorder
+    /// attached (see [`ScenarioSpec::run_with_timeline`]). On a
+    /// limit-exceeded run the recorder still holds the partial timeline.
+    pub fn run_recorded(
+        &self,
+        registry: &Registry,
+        seed: u64,
+        pool: &mut WorldPool,
+        recorder: Option<&mut TimelineRecorder>,
+    ) -> Result<ScenarioReport, ScenarioError> {
+        Ok(self.run_body(registry, seed, pool, None, recorder)?.0)
     }
 
     /// Like [`ScenarioSpec::run`], but with event tracing enabled for the
@@ -1428,15 +1444,7 @@ impl ScenarioSpec {
         seed: u64,
         cap: usize,
     ) -> Result<(ScenarioReport, disp_sim::Trace), ScenarioError> {
-        let (mut world, mut protocol) = self.build(registry, seed)?;
-        world.enable_trace_with_cap(cap);
-        let outcome = self.execute(&mut world, protocol.as_mut(), seed)?;
-        let report = ScenarioReport {
-            scenario: self.label(),
-            outcome,
-            dispersed: verify::is_dispersed_at(&world, self.min_distance),
-        };
-        Ok((report, world.take_trace()))
+        self.run_body(registry, seed, &mut WorldPool::new(), Some(cap), None)
     }
 
     /// Like [`ScenarioSpec::run`], but with the flight recorder attached:
@@ -1455,15 +1463,9 @@ impl ScenarioSpec {
         seed: u64,
         budget: usize,
     ) -> Result<(ScenarioReport, disp_sim::Timeline), ScenarioError> {
-        let (mut world, mut protocol) = self.build(registry, seed)?;
         let mut recorder = TimelineRecorder::with_budget(budget);
-        let outcome =
-            self.execute_recorded(&mut world, protocol.as_mut(), seed, Some(&mut recorder))?;
-        let report = ScenarioReport {
-            scenario: self.label(),
-            outcome,
-            dispersed: verify::is_dispersed_at(&world, self.min_distance),
-        };
+        let report =
+            self.run_recorded(registry, seed, &mut WorldPool::new(), Some(&mut recorder))?;
         Ok((report, recorder.finish()))
     }
 }

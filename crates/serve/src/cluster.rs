@@ -121,14 +121,14 @@ fn absorb_uploads(state: &AppState, header: &CompleteHeader, uploads: &[Upload])
         if u.cached {
             // Served from the worker's local cache: a hit, tagged as such.
             job.record_trial_event(&TrialEvent::cached(&u.record));
-            job.note_cluster_trial(false);
+            job.note_trial(false);
         } else {
             job.record_trial_event(&TrialEvent::completed_by(
                 &u.record,
                 u.wall_micros,
                 &header.worker,
             ));
-            job.note_cluster_trial(true);
+            job.note_trial(true);
             Metrics::inc(&state.metrics.trials_executed);
             state.metrics.trial_duration_us.observe(u.wall_micros);
         }

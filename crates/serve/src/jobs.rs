@@ -3,13 +3,15 @@
 //!
 //! ## Execution model
 //!
-//! Jobs are queued FIFO to **one** executor thread, which runs each job's
-//! cache-missing trials on [`disp_campaign::engine::parallel_map`] with the
-//! configured worker count. Serializing *jobs* (while parallelizing
-//! *trials*) is a deliberate choice: it is what makes concurrent identical
-//! submissions dedupe perfectly — by the time job №2 starts, job №1 has
-//! populated the cache, so №2 is a pure cache hit instead of a racing
-//! duplicate computation. The queue depth is exported in `/metrics`.
+//! Jobs are queued FIFO to **one** executor thread, which runs each job
+//! through the campaign trial pipeline ([`disp_campaign::run`]) with the
+//! trial cache as its store: cache-missing trials execute on the configured
+//! engine worker count (or, in coordinator mode, on the cluster lease
+//! board). Serializing *jobs* (while parallelizing *trials*) is a
+//! deliberate choice: it is what makes concurrent identical submissions
+//! dedupe perfectly — by the time job №2 starts, job №1 has populated the
+//! cache, so №2 is a pure cache hit instead of a racing duplicate
+//! computation. The queue depth is exported in `/metrics`.
 //!
 //! ## Determinism under concurrency
 //!
@@ -22,11 +24,11 @@
 
 use crate::cache::TrialCache;
 use crate::metrics::Metrics;
-use disp_analysis::jsonl::arrange_grid_order;
 use disp_analysis::online::OnlineStats;
 use disp_analysis::TrialRecord;
-use disp_campaign::engine::parallel_map;
 use disp_campaign::grid::{CampaignSpec, TrialSpec};
+use disp_campaign::run::{Plan, RunOptions};
+use disp_campaign::store::TrialStore;
 use disp_campaign::telemetry::{Telemetry, TelemetrySink, TrialEvent};
 use disp_cluster::{plan_batches, ClusterBoard, SlotSpec, WaitStatus};
 use disp_core::scenario::Registry;
@@ -360,10 +362,11 @@ impl Job {
         self.push_event(event.to_json_line());
     }
 
-    /// Account one trial settled by a cluster worker: `executed` trials ran
-    /// fresh on the worker, the rest were its local cache hits. Called by
+    /// Account one settled grid slot, live: `executed` trials ran fresh
+    /// (here or on a cluster worker), the rest were cache hits. Called once
+    /// per record — by the job's trial store and, in coordinator mode, by
     /// the `/internal/complete` handler as uploads land.
-    pub(crate) fn note_cluster_trial(&self, executed: bool) {
+    pub(crate) fn note_trial(&self, executed: bool) {
         if executed {
             self.executed.fetch_add(1, Ordering::SeqCst);
         } else {
@@ -610,15 +613,9 @@ impl JobManager {
                     metrics.job_queue_wait_us.observe(queue_wait_us);
                     job.set_state(JobState::Running);
                     job.push_state_event(&JobState::Running);
-                    let run =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &backend {
-                            ExecBackend::Local { threads } => {
-                                Ok(execute_job(&job, &cache, &metrics, &registry, *threads))
-                            }
-                            ExecBackend::Cluster { board, batch_size } => {
-                                execute_job_cluster(&job, &cache, board, *batch_size)
-                            }
-                        }));
+                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        execute_job(&job, &cache, &metrics, &registry, &backend)
+                    }));
                     match run {
                         Ok(Ok(true)) => {
                             job.set_state(JobState::Done);
@@ -741,162 +738,124 @@ impl TelemetrySink for JobSink {
     }
 }
 
-/// Run one job; returns `false` if cancellation left grid trials undone.
+/// The job's view of the trial cache — its store in the trial pipeline.
+/// Every hit and every fresh record moves the job's live counters, once
+/// per record, never from the (lossy) telemetry channel.
+struct JobStore<'a> {
+    job: &'a Job,
+    cache: &'a TrialCache,
+    metrics: &'a Metrics,
+}
+
+impl TrialStore for JobStore<'_> {
+    fn lookup(&self, trial: &TrialSpec) -> Option<TrialRecord> {
+        let hit = TrialStore::lookup(self.cache, trial);
+        if hit.is_some() {
+            self.job.note_trial(false);
+        }
+        hit
+    }
+
+    fn insert(&self, record: &TrialRecord) {
+        // Insert before counting: once `done == total` is visible, every
+        // line is reproducible from the cache.
+        self.cache.insert(record);
+        self.job.note_trial(true);
+        Metrics::inc(&self.metrics.trials_executed);
+    }
+}
+
+/// Run one job through the trial pipeline: plan the grid against the
+/// cache, execute the misses (on the engine, or on the cluster lease
+/// board), assemble the result lines in grid order. Returns `Ok(false)` on
+/// cancellation and `Err` on a failed job (digest conflict, assembly hole)
+/// — surfaced as `Failed` with the message intact.
 fn execute_job(
     job: &Arc<Job>,
     cache: &TrialCache,
     metrics: &Arc<Metrics>,
     registry: &Registry,
-    threads: usize,
-) -> bool {
+    backend: &ExecBackend,
+) -> Result<bool, String> {
     let telemetry = Telemetry::start(Box::new(JobSink {
         job: Arc::clone(job),
         metrics: Arc::clone(metrics),
     }));
     let events = telemetry.handle();
-    let trials = job.spec.trials();
-    let mut lines: Vec<Option<String>> = vec![None; trials.len()];
-    // Deduplicate by content triple *within* the job too: a grid that lists
-    // the same scenario label twice has two slots with one identity — run
-    // it once and fill both (the engine-level analogue of the cache).
-    let mut todo: Vec<TrialSpec> = Vec::new();
-    let mut slots: HashMap<(String, u64), Vec<usize>> = HashMap::new();
-    for (i, t) in trials.into_iter().enumerate() {
-        match cache.lookup(&t.point.point_id(), t.rep, t.seed, t.point.repetitions) {
-            Some(rec) => {
-                lines[i] = Some(rec.to_json_line());
-                events.emit(TrialEvent::cached(&rec));
-                job.cache_hits.fetch_add(1, Ordering::SeqCst);
-                job.done.fetch_add(1, Ordering::SeqCst);
-                job.note_progress();
-            }
-            None => {
-                let entry = slots.entry((t.trial_id(), t.seed)).or_default();
-                if entry.is_empty() {
-                    todo.push(t);
-                }
-                entry.push(i);
+    let store = JobStore {
+        job,
+        cache,
+        metrics,
+    };
+    let plan = Plan::new(job.spec.trials(), registry, Some(&store), Some(&events))?;
+    let fresh: Vec<Option<TrialRecord>> = match backend {
+        ExecBackend::Local { threads } => {
+            let opts = RunOptions {
+                threads: *threads,
+                cancel: Some(&job.cancel),
+                telemetry: Some(&events),
+                ..RunOptions::default()
+            };
+            let (fresh, _) = plan.execute(registry, Some(&store), &opts);
+            fresh
+                .into_iter()
+                .map(|f| f.map(|(record, _)| record))
+                .collect()
+        }
+        ExecBackend::Cluster { board, batch_size } => {
+            match execute_on_board(job, &plan, board, *batch_size)? {
+                Some(fresh) => fresh,
+                None => return Ok(false),
             }
         }
-    }
-    // Each worker thread keeps one world-allocation pool across every trial
-    // it runs (and across jobs — executor threads are long-lived), so grids
-    // of many small trials pay for world buffers once per thread, not once
-    // per trial. Pooling is byte-invisible to results.
-    thread_local! {
-        static POOL: std::cell::RefCell<disp_sim::WorldPool> =
-            std::cell::RefCell::new(disp_sim::WorldPool::new());
-    }
-    let (fresh, _stats) = parallel_map(
-        todo,
-        threads,
-        |_, t| {
-            if job.cancel.load(Ordering::SeqCst) {
-                return None;
-            }
-            events.emit(TrialEvent::started(&t.point.point_id(), t.rep));
-            let begun = Instant::now();
-            let rec = POOL.with(|pool| {
-                t.point
-                    .run_trial_pooled(registry, t.rep, t.seed, &mut pool.borrow_mut())
-            });
-            events.emit(TrialEvent::completed(
-                &rec,
-                begun.elapsed().as_micros() as u64,
-            ));
-            Some(rec)
-        },
-        |_, rec: &Option<TrialRecord>| {
-            if let Some(rec) = rec {
-                // Insert before counting: once `done == total` is visible,
-                // every line is reproducible from the cache.
-                cache.insert(rec);
-                job.executed.fetch_add(1, Ordering::SeqCst);
-                job.done.fetch_add(1, Ordering::SeqCst);
-                job.note_progress();
-                Metrics::inc(&metrics.trials_executed);
-            }
-        },
-    );
+    };
     telemetry.finish();
-    for rec in fresh {
-        match rec {
-            Some(rec) => {
-                let key = (rec.trial_id(), rec.seed);
-                for (extra, &i) in slots[&key].iter().enumerate() {
-                    lines[i] = Some(rec.to_json_line());
-                    if extra > 0 {
-                        // Duplicate slots beyond the one that ran are
-                        // satisfied by the fresh record: progress-wise they
-                        // are hits on it.
-                        job.cache_hits.fetch_add(1, Ordering::SeqCst);
-                        job.done.fetch_add(1, Ordering::SeqCst);
-                        job.note_progress();
-                    }
-                }
-            }
-            None => return false, // cancelled before this trial started
-        }
+    if job.cancel.load(Ordering::SeqCst) && fresh.iter().any(Option::is_none) {
+        return Ok(false);
     }
-    let assembled: Vec<String> = lines
-        .into_iter()
-        .map(|l| l.expect("every grid trial accounted for"))
+    // A slot repeating another slot's trial is satisfied by its record:
+    // progress-wise it is a hit on it.
+    for _ in 0..plan.repeats() {
+        job.note_trial(false);
+    }
+    let assembled: Vec<String> = plan
+        .assemble(fresh)?
+        .iter()
+        .map(TrialRecord::to_json_line)
         .collect();
     let bytes: usize = assembled.iter().map(String::len).sum();
     job.results_bytes.store(bytes, Ordering::SeqCst);
     *job.results.lock().unwrap() = Some(Arc::new(assembled));
-    true
+    Ok(true)
 }
 
-/// Run one job through the cluster lease board: publish the cache-missing
-/// slots as contiguous batches, wait for workers to pull and complete them
-/// (the board requeues expired leases), then arrange the out-of-order shard
-/// records back into grid order.
-///
-/// Per-trial progress and events are fed by the `/internal/complete`
-/// handler as uploads land; this function only accounts the coordinator's
-/// own cache hits and the duplicate grid slots. Returns `Ok(false)` on
-/// cancellation and `Err` on a failed job (digest conflict) or an assembly
-/// hole — both surface as `Failed` with the message intact.
-fn execute_job_cluster(
-    job: &Arc<Job>,
-    cache: &TrialCache,
-    board: &Arc<ClusterBoard>,
+/// The execution stage on the cluster lease board: publish the plan's
+/// misses as contiguous batches, wait for workers to pull and complete
+/// them (the board requeues expired leases; per-trial progress and events
+/// are fed by the `/internal/complete` handler as uploads land), and
+/// return their records aligned with [`Plan::misses`]. `Ok(None)` on
+/// cancellation.
+fn execute_on_board(
+    job: &Job,
+    plan: &Plan,
+    board: &ClusterBoard,
     batch_size: usize,
-) -> Result<bool, String> {
-    let trials = job.spec.trials();
-    let order: Vec<String> = trials.iter().map(|t| t.trial_id()).collect();
-    // Compile pass: serve what the coordinator's cache already holds, shard
-    // the rest. Slots are deduplicated by content identity — the cluster
-    // analogue of the local path's duplicate-label handling.
-    let mut held: Vec<TrialRecord> = Vec::new();
-    let mut todo: Vec<SlotSpec> = Vec::new();
-    let mut seen: std::collections::HashSet<(String, usize, u64)> = Default::default();
-    let mut extras = 0usize;
-    for t in &trials {
-        let label = t.point.point_id();
-        match cache.lookup(&label, t.rep, t.seed, t.point.repetitions) {
-            Some(rec) => {
-                job.record_trial_event(&TrialEvent::cached(&rec));
-                job.note_cluster_trial(false);
-                seen.insert((label, t.rep, t.seed));
-                held.push(rec);
-            }
-            None if seen.insert((label.clone(), t.rep, t.seed)) => todo.push(SlotSpec {
-                label,
-                rep: t.rep,
-                seed: t.seed,
-                repetitions: t.point.repetitions,
-            }),
-            None => extras += 1,
-        }
-    }
-    if !todo.is_empty() {
-        board.publish(&job.id, plan_batches(todo, batch_size));
+) -> Result<Option<Vec<Option<TrialRecord>>>, String> {
+    let slots: Vec<SlotSpec> = plan
+        .misses()
+        .map(|t| SlotSpec {
+            label: t.point.point_id(),
+            rep: t.rep,
+            seed: t.seed,
+            repetitions: t.point.repetitions,
+        })
+        .collect();
+    if !slots.is_empty() {
+        board.publish(&job.id, plan_batches(slots, batch_size));
         loop {
             if job.cancel.load(Ordering::SeqCst) {
                 board.withdraw(&job.id);
-                return Ok(false);
+                return Ok(None);
             }
             match board.wait(&job.id, Duration::from_millis(200)) {
                 WaitStatus::Done => break,
@@ -908,20 +867,15 @@ fn execute_job_cluster(
             }
         }
     }
-    let mut all = board.take_records(&job.id);
+    let mut by_id: HashMap<String, TrialRecord> = board
+        .take_records(&job.id)
+        .into_iter()
+        .map(|r| (r.trial_id(), r))
+        .collect();
     board.withdraw(&job.id);
-    all.extend(held);
-    // Duplicate grid slots beyond the one that was sharded are satisfied by
-    // the same record: progress-wise they are hits on it.
-    for _ in 0..extras {
-        job.note_cluster_trial(false);
-    }
-    let arranged = arrange_grid_order(all, &order)?;
-    let assembled: Vec<String> = arranged.iter().map(TrialRecord::to_json_line).collect();
-    let bytes: usize = assembled.iter().map(String::len).sum();
-    job.results_bytes.store(bytes, Ordering::SeqCst);
-    *job.results.lock().unwrap() = Some(Arc::new(assembled));
-    Ok(true)
+    Ok(Some(
+        plan.misses().map(|t| by_id.remove(&t.trial_id())).collect(),
+    ))
 }
 
 #[cfg(test)]

@@ -900,14 +900,6 @@ impl<'w> ActivationCtx<'w> {
         self.agents_here().filter(move |&a| a != me)
     }
 
-    /// Other agents co-located with this one (self excluded), as an owned
-    /// vector. Prefer [`ActivationCtx::colocated_iter`] /
-    /// [`ActivationCtx::agents_here`] in per-activation code — this variant
-    /// allocates on every call.
-    pub fn colocated(&self) -> Vec<AgentId> {
-        self.colocated_iter().collect()
-    }
-
     /// Number of co-located agents (self excluded).
     pub fn num_colocated(&self) -> usize {
         self.colocated_iter().count()
@@ -1185,12 +1177,10 @@ mod tests {
         let mut w = world_on_ring(3);
         w.begin_activation(AgentId(1));
         let ctx = w.ctx(AgentId(1), 0);
-        let peers = ctx.colocated();
+        let peers: Vec<AgentId> = ctx.colocated_iter().collect();
         assert_eq!(peers.len(), 2);
         assert!(!peers.contains(&AgentId(1)));
         assert_eq!(ctx.num_colocated(), 2);
-        // The borrowing views agree with the allocating one.
-        assert_eq!(ctx.colocated_iter().collect::<Vec<_>>(), peers);
         assert_eq!(ctx.agents_here().count(), 3);
         assert!(ctx.agents_here().any(|a| a == AgentId(1)));
     }
