@@ -6,8 +6,17 @@
 //! ~200-line subset. It supports the full JSON grammar (objects, arrays,
 //! strings with escapes, numbers, booleans, null); object key order is
 //! preserved so emitted lines are byte-stable.
+//!
+//! The parser reads bytes from sockets and files, so it bounds its
+//! recursion: a document nested deeper than [`MAX_DEPTH`] arrays/objects is
+//! rejected with an error instead of overflowing the thread's stack (an
+//! abort no `catch_unwind` could contain).
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. Every document
+/// the workspace writes nests at most a handful of levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,7 +139,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing characters at byte {pos}"));
@@ -180,8 +189,14 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value whose enclosing arrays/objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'{' | b'[')) {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -197,7 +212,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -219,7 +234,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -356,6 +371,33 @@ mod tests {
         assert!(Json::parse("123 tail").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("truex").is_err());
+    }
+
+    fn nested(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_accepted_up_to_the_limit_and_rejected_past_it() {
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn a_deeply_nested_document_is_an_error_not_a_stack_overflow() {
+        // 20,000 levels overflowed a default 2 MiB thread stack (a process
+        // abort) before the parser bounded its recursion.
+        let doc = nested(20_000);
+        let result = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Json::parse(&doc))
+            .unwrap()
+            .join()
+            .expect("the parser must not overflow its stack");
+        assert!(result.unwrap_err().contains("nesting"));
     }
 
     #[test]

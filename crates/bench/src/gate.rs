@@ -63,8 +63,15 @@ pub enum Workload {
     MicroBatch,
 }
 
+// Unit tests run every workload's code path at a small size: at full size
+// the `scale/*` and `micro/*` workloads take tens of seconds in a debug
+// build. Workload ids and the `bench-gate` binary keep the full sizes.
+
 /// Trials per [`Workload::MicroBatch`] run.
-pub const MICRO_TRIALS: usize = 512;
+pub const MICRO_TRIALS: usize = if cfg!(test) { 16 } else { 512 };
+
+/// Agents (and nodes) in the `scale/*` workloads.
+const SCALE_K: usize = if cfg!(test) { 1_000 } else { 100_000 };
 
 /// Batch size the micro workload hands to the batched campaign engine.
 pub const MICRO_BATCH: usize = 32;
@@ -120,7 +127,7 @@ pub const TIMELINE_FACTOR: f64 = 1.05;
 pub fn timeline_overhead(samples: usize) -> (f64, f64, f64) {
     let registry = Registry::builtin();
     let spec =
-        ScenarioSpec::new(GraphFamily::Line, 100_000, "probe-dfs").with_schedule(Schedule::Sync);
+        ScenarioSpec::new(GraphFamily::Line, SCALE_K, "probe-dfs").with_schedule(Schedule::Sync);
     let plain = |spec: &ScenarioSpec| {
         let report = spec.run(&registry, 7).expect("scale line terminates");
         assert!(report.dispersed);
@@ -211,14 +218,14 @@ impl Workload {
                 report.outcome.rounds
             }
             Workload::ScaleLine => {
-                let spec = ScenarioSpec::new(GraphFamily::Line, 100_000, "probe-dfs")
+                let spec = ScenarioSpec::new(GraphFamily::Line, SCALE_K, "probe-dfs")
                     .with_schedule(Schedule::Sync);
                 let report = spec.run(registry, 7).expect("scale line terminates");
                 assert!(report.dispersed);
                 report.outcome.rounds
             }
             Workload::ScaleLineAsync => {
-                let spec = ScenarioSpec::new(GraphFamily::Line, 100_000, "probe-dfs")
+                let spec = ScenarioSpec::new(GraphFamily::Line, SCALE_K, "probe-dfs")
                     .with_schedule(Schedule::AsyncLagging {
                         max_lag: 4,
                         seed: 0,
@@ -228,14 +235,14 @@ impl Workload {
                 report.outcome.epochs
             }
             Workload::ScaleRing => {
-                let spec = ScenarioSpec::new(GraphFamily::Ring, 100_000, "probe-dfs")
+                let spec = ScenarioSpec::new(GraphFamily::Ring, SCALE_K, "probe-dfs")
                     .with_schedule(Schedule::Sync);
                 let report = spec.run(registry, 7).expect("scale ring terminates");
                 assert!(report.dispersed);
                 report.outcome.rounds
             }
             Workload::ScaleRingDyn => {
-                let spec = ScenarioSpec::new(GraphFamily::Ring, 100_000, "probe-dfs")
+                let spec = ScenarioSpec::new(GraphFamily::Ring, SCALE_K, "probe-dfs")
                     .with_schedule(Schedule::Sync)
                     .with_dynamic_ring(1);
                 let report = spec

@@ -250,12 +250,6 @@ impl KsDfs {
             .min_by_key(|a| a.0)
     }
 
-    fn followers_here(&self, ctx: &ActivationCtx<'_>, leader: AgentId) -> usize {
-        ctx.colocated_iter()
-            .filter(|&a| self.is_follower_of(a, leader))
-            .count()
-    }
-
     /// Settle `agent` and park it: a settled agent's activations are no-ops
     /// forever (its scan cursor is mutated passively by visiting leaders).
     fn settle(
@@ -354,7 +348,7 @@ impl KsDfs {
 
             t @ (tag::LEAD_DEPART_SCAN | tag::LEAD_DEPART_RETURN | tag::LEAD_DEPART_BACKTRACK) => {
                 debug_assert_ne!(self.p0[a], NO_PORT, "departing without an order");
-                if self.followers_here(ctx, agent) == 0 {
+                if !ctx.colocated_iter().any(|f| self.is_follower_of(f, agent)) {
                     // All followers executed the order; follow them.
                     let pin = ctx.move_via(self.p0[a]);
                     self.p2[a] = pin;
@@ -422,7 +416,7 @@ impl KsDfs {
         let leader = AgentId(self.aux0[a]);
         let executed = self.tags[a] == tag::FOLLOWER_T;
         // Execute the leader's published order, if a fresh one is visible.
-        if ctx.colocated_iter().any(|peer| peer == leader)
+        if ctx.is_colocated(leader)
             && self.tags[leader.index()] >= tag::LEAD_DECIDE
             && self.p0[leader.index()] != NO_PORT
         {

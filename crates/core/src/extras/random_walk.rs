@@ -19,11 +19,18 @@ use disp_graph::Port;
 use disp_rng::mix;
 use disp_sim::{bits, ActivationCtx, AgentId, AgentProtocol, MoveError, World};
 
+/// `home`/`settled_at` sentinel: not settled / no settler.
+const NONE: u32 = u32::MAX;
+
 /// The random-walk protocol. See the module docs.
 #[derive(Debug)]
 pub struct RandomWalk {
-    settled: Vec<bool>,
-    dead: Vec<bool>,
+    /// `agent → node it settled at`, `NONE` while walking.
+    home: Vec<u32>,
+    /// `node → settler` cache of the locally observable "does this node
+    /// host a settled agent" (settlers never move; a crashed settler's
+    /// entry is retracted in [`AgentProtocol::on_crash`]).
+    settled_at: Vec<u32>,
     /// Per-agent xorshift64* state (never zero).
     rng: Vec<u64>,
     settled_count: usize,
@@ -35,8 +42,8 @@ impl RandomWalk {
     pub fn new(world: &World, seed: u64) -> Self {
         let k = world.num_agents();
         RandomWalk {
-            settled: vec![false; k],
-            dead: vec![false; k],
+            home: vec![NONE; k],
+            settled_at: vec![NONE; world.graph().num_nodes()],
             rng: (0..k as u64).map(|i| mix(&[seed, i]) | 1).collect(),
             settled_count: 0,
             dead_count: 0,
@@ -54,13 +61,15 @@ impl RandomWalk {
 
 impl AgentProtocol for RandomWalk {
     fn on_activate(&mut self, agent: AgentId, ctx: &mut ActivationCtx<'_>) {
-        if self.settled[agent.index()] {
+        if self.home[agent.index()] != NONE {
             return;
         }
         // Activations are sequential, so "no settled agent here" is a
         // race-free claim on this node.
-        if !ctx.colocated_iter().any(|a| self.settled[a.index()]) {
-            self.settled[agent.index()] = true;
+        let node = ctx.node().index();
+        if self.settled_at[node] == NONE {
+            self.settled_at[node] = agent.0;
+            self.home[agent.index()] = node as u32;
             self.settled_count += 1;
             ctx.park(agent);
             return;
@@ -78,20 +87,20 @@ impl AgentProtocol for RandomWalk {
     fn on_crash(&mut self, agent: AgentId) {
         // Retract the corpse's settlement claim so a survivor can re-settle
         // the orphaned node; termination then needs survivors only.
-        if self.settled[agent.index()] {
-            self.settled[agent.index()] = false;
+        let home = std::mem::replace(&mut self.home[agent.index()], NONE);
+        if home != NONE {
+            self.settled_at[home as usize] = NONE;
             self.settled_count -= 1;
         }
-        self.dead[agent.index()] = true;
         self.dead_count += 1;
     }
 
     fn is_terminated(&self) -> bool {
-        self.settled_count == self.settled.len() - self.dead_count
+        self.settled_count == self.home.len() - self.dead_count
     }
 
     fn is_settled(&self, agent: AgentId) -> bool {
-        self.settled[agent.index()]
+        self.home[agent.index()] != NONE
     }
 
     fn memory_bits(&self, _agent: AgentId) -> usize {

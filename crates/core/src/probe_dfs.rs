@@ -556,7 +556,7 @@ impl ProbeDfs {
 
             tag::LEAD_SOLO_WAIT_GUEST_GONE => {
                 let recruited = AgentId(self.aux1[a]);
-                if !ctx.colocated_iter().any(|peer| peer == recruited) {
+                if !ctx.is_colocated(recruited) {
                     let pin = self.p2[a];
                     debug_assert_ne!(pin, NO_PORT, "solo pin recorded");
                     if try_move(ctx, pin).is_some() {
@@ -726,7 +726,7 @@ impl ProbeDfs {
             }
             tag::PROBER_WAIT_GUEST_GONE => {
                 let recruited = AgentId(self.aux0[a]);
-                if !ctx.colocated_iter().any(|peer| peer == recruited) {
+                if !ctx.is_colocated(recruited) {
                     self.set_tag(a, tag::PROBER_GO_HOME_FOUND);
                 }
             }

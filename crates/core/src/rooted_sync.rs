@@ -18,7 +18,8 @@
 //! degrades toward the `O(k log k)` of the DISC'24 baseline on high-degree
 //! graphs. The empty-node selection and oscillation components are
 //! implemented and verified separately; wiring them into this protocol is
-//! the one fidelity gap of this reproduction (tracked in `EXPERIMENTS.md`).
+//! the one fidelity gap of this reproduction (`DESIGN.md` §2, "Known
+//! deviations").
 //!
 //! ## Structure-of-arrays state (DESIGN.md §13)
 //!
@@ -428,7 +429,10 @@ impl RootedSyncDisp {
 
             t @ (tag::LEAD_DEPART_FORWARD | tag::LEAD_DEPART_BACKTRACK) => {
                 debug_assert_ne!(self.order_port, NO_PORT, "departing without an order");
-                if self.min_follower_here(ctx).is_none() {
+                if !ctx
+                    .colocated_iter()
+                    .any(|h| self.tags[h.index()] <= tag::FOLLOWER_T)
+                {
                     let pin = ctx.move_via(self.order_port);
                     self.arrival_pin = pin;
                     self.set_tag(
@@ -482,7 +486,7 @@ impl RootedSyncDisp {
     fn act_follower(&mut self, agent: AgentId, ctx: &mut ActivationCtx<'_>) {
         let a = agent.index();
         let executed = self.tags[a] == tag::FOLLOWER_T;
-        if ctx.colocated_iter().any(|peer| peer == self.leader)
+        if ctx.is_colocated(self.leader)
             && self.tags[self.leader.index()] >= tag::LEAD_DECIDE
             && self.order_port != NO_PORT
             && self.order_flip != executed

@@ -318,6 +318,22 @@ fn lifecycle_errors_are_typed_and_cancellation_works() {
 }
 
 #[test]
+fn a_deeply_nested_body_is_a_400_and_the_server_stays_up() {
+    // 20,000 nested arrays (40 KB, far under the body cap) used to
+    // overflow the handler thread's stack and abort the whole process.
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::new(&server.addr().to_string());
+    let body = "[".repeat(20_000) + &"]".repeat(20_000);
+    let resp = client
+        .request("POST", "/runs", Some(body.into_bytes()))
+        .unwrap();
+    assert_eq!(resp.status, 400);
+    assert!(resp.text().contains("nesting"), "{}", resp.text());
+    assert_eq!(client.get("/healthz").unwrap().status, 200);
+    server.shutdown();
+}
+
+#[test]
 fn idle_keep_alive_connections_do_not_starve_new_clients() {
     // One HTTP worker only: before the yield-to-the-queue policy, a single
     // idle keep-alive client would pin it for the whole idle budget (~30 s)

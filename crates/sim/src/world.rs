@@ -6,7 +6,9 @@
 //! Positions are a flat array; per-node occupancy is an intrusive, index-
 //! linked doubly-linked list (`head[v]` / `next[a]` / `prev[a]`), so a move
 //! is O(1) pointer surgery with zero allocation and co-location queries
-//! borrow straight from the arrays.
+//! borrow straight from the arrays. "Is agent `x` here?" needs no list at
+//! all: [`ActivationCtx::is_colocated`] answers it in O(1) from the flat
+//! position, cohort and crash arrays.
 //!
 //! ## The active-agent worklist
 //!
@@ -900,9 +902,18 @@ impl<'w> ActivationCtx<'w> {
         self.agents_here().filter(move |&a| a != me)
     }
 
-    /// Number of co-located agents (self excluded).
-    pub fn num_colocated(&self) -> usize {
-        self.colocated_iter().count()
+    /// Whether `other` is one of the co-located agents, in O(1): exactly
+    /// `colocated_iter().any(|a| a == other)`. True iff `other` is not the
+    /// activated agent, has not crashed, is not riding a cohort and stands
+    /// on this node — a crashed agent keeps its last position and a rider
+    /// its enrollment node, so both flags are checked before the position.
+    #[inline]
+    pub fn is_colocated(&self, other: AgentId) -> bool {
+        let o = other.index();
+        other != self.agent
+            && !self.world.dead[o]
+            && self.world.cohort_of[o] == NONE
+            && self.world.positions[o] == self.node()
     }
 
     /// Whether this agent already used its move for this activation.
@@ -1180,7 +1191,8 @@ mod tests {
         let peers: Vec<AgentId> = ctx.colocated_iter().collect();
         assert_eq!(peers.len(), 2);
         assert!(!peers.contains(&AgentId(1)));
-        assert_eq!(ctx.num_colocated(), 2);
+        assert!(ctx.is_colocated(AgentId(0)) && ctx.is_colocated(AgentId(2)));
+        assert!(!ctx.is_colocated(AgentId(1)));
         assert_eq!(ctx.agents_here().count(), 3);
         assert!(ctx.agents_here().any(|a| a == AgentId(1)));
     }
