@@ -38,7 +38,13 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let registry = Registry::builtin();
+    // `<subcommand> --help` asks for the usage, wherever the flag sits.
+    let wants_help = args.iter().skip(1).any(|a| a == "--help" || a == "-h");
     let result = match args.first().map(String::as_str) {
+        Some("run" | "resume" | "report" | "trace" | "timeline" | "scenarios") if wants_help => {
+            print!("{}", USAGE);
+            Ok(())
+        }
         Some("run") => cmd_run(&args[1..], &registry),
         Some("resume") => cmd_resume(&args[1..], &registry),
         Some("report") => cmd_report(&args[1..]),

@@ -108,6 +108,14 @@ impl AgentProtocol for RandomWalk {
         bits::flag_bits() + 64
     }
 
+    fn max_memory_bits(&self) -> Option<usize> {
+        // Every agent carries the same footprint (none with no agents).
+        Some(match self.home.len() {
+            0 => 0,
+            _ => self.memory_bits(AgentId(0)),
+        })
+    }
+
     fn name(&self) -> &'static str {
         "random-walk"
     }

@@ -107,6 +107,14 @@ impl AgentProtocol for Spacer {
             + bits::flag_bits()
     }
 
+    fn max_memory_bits(&self) -> Option<usize> {
+        // Every agent carries the same footprint (none with no agents).
+        Some(match self.settled.len() {
+            0 => 0,
+            _ => self.memory_bits(AgentId(0)),
+        })
+    }
+
     fn name(&self) -> &'static str {
         "spacer"
     }

@@ -55,15 +55,16 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// Hash state for the duplicate-edge set. The keys are canonicalized
-/// `(min, max)` node pairs — already unique, well-distributed u64s — so one
-/// splitmix64 finalizer round replaces SipHash, which profiles as the hot
-/// spot of building 10^5-edge graphs.
+/// Hash state for the duplicate-edge set (and the random-regular repair
+/// pass's). The keys are canonicalized `(min, max)` node pairs — already
+/// unique, well-distributed u64s — so one splitmix64 finalizer round
+/// replaces SipHash, which profiles as the hot spot of building 10^5-edge
+/// graphs.
 #[derive(Debug, Clone, Copy, Default)]
-struct EdgeKeyHash;
+pub(crate) struct EdgeKeyHash;
 
 #[derive(Debug, Clone, Copy, Default)]
-struct EdgeKeyHasher(u64);
+pub(crate) struct EdgeKeyHasher(u64);
 
 impl std::hash::Hasher for EdgeKeyHasher {
     fn write(&mut self, bytes: &[u8]) {

@@ -1,9 +1,10 @@
 //! Randomized graph families and port-label permutation.
 
-use crate::builder::GraphBuilder;
+use crate::builder::{EdgeKeyHash, GraphBuilder};
 use crate::graph::PortGraph;
 use crate::ids::{NodeId, Port};
 use disp_rng::prelude::*;
+use std::collections::HashSet;
 
 /// Uniform random labeled tree on `n ≥ 1` nodes (via a random Prüfer
 /// sequence), deterministic for a given `seed`.
@@ -60,18 +61,40 @@ pub fn erdos_renyi_connected(n: usize, p: f64, seed: u64) -> PortGraph {
     let mut b = GraphBuilder::new(n).name(format!("er-{n}-p{p}-s{seed}"));
     // Random spanning tree first (random permutation + random attachment)
     // guarantees connectivity without skewing the degree distribution much.
-    let mut order: Vec<usize> = (0..n).collect();
+    let n32 = n as u32;
+    let mut order: Vec<u32> = (0..n32).collect();
     order.shuffle(&mut rng);
+    let mut tree: Vec<(u32, u32)> = Vec::with_capacity(n);
     for i in 1..n {
         let j = rng.random_range(0..i);
         let (u, v) = (order[i], order[j]);
-        b.add_edge(NodeId(u as u32), NodeId(v as u32)).unwrap();
+        b.add_edge(NodeId(u), NodeId(v)).unwrap();
+        tree.push((u.min(v), u.max(v)));
     }
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if !b.has_edge(NodeId(u as u32), NodeId(v as u32)) && rng.random_bool(p) {
-                b.add_edge(NodeId(u as u32), NodeId(v as u32)).unwrap();
+    // Every pair is visited once, so when a pair comes up the only edge
+    // that can already exist is a tree edge. Each row `u` is drawn in runs
+    // between its tree neighbors (from the sorted tree list, closed by a
+    // sentinel no row matches): one coin per other pair, none for a tree
+    // pair, and no edge-set probe at all.
+    tree.sort_unstable();
+    tree.push((n32, n32));
+    let coin = Bernoulli::new(p);
+    let mut next = 0;
+    for u in 0..n32 {
+        let mut from = u + 1;
+        while from < n32 {
+            let to = if tree[next].0 == u {
+                next += 1;
+                tree[next - 1].1
+            } else {
+                n32
+            };
+            for v in from..to {
+                if coin.sample(&mut rng) {
+                    b.add_edge(NodeId(u), NodeId(v)).unwrap();
+                }
             }
+            from = to + 1;
         }
     }
     b.build().unwrap()
@@ -100,10 +123,11 @@ fn try_random_regular(n: usize, d: usize, rng: &mut StdRng, seed: u64) -> Option
     let mut stubs: Vec<usize> = (0..n * d).map(|i| i / d).collect();
     stubs.shuffle(rng);
     let mut edges: Vec<(usize, usize)> = stubs.chunks_exact(2).map(|p| (p[0], p[1])).collect();
-    let edge_key = |u: usize, v: usize| if u <= v { (u, v) } else { (v, u) };
+    let edge_key = |u: usize, v: usize| (u.min(v) as u32, u.max(v) as u32);
+    let mut seen = HashSet::with_capacity_and_hasher(edges.len(), EdgeKeyHash);
     // Repair pass: repeatedly swap a bad edge with a random other edge.
     for _ in 0..(20 * edges.len() + 100) {
-        let mut seen = std::collections::HashSet::new();
+        seen.clear();
         let bad = edges
             .iter()
             .position(|&(u, v)| u == v || !seen.insert(edge_key(u, v)));

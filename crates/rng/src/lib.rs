@@ -46,15 +46,49 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 /// `mix(&[campaign_seed, point_hash, repetition])`, which makes trial seeds
 /// independent of thread count, execution order and grid sharding.
 pub fn mix(words: &[u64]) -> u64 {
-    let mut state = 0x6A09_E667_F3BC_C909; // fractional bits of sqrt(2)
-    let mut acc = 0u64;
-    for &w in words {
-        state ^= w;
-        acc = acc.rotate_left(23) ^ splitmix64(&mut state);
+    Mixer::EMPTY.mix(words)
+}
+
+/// [`mix`] with a fixed word prefix absorbed once:
+/// `Mixer::new(&[a, b]).mix(&[c, d])` equals `mix(&[a, b, c, d])`. A stream
+/// keyed by a constant `(seed, TAG)` prefix — one word per draw after it —
+/// pays the prefix's rounds once instead of on every draw.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mixer {
+    state: u64,
+    acc: u64,
+}
+
+impl Mixer {
+    /// The mixer of the empty prefix.
+    const EMPTY: Mixer = Mixer {
+        state: 0x6A09_E667_F3BC_C909, // fractional bits of sqrt(2)
+        acc: 0,
+    };
+
+    /// A mixer that has absorbed `prefix`.
+    pub fn new(prefix: &[u64]) -> Mixer {
+        Mixer::EMPTY.absorb(prefix)
     }
-    // One extra scramble so `mix(&[x])` differs from `x` even for tiny inputs.
-    let mut fin = acc ^ state;
-    splitmix64(&mut fin)
+
+    #[inline]
+    fn absorb(mut self, words: &[u64]) -> Mixer {
+        for &w in words {
+            self.state ^= w;
+            self.acc = self.acc.rotate_left(23) ^ splitmix64(&mut self.state);
+        }
+        self
+    }
+
+    /// `mix` of the prefix followed by `words`.
+    #[inline]
+    pub fn mix(&self, words: &[u64]) -> u64 {
+        let m = self.absorb(words);
+        // One extra scramble so `mix(&[x])` differs from `x` even for tiny
+        // inputs.
+        let mut fin = m.acc ^ m.state;
+        splitmix64(&mut fin)
+    }
 }
 
 /// FNV-1a hash of a byte string — stable across platforms and releases, used
@@ -125,11 +159,39 @@ impl StdRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Bernoulli sample with success probability `p`.
+    /// Bernoulli sample with success probability `p`: one word, the same
+    /// outcome as `random_f64() < p` (see [`Bernoulli`]).
     #[inline]
     pub fn random_bool(&mut self, p: f64) -> bool {
+        Bernoulli::new(p).sample(self)
+    }
+}
+
+/// A Bernoulli(`p`) draw compiled to an integer threshold, for loops that
+/// draw many times with one `p`.
+///
+/// `random_f64() < p` compares `m · 2⁻⁵³` with `p`, where `m = next_u64() >>
+/// 11 < 2⁵³`. Both sides scale exactly by `2⁵³`, so the test is `m < p·2⁵³`,
+/// and for an integer `m` that is `m < ⌈p·2⁵³⌉`: the same word decides the
+/// same outcome without a float conversion per draw.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bernoulli {
+    threshold: u64,
+}
+
+impl Bernoulli {
+    /// A draw that succeeds with probability `p ∈ [0, 1]`.
+    pub fn new(p: f64) -> Bernoulli {
         assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-        self.random_f64() < p
+        Bernoulli {
+            threshold: (p * (1u64 << 53) as f64).ceil() as u64,
+        }
+    }
+
+    /// One draw from `rng` (one word).
+    #[inline]
+    pub fn sample(&self, rng: &mut StdRng) -> bool {
+        (rng.next_u64() >> 11) < self.threshold
     }
 }
 
@@ -175,7 +237,7 @@ impl<T> SliceRandom for [T] {
 
 /// Convenient glob import.
 pub mod prelude {
-    pub use crate::{fnv1a, mix, SliceRandom, StdRng};
+    pub use crate::{fnv1a, mix, Bernoulli, Mixer, SliceRandom, StdRng};
 }
 
 #[cfg(test)]
@@ -243,6 +305,52 @@ mod tests {
         assert_ne!(mix(&[1, 2]), mix(&[2, 1]));
         assert_eq!(mix(&[7, 8, 9]), mix(&[7, 8, 9]));
         assert_ne!(mix(&[5]), 5);
+    }
+
+    #[test]
+    fn mixer_prefixes_split_anywhere() {
+        let words = [3u64, 0xAD5E_0004, u64::MAX, 0, 42];
+        for cut in 0..=words.len() {
+            let (prefix, rest) = words.split_at(cut);
+            assert_eq!(Mixer::new(prefix).mix(rest), mix(&words), "cut {cut}");
+        }
+        assert_eq!(Mixer::new(&[]).mix(&[]), mix(&[]));
+    }
+
+    #[test]
+    fn bernoulli_threshold_matches_the_float_compare() {
+        // Probabilities at and around every awkward spot: 0, 1, halves,
+        // values one ulp off an exact threshold, tiny and subnormal ones.
+        let mut ps = vec![0.0, 1.0, 0.5, 0.3, 1e-17, f64::MIN_POSITIVE, 5e-324];
+        for i in 1..64 {
+            let p = i as f64 / 64.0;
+            ps.extend([
+                p,
+                f64::from_bits(p.to_bits() - 1),
+                f64::from_bits(p.to_bits() + 1),
+            ]);
+        }
+        let mut probe = StdRng::seed_from_u64(17);
+        ps.extend((0..200).map(|_| probe.random_f64()));
+        for &p in ps.iter().filter(|p| (0.0..=1.0).contains(*p)) {
+            let b = Bernoulli::new(p);
+            let t = b.threshold;
+            // Exactly at the threshold boundary, then on a random stream.
+            for m in [t.saturating_sub(1), t, t + 1]
+                .into_iter()
+                .filter(|&m| m < 1 << 53)
+            {
+                let float = (m as f64) * (1.0 / (1u64 << 53) as f64) < p;
+                assert_eq!(m < t, float, "p = {p:e}, m = {m}");
+            }
+            let (mut x, mut y) = (
+                StdRng::seed_from_u64(p.to_bits()),
+                StdRng::seed_from_u64(p.to_bits()),
+            );
+            for _ in 0..64 {
+                assert_eq!(b.sample(&mut x), y.random_f64() < p, "p = {p:e}");
+            }
+        }
     }
 
     #[test]

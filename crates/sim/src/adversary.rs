@@ -25,7 +25,10 @@
 //! Every random adversary derives its per-step randomness from fixed
 //! sub-seed tags via [`mix`], so a step's schedule is a pure function of
 //! `(seed, step, active worklist)` — no shared sequential stream whose
-//! shape depends on earlier steps' content. **These streams replace the
+//! shape depends on earlier steps' content. The event-driven adversaries
+//! hold each stream as a [`Mixer`] with the `(seed, tag)` prefix absorbed,
+//! which yields exactly those words: an optimisation may make a draw
+//! cheaper, never different. **These streams replace the
 //! pre-PR-4 sequential streams**: recorded ASYNC trial outcomes from older
 //! campaigns are not reproducible and must be re-run (the same applies to
 //! the PR 2 placement-stream migration).
@@ -56,6 +59,10 @@ pub struct StepView<'a> {
     pub step: u64,
     /// Currently active (schedulable) agents, sorted ascending by id.
     pub active: &'a [AgentId],
+    /// Worklist membership by agent index: `u32::MAX` for a parked agent,
+    /// anything else (the world stores the agent's worklist slot) for an
+    /// active one. [`StepView::is_active`] reads it in O(1).
+    pub active_pos: &'a [u32],
     /// Wake transitions since the previous `next_step` call, in occurrence
     /// order (an agent may appear more than once if it was woken, parked and
     /// woken again within one batch). Timer-based adversaries re-enroll
@@ -74,23 +81,30 @@ impl<'a> StepView<'a> {
         k: usize,
         step: u64,
         active: &'a [AgentId],
+        active_pos: &'a [u32],
         woken: &'a [AgentId],
         victims: &'a dyn Fn(AgentId) -> bool,
     ) -> StepView<'a> {
         debug_assert!(active.windows(2).all(|w| w[0] < w[1]), "active not sorted");
+        debug_assert_eq!(active_pos.len(), k, "membership index not sized to k");
+        debug_assert!(
+            active.iter().all(|a| active_pos[a.index()] != u32::MAX),
+            "active agent marked parked"
+        );
         StepView {
             k,
             step,
             active,
+            active_pos,
             woken,
             victims,
         }
     }
 
-    /// Whether `agent` is on the active worklist (binary search).
+    /// Whether `agent` is on the active worklist (O(1)).
     #[inline]
     pub fn is_active(&self, agent: AgentId) -> bool {
-        self.active.binary_search(&agent).is_ok()
+        self.active_pos[agent.index()] != u32::MAX
     }
 }
 
@@ -269,7 +283,9 @@ impl Adversary for RoundRobinAdversary {
 /// per *chosen* agent instead of one Bernoulli draw per agent. The chosen
 /// set is identical in distribution to per-agent Bernoulli sampling; the
 /// construction (and therefore the exact stream) is the schedule's
-/// definition.
+/// definition. The naive reference samples through this function; the
+/// event-driven adversary through [`GapSampler`], which must choose the
+/// same agents from the same draws.
 fn sample_gaps(rng: &mut StdRng, prob: f64, active: &[AgentId], out: &mut Vec<AgentId>) {
     if prob >= 1.0 {
         out.extend_from_slice(active);
@@ -296,6 +312,68 @@ fn sample_gaps(rng: &mut StdRng, prob: f64, active: &[AgentId], out: &mut Vec<Ag
     }
 }
 
+/// [`sample_gaps`] with its constants computed once per adversary and the
+/// commonest gap decided without a logarithm.
+///
+/// A draw `u` skips `⌊q⌋` agents, `q = ln(1 − u) / ln(1 − prob)`. When
+/// `1 − u` exceeds `exp(ln(1 − prob))·(1 + 10⁻⁶)`, the exact `q` is below
+/// `1 − 10⁻⁶ / |ln(1 − prob)|`, at most `1 − 2·10⁻⁸` (`1 − prob ≥ 2⁻⁵³`),
+/// and a quotient of a logarithm off by a few ulps is still below 1: the
+/// gap is 0. That is a share `prob` of all draws. For the others, `⌊q⌋ ≥ r
+/// ⟺ q ≥ r` for an integer `r`, and `q as usize` truncates the
+/// non-negative `q`, so the `floor` call goes too.
+#[derive(Debug, Clone, Copy)]
+struct GapSampler {
+    prob: f64,
+    /// `ln(1 − prob)`, computed as `sample_gaps` computes it.
+    denom: f64,
+    /// `1 − u` above this means gap 0.
+    zero_gap_above: f64,
+}
+
+impl GapSampler {
+    fn new(prob: f64) -> GapSampler {
+        let denom = (1.0 - prob).ln();
+        GapSampler {
+            prob,
+            denom,
+            zero_gap_above: denom.exp() * (1.0 + 1e-6),
+        }
+    }
+
+    /// The agents to skip for the draw `u` with `remaining` agents left,
+    /// `None` when the gap runs past them.
+    #[inline]
+    fn skip(&self, u: f64, remaining: usize) -> Option<usize> {
+        let y = 1.0 - u;
+        if y > self.zero_gap_above {
+            return Some(0);
+        }
+        let q = y.ln() / self.denom;
+        (q < remaining as f64).then_some(q as usize)
+    }
+
+    fn sample(&self, rng: &mut StdRng, active: &[AgentId], out: &mut Vec<AgentId>) {
+        if self.prob >= 1.0 {
+            out.extend_from_slice(active);
+            return;
+        }
+        if self.denom == 0.0 {
+            // As in `sample_gaps`: a step selects no one.
+            return;
+        }
+        let mut i = 0usize;
+        while i < active.len() {
+            let Some(gap) = self.skip(rng.random_f64(), active.len() - i) else {
+                break;
+            };
+            i += gap;
+            out.push(active[i]);
+            i += 1;
+        }
+    }
+}
+
 /// Activates each active agent independently with probability `prob` per
 /// step, in a random order. Models uncoordinated agents with similar
 /// speeds. Event-driven: per-step derived sub-streams (the schedule of step
@@ -306,9 +384,12 @@ fn sample_gaps(rng: &mut StdRng, prob: f64, active: &[AgentId], out: &mut Vec<Ag
 /// up empty.
 #[derive(Debug)]
 pub struct RandomSubsetAdversary {
-    prob: f64,
-    seed: u64,
+    gaps: GapSampler,
     k: usize,
+    /// `mix(&[seed, SUB_SUBSET, step])` with the constant prefix absorbed.
+    subset: Mixer,
+    /// `mix(&[seed, SUB_FALLBACK, step])` likewise.
+    fallback: Mixer,
 }
 
 impl RandomSubsetAdversary {
@@ -318,7 +399,12 @@ impl RandomSubsetAdversary {
             prob > 0.0 && prob <= 1.0,
             "activation probability must be in (0, 1]"
         );
-        RandomSubsetAdversary { prob, seed, k }
+        RandomSubsetAdversary {
+            gaps: GapSampler::new(prob),
+            k,
+            subset: Mixer::new(&[seed, SUB_SUBSET]),
+            fallback: Mixer::new(&[seed, SUB_FALLBACK]),
+        }
     }
 }
 
@@ -330,10 +416,10 @@ impl Adversary for RandomSubsetAdversary {
     ) -> Result<u64, AdversaryError> {
         check_k(self.k, view)?;
         out.clear();
-        let mut rng = StdRng::seed_from_u64(mix(&[self.seed, SUB_SUBSET, view.step]));
-        sample_gaps(&mut rng, self.prob, view.active, out);
+        let mut rng = StdRng::seed_from_u64(self.subset.mix(&[view.step]));
+        self.gaps.sample(&mut rng, view.active, out);
         if out.is_empty() && !view.active.is_empty() {
-            let mut fb = StdRng::seed_from_u64(mix(&[self.seed, SUB_FALLBACK, view.step]));
+            let mut fb = StdRng::seed_from_u64(self.fallback.mix(&[view.step]));
             out.push(view.active[fb.random_range(0..view.active.len())]);
         }
         out.shuffle(&mut rng);
@@ -354,7 +440,13 @@ impl Adversary for RandomSubsetAdversary {
 /// (Lemire reduction on a mixed word — one derivation per draw, no shared
 /// sequential stream).
 fn period_of(seed: u64, max_lag: u64, agent: u32, draw: u64) -> u64 {
-    let v = mix(&[seed, SUB_PERIOD, agent as u64, draw]);
+    period_from_word(mix(&[seed, SUB_PERIOD, agent as u64, draw]), max_lag)
+}
+
+/// The Lemire reduction of [`period_of`], shared with the prefix-mixed
+/// fast path.
+#[inline]
+fn period_from_word(v: u64, max_lag: u64) -> u64 {
     1 + ((v as u128 * max_lag as u128) >> 64) as u64
 }
 
@@ -376,11 +468,20 @@ const UNSCHEDULED: u64 = u64::MAX;
 /// re-enroll through [`StepView::woken`] with a fresh period; an agent's
 /// period draw counter survives park/wake, so the whole schedule is
 /// deterministic in `(seed, execution history)`.
+///
+/// Bookkeeping per draw is kept to the draw itself: the wheel index of the
+/// cursor is tracked (every due step lies within `max_lag` of the cursor,
+/// so no division), empty buckets are stepped over, the period and order
+/// streams absorb their `(seed, tag)` prefix once, and a one-agent batch
+/// derives no order stream (shuffling one element draws nothing).
 #[derive(Debug)]
 pub struct LaggingAdversary {
     max_lag: u64,
-    seed: u64,
     k: usize,
+    /// `mix(&[seed, SUB_PERIOD, agent, draw])` with the prefix absorbed.
+    period: Mixer,
+    /// `mix(&[seed, SUB_ORDER, step])` with the prefix absorbed.
+    order: Mixer,
     /// Next scheduled due step per agent ([`UNSCHEDULED`] when parked or
     /// already consumed); doubles as the validity stamp for lazy deletion.
     next_due: Vec<u64>,
@@ -391,8 +492,8 @@ pub struct LaggingAdversary {
     /// The next step the bucket scan starts from; all valid entries have
     /// `due ∈ [cursor, cursor + max_lag]`.
     cursor: u64,
-    /// Scratch for draining a bucket without fighting the borrow checker.
-    scratch: Vec<u32>,
+    /// `cursor % wheel.len()`, kept in step with `cursor`.
+    cursor_idx: usize,
 }
 
 impl LaggingAdversary {
@@ -404,13 +505,14 @@ impl LaggingAdversary {
         assert!(max_lag >= 1, "max_lag must be at least 1");
         let mut adv = LaggingAdversary {
             max_lag,
-            seed,
             k,
+            period: Mixer::new(&[seed, SUB_PERIOD]),
+            order: Mixer::new(&[seed, SUB_ORDER]),
             next_due: vec![UNSCHEDULED; k],
             draws: vec![0; k],
             wheel: vec![Vec::new(); (max_lag + 1) as usize],
             cursor: 0,
-            scratch: Vec::new(),
+            cursor_idx: 0,
         };
         for a in 0..k as u32 {
             let p = adv.draw_period(a);
@@ -422,13 +524,35 @@ impl LaggingAdversary {
     fn draw_period(&mut self, agent: u32) -> u64 {
         let d = self.draws[agent as usize];
         self.draws[agent as usize] += 1;
-        period_of(self.seed, self.max_lag, agent, d)
+        period_from_word(self.period.mix(&[agent as u64, d]), self.max_lag)
     }
 
+    /// Enroll `agent` for step `due`, in bucket `due % (max_lag + 1)`.
+    /// Every due the schedule makes lies in `[cursor, cursor + max_lag]`,
+    /// where the bucket is an offset from the tracked cursor index; only a
+    /// caller that moves `view.step` backwards reaches the division.
     fn schedule(&mut self, agent: u32, due: u64) {
         self.next_due[agent as usize] = due;
-        let ring = self.wheel.len() as u64;
-        self.wheel[(due % ring) as usize].push(agent);
+        let ahead = due.wrapping_sub(self.cursor);
+        let idx = if ahead <= self.max_lag {
+            let idx = self.cursor_idx + ahead as usize;
+            if idx >= self.wheel.len() {
+                idx - self.wheel.len()
+            } else {
+                idx
+            }
+        } else {
+            (due % self.wheel.len() as u64) as usize
+        };
+        self.wheel[idx].push(agent);
+    }
+
+    fn advance_cursor(&mut self) {
+        self.cursor += 1;
+        self.cursor_idx += 1;
+        if self.cursor_idx == self.wheel.len() {
+            self.cursor_idx = 0;
+        }
     }
 }
 
@@ -439,13 +563,17 @@ impl Adversary for LaggingAdversary {
         out: &mut Vec<AgentId>,
     ) -> Result<u64, AdversaryError> {
         check_k(self.k, view)?;
+        if view.step > self.cursor {
+            // The caller skipped steps: re-derive the tracked index once.
+            self.cursor = view.step;
+            self.cursor_idx = (view.step % self.wheel.len() as u64) as usize;
+        }
         // Re-enroll woken agents: an agent woken by the batch at step
         // `view.step - 1` next activates a fresh period later.
         for &a in view.woken {
             let p = self.draw_period(a.0);
             self.schedule(a.0, view.step.max(1) - 1 + p);
         }
-        self.cursor = self.cursor.max(view.step);
         out.clear();
         let ring = self.wheel.len() as u64;
         let mut scanned = 0u64;
@@ -456,12 +584,9 @@ impl Adversary for LaggingAdversary {
                 return Err(AdversaryError::Stalled { step: self.cursor });
             }
             let s = self.cursor;
-            let idx = (s % ring) as usize;
-            std::mem::swap(&mut self.wheel[idx], &mut self.scratch);
-            for i in 0..self.scratch.len() {
-                let a = self.scratch[i];
-                // Lazy deletion: only entries whose stamp still matches are
-                // live (consuming resets the stamp, which also de-dups).
+            // Lazy deletion: only entries whose stamp still matches are
+            // live (consuming resets the stamp, which also de-dups).
+            for a in self.wheel[self.cursor_idx].drain(..) {
                 if self.next_due[a as usize] == s {
                     self.next_due[a as usize] = UNSCHEDULED;
                     if view.is_active(AgentId(a)) {
@@ -469,9 +594,8 @@ impl Adversary for LaggingAdversary {
                     }
                 }
             }
-            self.scratch.clear();
             if out.is_empty() {
-                self.cursor += 1;
+                self.advance_cursor();
                 scanned += 1;
                 continue;
             }
@@ -480,9 +604,11 @@ impl Adversary for LaggingAdversary {
                 let p = self.draw_period(fired.0);
                 self.schedule(fired.0, s + p);
             }
-            let mut order = StdRng::seed_from_u64(mix(&[self.seed, SUB_ORDER, s]));
-            out.shuffle(&mut order);
-            self.cursor = s + 1;
+            if out.len() > 1 {
+                let mut order = StdRng::seed_from_u64(self.order.mix(&[s]));
+                out.shuffle(&mut order);
+            }
+            self.advance_cursor();
             return Ok(s);
         }
     }
@@ -787,17 +913,27 @@ mod tests {
     /// A little scripted worklist for driving adversaries without a world.
     struct Model {
         active: Vec<AgentId>,
+        pos: Vec<u32>,
         woken: Vec<AgentId>,
         victims: HashSet<AgentId>,
     }
 
     impl Model {
-        fn all_active(k: usize) -> Model {
-            Model {
-                active: (0..k as u32).map(AgentId).collect(),
-                woken: Vec::new(),
-                victims: HashSet::new(),
+        fn new(k: usize, active: Vec<AgentId>, victims: HashSet<AgentId>) -> Model {
+            let mut pos = vec![u32::MAX; k];
+            for (i, a) in active.iter().enumerate() {
+                pos[a.index()] = i as u32;
             }
+            Model {
+                active,
+                pos,
+                woken: Vec::new(),
+                victims,
+            }
+        }
+
+        fn all_active(k: usize) -> Model {
+            Model::new(k, (0..k as u32).map(AgentId).collect(), HashSet::new())
         }
 
         fn step<'a>(
@@ -806,7 +942,7 @@ mod tests {
             step: u64,
             victims: &'a dyn Fn(AgentId) -> bool,
         ) -> StepView<'a> {
-            StepView::new(k, step, &self.active, &self.woken, victims)
+            StepView::new(k, step, &self.active, &self.pos, &self.woken, victims)
         }
     }
 
@@ -864,11 +1000,7 @@ mod tests {
         }
         // Rotation splits around the start id even when some agents are
         // parked.
-        let model = Model {
-            active: vec![AgentId(0), AgentId(2), AgentId(4)],
-            woken: Vec::new(),
-            victims: HashSet::new(),
-        };
+        let model = Model::new(5, vec![AgentId(0), AgentId(2), AgentId(4)], HashSet::new());
         let mut adv = RoundRobinAdversary::new(5);
         adv.next_step(&model.step(5, 3, &not_victim), &mut out)
             .unwrap();
@@ -952,11 +1084,11 @@ mod tests {
     fn targeted_adversary_starves_victims_to_the_limit() {
         let k = 6;
         let mut adv = TargetedAdversary::new(4, k);
-        let model = Model {
-            active: (0..k as u32).map(AgentId).collect(),
-            woken: Vec::new(),
-            victims: [AgentId(1), AgentId(4)].into_iter().collect(),
-        };
+        let model = Model::new(
+            k,
+            (0..k as u32).map(AgentId).collect(),
+            [AgentId(1), AgentId(4)].into_iter().collect(),
+        );
         let victims = |a: AgentId| model.victims.contains(&a);
         let mut out = Vec::new();
         for step in 0..24u64 {
@@ -979,11 +1111,11 @@ mod tests {
     fn targeted_adversary_skips_to_the_victim_turn_when_only_victims_remain() {
         let k = 3;
         let mut adv = TargetedAdversary::new(5, k);
-        let model = Model {
-            active: (0..k as u32).map(AgentId).collect(),
-            woken: Vec::new(),
-            victims: (0..k as u32).map(AgentId).collect(),
-        };
+        let model = Model::new(
+            k,
+            (0..k as u32).map(AgentId).collect(),
+            (0..k as u32).map(AgentId).collect(),
+        );
         let victims = |a: AgentId| model.victims.contains(&a);
         let mut out = Vec::new();
         let fire = adv
@@ -995,6 +1127,47 @@ mod tests {
             .next_step(&model.step(k, 5, &victims), &mut out)
             .unwrap();
         assert_eq!(fire, 9);
+    }
+
+    #[test]
+    fn gap_sampler_matches_the_floor_of_the_log_ratio() {
+        // Per draw, against the formula `sample_gaps` evaluates, at random
+        // draws and at the draws closest to every integer gap boundary
+        // (where the shortcut's margin and the truncation could slip).
+        let mut probe = StdRng::seed_from_u64(0x6A95);
+        let mut probs = vec![0.7, 0.3, 0.5, 0.02, 1e-3, 0.999, 1.0 - 1e-12, 1e-9];
+        probs.extend((0..40).map(|_| probe.random_f64().max(1e-6)));
+        for prob in probs {
+            let g = GapSampler::new(prob);
+            let denom = (1.0 - prob).ln();
+            let formula = |u: f64, remaining: usize| {
+                let gap = ((1.0 - u).ln() / denom).floor();
+                (gap < remaining as f64).then_some(gap as usize)
+            };
+            let mut draws: Vec<f64> = (0..2_000).map(|_| probe.random_f64()).collect();
+            // 1 − u = (1 − prob)^j is where the gap steps to j, and the
+            // shortcut ends at 1 − u = zero_gap_above.
+            let edges = (1..6)
+                .map(|j| 1.0 - (denom * j as f64).exp())
+                .chain([1.0 - g.zero_gap_above]);
+            for edge in edges {
+                let m = (edge * (1u64 << 53) as f64) as i64;
+                for d in -3..=3 {
+                    let m = (m + d).clamp(0, (1 << 53) - 1);
+                    draws.push(m as f64 / (1u64 << 53) as f64);
+                }
+            }
+            draws.push(0.0);
+            for u in draws {
+                for remaining in [1, 2, 3, 7, 1_000] {
+                    assert_eq!(
+                        g.skip(u, remaining),
+                        formula(u, remaining),
+                        "prob {prob}, u {u}, remaining {remaining}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

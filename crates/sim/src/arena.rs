@@ -156,11 +156,16 @@ impl ListArena {
         Some(AgentId(slot as u32))
     }
 
-    /// Insert `agent` keeping the list in ascending slot order. A linear
-    /// front scan — the protocol lists are short and insertions cluster
-    /// near the front (returning probers are the smallest unsettled ids).
+    /// Insert `agent` keeping the list in ascending slot order. An id past
+    /// the tail appends in O(1) — SYNC returns probers and recruits guests
+    /// in ascending id order, so that is the common case — and any other
+    /// id walks from the front.
     pub fn insert_sorted(&mut self, list: &mut ListHandle, agent: AgentId) {
         let slot = agent.index() as u32;
+        if list.tail != NONE && slot > list.tail {
+            self.push_back(list, agent);
+            return;
+        }
         if list.head == NONE || slot < list.head {
             self.mark_linked(slot as usize);
             self.next[slot as usize] = list.head;
@@ -269,6 +274,45 @@ mod tests {
         assert_eq!(ids(&arena, &list), vec![2, 3, 5, 7, 9, 11, 15]);
         arena.push_back(&mut list, AgentId(0));
         assert_eq!(ids(&arena, &list).last(), Some(&0));
+    }
+
+    #[test]
+    fn sorted_insertion_matches_a_sorted_vec() {
+        // Ascending runs (the tail-append path) mixed with out-of-order
+        // ids and front pops, mirrored in a plain sorted Vec.
+        use disp_rng::prelude::*;
+        let k = 64;
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut arena = ListArena::new(k);
+        let mut list = ListHandle::new();
+        let mut model: Vec<u32> = Vec::new();
+        for _ in 0..2_000 {
+            let free: Vec<u32> = (0..k as u32).filter(|i| !model.contains(i)).collect();
+            let ascending = free
+                .iter()
+                .copied()
+                .find(|&i| model.last().is_none_or(|&t| i > t));
+            let pick = match ascending {
+                Some(i) if rng.random_bool(0.6) => Some(i),
+                _ if !free.is_empty() && rng.random_bool(0.7) => {
+                    Some(free[rng.random_range(0..free.len())])
+                }
+                _ => None,
+            };
+            match pick {
+                Some(i) => {
+                    arena.insert_sorted(&mut list, AgentId(i));
+                    let at = model.partition_point(|&m| m < i);
+                    model.insert(at, i);
+                }
+                None => {
+                    let front = (!model.is_empty()).then(|| AgentId(model.remove(0)));
+                    assert_eq!(arena.pop_front(&mut list), front);
+                }
+            }
+            assert_eq!(ids(&arena, &list), model);
+            assert_eq!(list.len(), model.len());
+        }
     }
 
     #[test]

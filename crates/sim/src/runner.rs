@@ -442,12 +442,15 @@ impl<A: Adversary> AsyncRunner<A> {
             }
             let scheduled = {
                 let victims = |a: AgentId| !protocol.is_settled(a);
-                // Borrows the world's cached sorted worklist — no copy, and
-                // the sort itself only reruns after a park/wake/crash.
+                // Borrows the world's cached sorted worklist and its O(1)
+                // membership index — no copy, and the sort itself only
+                // reruns after a park/wake/crash.
+                let (active, active_pos) = world.schedule_view();
                 let view = StepView::new(
                     k,
                     clock.steps(),
-                    world.active_sorted(),
+                    active,
+                    active_pos,
                     &woken_for_adv,
                     &victims,
                 );

@@ -545,6 +545,14 @@ impl World {
         &self.active_sorted
     }
 
+    /// The sorted active list together with the `agent → worklist slot`
+    /// index (`NONE` = `u32::MAX` when parked): the worklist half of an
+    /// adversary's [`StepView`](crate::adversary::StepView).
+    pub(crate) fn schedule_view(&mut self) -> (&[AgentId], &[u32]) {
+        self.active_sorted();
+        (&self.active_sorted, &self.active_pos)
+    }
+
     /// Copy the sorted active list into `buf` (for callers that go on to
     /// mutate their copy, like the SYNC runner's same-round wake injection).
     pub(crate) fn snapshot_active_sorted(&mut self, buf: &mut Vec<AgentId>) {
