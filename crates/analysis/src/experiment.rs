@@ -1,20 +1,19 @@
-//! Experiment specification, per-trial execution and (parallel) sweeps.
+//! Experiment points, per-trial execution and aggregation.
 //!
 //! The unit of work is a **trial**: one `(ExperimentPoint, repetition, seed)`
 //! execution producing a [`TrialRecord`]. An [`ExperimentPoint`] is a
 //! canonical [`ScenarioSpec`] plus a repetition count — the spec (not a
 //! re-encoding of its fragments) is what records carry, what the campaign
-//! store checkpoints, and what reports group by. Sweep aggregation
-//! ([`Measurement::from_trials`]) is a pure function of trial records, so the
-//! same types serve the in-process sweeps here and the streamed JSONL
-//! checkpoints of the `disp-campaign` engine (see [`crate::jsonl`]).
+//! store checkpoints, and what reports group by. Aggregation
+//! ([`Measurement::from_trials`]) is a pure function of trial records, so
+//! the streamed JSONL checkpoints of the `disp-campaign` engine (see
+//! [`crate::jsonl`]) aggregate exactly like records held in memory.
 
 use crate::json::Json;
 use crate::scenario_json::{legacy_point_to_scenario, scenario_from_json, scenario_to_json};
 use crate::stats::Summary;
 use disp_core::scenario::{Registry, ScenarioSpec};
-use disp_sim::Outcome;
-use std::thread;
+use disp_sim::{Observer, Outcome};
 
 /// One point of a sweep: a scenario measured over several repetitions.
 #[derive(Debug, Clone)]
@@ -69,13 +68,6 @@ pub struct Measurement {
     pub all_dispersed: bool,
 }
 
-/// A sweep over several points.
-#[derive(Debug, Clone, Default)]
-pub struct ExperimentSpec {
-    /// The points to measure.
-    pub points: Vec<ExperimentPoint>,
-}
-
 impl PartialEq for ExperimentPoint {
     fn eq(&self, other: &Self) -> bool {
         self.scenario == other.scenario && self.repetitions == other.repetitions
@@ -115,60 +107,47 @@ impl ExperimentPoint {
     /// grids are validated up front, so hitting this means the grid
     /// construction is buggy, not the input.
     pub fn run_trial(&self, registry: &Registry, rep: usize, seed: u64) -> TrialRecord {
-        self.run_trial_pooled(registry, rep, seed, &mut disp_sim::WorldPool::new(), None)
-            .0
+        self.run_trial_pooled(
+            registry,
+            rep,
+            seed,
+            &mut disp_sim::WorldPool::new(),
+            &mut (),
+        )
     }
 
     /// [`ExperimentPoint::run_trial`] with a [`disp_sim::WorldPool`] — the
     /// trial's world is built from (and returned to) the pool, so the
-    /// trials an engine thread runs allocate world buffers only once — and,
-    /// with `timeline = Some(budget)`, the flight recorder attached: the
-    /// run's [`Timeline`](disp_sim::Timeline) (settled/active/role counts
-    /// at round/epoch boundaries, decimated into `budget` points) comes
-    /// back beside the record. Pooling and recording are observation,
-    /// never content: the record is byte-identical to
+    /// trials an engine thread runs allocate world buffers only once — and
+    /// `observer` watching the run (a [`disp_sim::TimelineRecorder`] for
+    /// the campaign's `--timeline` sidecar, `()` otherwise). Pooling and
+    /// observation never change content: the record is byte-identical to
     /// [`ExperimentPoint::run_trial`] of the same seed. A limit-exceeded
-    /// run keeps its faithful partial record but returns no timeline.
+    /// run keeps its faithful partial record, and the observer what it saw
+    /// up to the limit.
     pub fn run_trial_pooled(
         &self,
         registry: &Registry,
         rep: usize,
         seed: u64,
         pool: &mut disp_sim::WorldPool,
-        timeline: Option<usize>,
-    ) -> (TrialRecord, Option<disp_sim::Timeline>) {
+        observer: &mut impl Observer,
+    ) -> TrialRecord {
         use disp_core::scenario::ScenarioError;
-        use disp_sim::{RunError, TimelineRecorder};
-        let mut recorder = timeline.map(TimelineRecorder::with_budget);
-        let report = self
-            .scenario
-            .run_recorded(registry, seed, pool, recorder.as_mut());
-        let (outcome, dispersed, timeline) = match report {
-            Ok(report) => (
-                report.outcome,
-                report.dispersed,
-                recorder.map(TimelineRecorder::finish),
-            ),
-            Err(ScenarioError::Run(RunError::LimitExceeded { outcome })) => (outcome, false, None),
+        use disp_sim::RunError;
+        let report = self.scenario.run_observed(registry, seed, pool, observer);
+        let (outcome, dispersed) = match report {
+            Ok(report) => (report.outcome, report.dispersed),
+            Err(ScenarioError::Run(RunError::LimitExceeded { outcome })) => (outcome, false),
             Err(other) => panic!("scenario '{}': {other}", self.scenario.label()),
         };
-        let record = TrialRecord {
+        TrialRecord {
             point: self.clone(),
             rep,
             seed,
             outcome,
             dispersed,
-        };
-        (record, timeline)
-    }
-
-    /// Run this point's repetitions (with the legacy fixed seed schedule)
-    /// and aggregate them.
-    pub fn measure(&self, registry: &Registry) -> Measurement {
-        let trials: Vec<TrialRecord> = (0..self.repetitions.max(1))
-            .map(|rep| self.run_trial(registry, rep, 1000 * rep as u64 + 17))
-            .collect();
-        Measurement::from_trials(self, &trials)
+        }
     }
 
     /// Serialize to a JSON object (the scenario in its structured canonical
@@ -301,48 +280,6 @@ impl Measurement {
     }
 }
 
-impl ExperimentSpec {
-    /// Run every point sequentially.
-    pub fn run(&self, registry: &Registry) -> Vec<Measurement> {
-        self.points.iter().map(|p| p.measure(registry)).collect()
-    }
-
-    /// Run the points across `threads` OS threads (order of results matches
-    /// the order of points).
-    pub fn run_parallel(&self, registry: &Registry, threads: usize) -> Vec<Measurement> {
-        let threads = threads.max(1);
-        if threads == 1 || self.points.len() <= 1 {
-            return self.run(registry);
-        }
-        let chunks: Vec<Vec<(usize, ExperimentPoint)>> = {
-            let mut chunks = vec![Vec::new(); threads];
-            for (i, p) in self.points.iter().enumerate() {
-                chunks[i % threads].push((i, p.clone()));
-            }
-            chunks
-        };
-        let mut indexed: Vec<(usize, Measurement)> = thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        chunk
-                            .into_iter()
-                            .map(|(i, p)| (i, p.measure(registry)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("experiment worker panicked"))
-                .collect()
-        });
-        indexed.sort_by_key(|(i, _)| *i);
-        indexed.into_iter().map(|(_, m)| m).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,42 +296,6 @@ mod tests {
             ScenarioSpec::new(GraphFamily::RandomTree, 16, algorithm).with_schedule(schedule),
             2,
         )
-    }
-
-    #[test]
-    fn measure_produces_dispersed_results() {
-        let m = small_point("probe-dfs", Schedule::Sync).measure(&reg());
-        assert!(m.all_dispersed);
-        assert!(m.time_mean > 0.0);
-        assert!(m.peak_memory_bits > 0);
-        assert_eq!(m.k, 16);
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree() {
-        let registry = reg();
-        let spec = ExperimentSpec {
-            points: vec![
-                small_point("ks-dfs", Schedule::Sync),
-                small_point("probe-dfs", Schedule::Sync),
-                small_point("sync-seeker", Schedule::Sync),
-            ],
-        };
-        let seq = spec.run(&registry);
-        let par = spec.run_parallel(&registry, 3);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(par.iter()) {
-            assert_eq!(a.time_mean, b.time_mean);
-            assert_eq!(a.point.scenario.algorithm, b.point.scenario.algorithm);
-        }
-    }
-
-    #[test]
-    fn async_measurement_reports_epochs() {
-        let m =
-            small_point("probe-dfs", Schedule::AsyncRandom { prob: 0.6, seed: 0 }).measure(&reg());
-        assert!(m.all_dispersed);
-        assert!(m.time_mean >= 1.0);
     }
 
     #[test]
@@ -506,16 +407,22 @@ mod tests {
     }
 
     #[test]
-    fn from_trials_aggregates_like_measure() {
+    fn from_trials_aggregates_sync_and_async_trials() {
         let registry = reg();
-        let p = small_point("probe-dfs", Schedule::Sync);
-        let direct = p.measure(&registry);
-        let trials: Vec<TrialRecord> = (0..2)
-            .map(|r| p.run_trial(&registry, r, 1000 * r as u64 + 17))
-            .collect();
-        let merged = Measurement::from_trials(&p, &trials);
-        assert_eq!(direct.time_mean, merged.time_mean);
-        assert_eq!(direct.peak_memory_bits, merged.peak_memory_bits);
-        assert_eq!(direct.n, merged.n);
+        for schedule in [Schedule::Sync, Schedule::AsyncRandom { prob: 0.6, seed: 0 }] {
+            let p = small_point("probe-dfs", schedule);
+            let trials: Vec<TrialRecord> = (0..2)
+                .map(|r| p.run_trial(&registry, r, 1000 * r as u64 + 17))
+                .collect();
+            let m = Measurement::from_trials(&p, &trials);
+            assert!(m.all_dispersed, "{schedule:?}");
+            assert!(m.time_mean >= 1.0, "{schedule:?}: rounds or epochs");
+            assert!(m.peak_memory_bits > 0);
+            assert_eq!(m.k, 16);
+            let times: Vec<u64> = trials.iter().map(|t| t.outcome.time()).collect();
+            assert_eq!(m.time_mean, (times[0] + times[1]) as f64 / 2.0);
+            assert_eq!(m.time_min, *times.iter().min().unwrap() as f64);
+            assert_eq!(m.n, trials[1].outcome.n);
+        }
     }
 }

@@ -1,10 +1,10 @@
 //! # disp-analysis
 //!
-//! Experiment sweeps, scaling fits and report generation for the dispersion
+//! Experiment points, scaling fits and report generation for the dispersion
 //! reproduction. The [`experiment`] module defines experiment points
 //! (a canonical `ScenarioSpec` × repetitions), runs individual seeded
-//! trials and parameter sweeps (optionally across threads),
-//! [`scenario_json`] is the structured JSON codec for scenarios (labels are
+//! trials and aggregates their records (sweeps run through the
+//! `disp-campaign` engine), [`scenario_json`] is the structured JSON codec for scenarios (labels are
 //! the other canonical form), [`jsonl`] streams and merges the trial
 //! records the `disp-campaign` engine checkpoints to disk, [`json`] is the
 //! minimal dependency-free JSON layer underneath, [`online`] provides
@@ -27,7 +27,7 @@ pub mod scenario_json;
 pub mod spark;
 pub mod stats;
 
-pub use experiment::{ExperimentPoint, ExperimentSpec, Measurement, TrialRecord};
+pub use experiment::{ExperimentPoint, Measurement, TrialRecord};
 pub use fit::{loglog_fit, LogLogFit};
 pub use json::Json;
 pub use jsonl::{dedup_trials, merge_trials, read_trials, Ingest};

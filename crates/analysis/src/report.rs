@@ -116,14 +116,24 @@ pub fn measurement_header() -> Vec<&'static str> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::ExperimentPoint;
+    use crate::experiment::{ExperimentPoint, TrialRecord};
     use disp_core::scenario::{Registry, ScenarioSpec};
     use disp_graph::generators::GraphFamily;
 
+    /// The measurement of a rooted SYNC `probe-dfs` line of 8 agents over
+    /// `reps` seeded trials.
+    fn measured(reps: usize) -> Measurement {
+        let p = ExperimentPoint::new(ScenarioSpec::new(GraphFamily::Line, 8, "probe-dfs"), reps);
+        let registry = Registry::builtin();
+        let trials: Vec<TrialRecord> = (0..reps)
+            .map(|r| p.run_trial(&registry, r, r as u64))
+            .collect();
+        Measurement::from_trials(&p, &trials)
+    }
+
     #[test]
     fn measurement_row_matches_header_length() {
-        let m = ExperimentPoint::new(ScenarioSpec::new(GraphFamily::Line, 8, "probe-dfs"), 1)
-            .measure(&Registry::builtin());
+        let m = measured(1);
         assert_eq!(measurement_row(&m).len(), measurement_header().len());
     }
 
@@ -140,8 +150,7 @@ mod tests {
 
     #[test]
     fn measurement_json_is_parseable_and_carries_the_label() {
-        let m = ExperimentPoint::new(ScenarioSpec::new(GraphFamily::Line, 8, "probe-dfs"), 2)
-            .measure(&Registry::builtin());
+        let m = measured(2);
         let j = measurement_to_json(&m);
         let text = j.to_string_compact();
         let back = crate::json::Json::parse(&text).unwrap();

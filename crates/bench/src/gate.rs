@@ -2,7 +2,7 @@
 //! (`BENCH_baseline.json`) for the hot paths, and a checker that fails CI
 //! when any of them regresses by more than the tolerance (default 25%).
 //!
-//! The gated workloads mirror the ids of the `disp-bench` benches:
+//! The gated workloads:
 //!
 //! * `probe_star/doubling_probe/128` — `ProbeDfs` on a rooted star,
 //!   the doubling-probe micro-benchmark.
@@ -134,11 +134,12 @@ pub fn timeline_overhead(samples: usize) -> (f64, f64, f64) {
         report.outcome.rounds
     };
     let recorded = |spec: &ScenarioSpec| {
-        let (report, timeline) = spec
-            .run_with_timeline(&registry, 7, disp_sim::DEFAULT_TIMELINE_BUDGET)
+        let mut recorder = disp_sim::TimelineRecorder::new();
+        let report = spec
+            .run_observed(&registry, 7, &mut disp_sim::WorldPool::new(), &mut recorder)
             .expect("recorded scale line terminates");
         assert!(report.dispersed);
-        report.outcome.rounds + timeline.points.len() as u64
+        report.outcome.rounds + recorder.finish().points.len() as u64
     };
     std::hint::black_box(plain(&spec));
     std::hint::black_box(recorded(&spec));

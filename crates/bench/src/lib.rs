@@ -1,9 +1,10 @@
-//! Shared pieces for the reproduction harness binaries (`table1`,
-//! `figures`, `ablations`) and the wall-clock benches.
+//! Shared pieces for the `ablations` harness binary and the `bench-gate`
+//! regression gate.
 //!
 //! The sweep machinery lives in `disp-campaign` (grids, seeds, the trial
-//! pipeline) and `disp-analysis` (row formatting). What remains local is
-//! [`harness`], the criterion-shaped bench harness, and [`gate`].
+//! pipeline) and `disp-analysis` (row formatting); the `table1` and
+//! `figures` sweeps are `disp-campaign run --campaign table1|figures`
+//! campaigns. What remains local is [`gate`].
 
 // `count-allocs` swaps in a counting global allocator, whose `GlobalAlloc`
 // impl has no safe-Rust expression — that build carries the crate's single
@@ -14,7 +15,6 @@
 #![warn(missing_docs)]
 
 pub mod gate;
-pub mod harness;
 
 /// A counting global allocator (behind the `count-allocs` feature): every
 /// heap allocation and reallocation in the process bumps one relaxed
@@ -70,7 +70,7 @@ pub mod alloc_counter {
     }
 }
 
-/// Minimal argument helpers shared by the harness binaries (they accept a
+/// Minimal argument helpers for the harness binaries (they accept a
 /// handful of `--flag value` pairs; anything richer lives in the
 /// `disp-campaign` CLI).
 pub mod cli {
@@ -92,12 +92,5 @@ pub mod cli {
                     .map(|p| p.get())
                     .unwrap_or(4)
             })
-    }
-
-    /// `--seed S` if given and parseable, else 1.
-    pub fn seed(args: &[String]) -> u64 {
-        flag_value(args, "--seed")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1)
     }
 }

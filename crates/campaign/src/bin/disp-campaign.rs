@@ -31,7 +31,7 @@ use disp_campaign::telemetry::{
     timeline_to_jsonl, trace_to_jsonl, JsonlSink, Telemetry, TimelineSidecar,
 };
 use disp_core::scenario::{grammar_help, Registry, ScenarioSpec};
-use disp_sim::{DEFAULT_TIMELINE_BUDGET, DEFAULT_TRACE_CAP};
+use disp_sim::{TimelineRecorder, Trace, WorldPool, DEFAULT_TIMELINE_BUDGET, DEFAULT_TRACE_CAP};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -414,7 +414,8 @@ fn execute(
 }
 
 /// `trace`: run one trial of one scenario with the simulator's event trace
-/// enabled and write the log as JSONL (stdout by default, `--out FILE`).
+/// observing it and write the log as JSONL (stdout by default, `--out
+/// FILE`). A run that hits its limit writes the partial log, then fails.
 fn cmd_trace(args: &[String], registry: &Registry) -> Result<(), String> {
     let flags = parse_flags(args)?;
     if flags.campaign.is_some() {
@@ -426,10 +427,8 @@ fn cmd_trace(args: &[String], registry: &Registry) -> Result<(), String> {
         _ => return Err("trace runs exactly one scenario (one --scenario flag)".into()),
     };
     let spec = ScenarioSpec::parse(label, registry).map_err(|e| e.to_string())?;
-    let cap = flags.cap.unwrap_or(DEFAULT_TRACE_CAP);
-    let (report, trace) = spec
-        .run_traced(registry, flags.seed, cap)
-        .map_err(|e| e.to_string())?;
+    let mut trace = Trace::with_cap(flags.cap.unwrap_or(DEFAULT_TRACE_CAP));
+    let result = spec.run_observed(registry, flags.seed, &mut WorldPool::new(), &mut trace);
     let jsonl = trace_to_jsonl(&trace);
     match &flags.out {
         Some(path) => {
@@ -445,6 +444,7 @@ fn cmd_trace(args: &[String], registry: &Registry) -> Result<(), String> {
         }
         None => print!("{jsonl}"),
     }
+    let report = result.map_err(|e| e.to_string())?;
     eprintln!(
         "outcome: dispersed={} moves={} time={}",
         report.dispersed,
@@ -455,9 +455,10 @@ fn cmd_trace(args: &[String], registry: &Registry) -> Result<(), String> {
 }
 
 /// `timeline`: run one trial of one scenario with the flight recorder
-/// enabled and write the decimated timeline as JSONL (stdout by default,
-/// `--out FILE`). Uses the same encoder as disp-serve's `GET /timeline`,
-/// so the two are byte-identical for the same scenario + seed.
+/// observing it and write the decimated timeline as JSONL (stdout by
+/// default, `--out FILE`). Uses the same encoder as disp-serve's `GET
+/// /timeline`, so the two are byte-identical for the same scenario + seed.
+/// A run that hits its limit writes the partial timeline, then fails.
 fn cmd_timeline(args: &[String], registry: &Registry) -> Result<(), String> {
     let flags = parse_flags(args)?;
     if flags.campaign.is_some() {
@@ -470,9 +471,9 @@ fn cmd_timeline(args: &[String], registry: &Registry) -> Result<(), String> {
     };
     let spec = ScenarioSpec::parse(label, registry).map_err(|e| e.to_string())?;
     let budget = flags.budget.unwrap_or(DEFAULT_TIMELINE_BUDGET);
-    let (report, timeline) = spec
-        .run_with_timeline(registry, flags.seed, budget)
-        .map_err(|e| e.to_string())?;
+    let mut recorder = TimelineRecorder::with_budget(budget);
+    let result = spec.run_observed(registry, flags.seed, &mut WorldPool::new(), &mut recorder);
+    let timeline = recorder.finish();
     let jsonl = timeline_to_jsonl(&timeline, &spec.label(), flags.seed);
     match &flags.out {
         Some(path) => {
@@ -488,6 +489,7 @@ fn cmd_timeline(args: &[String], registry: &Registry) -> Result<(), String> {
         }
         None => print!("{jsonl}"),
     }
+    let report = result.map_err(|e| e.to_string())?;
     eprintln!(
         "outcome: dispersed={} moves={} time={}",
         report.dispersed,
@@ -525,7 +527,7 @@ fn render_timelines(store: &CampaignStore) -> Result<(), String> {
                     .and_then(Json::as_str)
                     .unwrap_or("?")
                     .to_string();
-                seed = doc.get("seed").and_then(Json::as_f64).unwrap_or(0.0) as u64;
+                seed = doc.get("seed").and_then(Json::as_u64_lossless).unwrap_or(0);
                 settled.clear();
                 population = 0.0;
                 last_time = 0.0;

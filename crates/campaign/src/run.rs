@@ -24,7 +24,7 @@ use crate::store::{CampaignStore, TrialStore};
 use crate::telemetry::{timeline_to_jsonl, TelemetryHandle, TimelineSidecar, TrialEvent};
 use disp_analysis::TrialRecord;
 use disp_core::scenario::Registry;
-use disp_sim::{WorldPool, DEFAULT_TIMELINE_BUDGET};
+use disp_sim::{TimelineRecorder, WorldPool};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -199,14 +199,18 @@ impl Plan {
                 telemetry.emit(TrialEvent::started(&trial.point.point_id(), trial.rep));
             }
             let begun = Instant::now();
-            let budget = opts.timelines.map(|_| DEFAULT_TIMELINE_BUDGET);
-            let (record, timeline) = trial
-                .point
-                .run_trial_pooled(registry, trial.rep, trial.seed, pool, budget);
+            let mut recorder = opts.timelines.map(|_| TimelineRecorder::new());
+            let (rep, seed) = (trial.rep, trial.seed);
+            let record = match recorder.as_mut() {
+                Some(rec) => trial.point.run_trial_pooled(registry, rep, seed, pool, rec),
+                None => trial
+                    .point
+                    .run_trial_pooled(registry, rep, seed, pool, &mut ()),
+            };
             let wall_micros = begun.elapsed().as_micros() as u64;
-            if let (Some(sidecar), Some(timeline)) = (opts.timelines, &timeline) {
+            if let (Some(sidecar), Some(recorder)) = (opts.timelines, recorder) {
                 let label = trial.point.point_id();
-                sidecar.append(&timeline_to_jsonl(timeline, &label, trial.seed));
+                sidecar.append(&timeline_to_jsonl(&recorder.finish(), &label, seed));
             }
             if let Some(store) = store {
                 store.insert(&record);

@@ -532,9 +532,11 @@ pub fn timeline_point_json(point: &disp_sim::TimelinePoint) -> Json {
 }
 
 /// Render a recorded [`Timeline`](disp_sim::Timeline) as JSONL: a
-/// `timeline_start` header naming the scenario and seed, one `point` line
-/// per surviving sample, and a `timeline_end` summary with the point
-/// count, final stride and decimation level. This single encoder backs
+/// `timeline_start` header naming the scenario and seed (written with
+/// [`Json::from_u64_lossless`], like every seed on the wire, so a timeline
+/// replays from its own header), one `point` line per surviving sample,
+/// and a `timeline_end` summary with the point count, final stride and
+/// decimation level. This single encoder backs
 /// both `disp-campaign timeline` and the service's `GET /timeline`, which
 /// is what makes the two byte-identical for the same scenario + seed (an
 /// acceptance criterion CI pins).
@@ -543,7 +545,7 @@ pub fn timeline_to_jsonl(timeline: &disp_sim::Timeline, scenario: &str, seed: u6
     let start = Json::Obj(vec![
         ("event".into(), Json::Str("timeline_start".into())),
         ("scenario".into(), Json::Str(scenario.to_string())),
-        ("seed".into(), Json::Num(seed as f64)),
+        ("seed".into(), Json::from_u64_lossless(seed)),
         ("budget".into(), Json::Num(timeline.budget as f64)),
     ]);
     out.push_str(&start.to_string_compact());
@@ -640,7 +642,7 @@ mod tests {
 
     #[test]
     fn trace_jsonl_round_trips_through_the_json_layer() {
-        let mut trace = Trace::enabled();
+        let mut trace = Trace::new();
         trace.record(TraceEvent::Move {
             agent: AgentId(1),
             from: NodeId(0),
@@ -670,7 +672,7 @@ mod tests {
 
     #[test]
     fn truncated_trace_end_reports_the_dropped_count() {
-        let mut trace = Trace::enabled_with_cap(2);
+        let mut trace = Trace::with_cap(2);
         for time in 0..7 {
             trace.record(TraceEvent::Milestone {
                 agent: AgentId(0),
@@ -727,7 +729,7 @@ mod tests {
             head.get("scenario").and_then(Json::as_str),
             Some("ring/k4/rooted/sync/ks-dfs")
         );
-        assert_eq!(head.get("seed").and_then(Json::as_f64), Some(7.0));
+        assert_eq!(head.get("seed").and_then(Json::as_u64_lossless), Some(7));
         let point = Json::parse(lines[1]).unwrap();
         assert_eq!(point.get("event").and_then(Json::as_str), Some("point"));
         assert_eq!(

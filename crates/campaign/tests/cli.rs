@@ -1,7 +1,10 @@
-//! The `disp-campaign` binary's help surface: the bare form and every
+//! The `disp-campaign` binary's surface: the bare form and every
 //! subcommand's `--help` / `-h` print the usage on stdout and exit 0, while
-//! an unknown flag is still an error.
+//! an unknown flag is still an error; a trial that hits its limit still
+//! shows its trace and timeline; and timeline headers carry exact seeds.
 
+use disp_analysis::{Json, TrialRecord};
+use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn campaign(args: &[&str]) -> Output {
@@ -41,4 +44,120 @@ fn an_unknown_flag_is_still_an_error() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown flag '--frobnicate'"), "{err}");
+}
+
+/// `/rounds20` stops a 32-agent rooted line long before it disperses.
+const CUT_SHORT: &str = "line/k32/rooted/sync/probe-dfs/rounds20";
+
+fn parse_lines(text: &str) -> Vec<Json> {
+    text.lines()
+        .map(|l| Json::parse(l).expect("a JSON line"))
+        .collect()
+}
+
+fn event(doc: &Json) -> &str {
+    doc.get("event").and_then(Json::as_str).unwrap_or_default()
+}
+
+#[test]
+fn a_limit_exceeded_trial_still_writes_its_partial_trace_and_timeline() {
+    for (sub, end) in [("trace", "trace_end"), ("timeline", "timeline_end")] {
+        let out = campaign(&[sub, "--scenario", CUT_SHORT, "--seed", "3"]);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{sub} reports the limit as a failure"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("did not terminate within the limit"),
+            "{sub}: {err}"
+        );
+        let docs = parse_lines(&String::from_utf8(out.stdout).expect("utf-8 JSONL"));
+        assert_eq!(
+            docs.last().map(event),
+            Some(end),
+            "{sub}: the stream is whole"
+        );
+        assert!(docs.len() > 2, "{sub}: the stream holds what happened");
+        if sub == "timeline" {
+            // The forced final point sits at the limit.
+            let last = &docs[docs.len() - 2];
+            assert_eq!(event(last), "point");
+            assert_eq!(last.get("time").and_then(Json::as_u64), Some(20));
+        }
+    }
+}
+
+#[test]
+fn timeline_headers_carry_exact_seeds_through_the_sidecar_and_the_report() {
+    // Seeds above 2^53 do not survive an f64.
+    let seed = "3923277100652395404";
+    let out = campaign(&[
+        "timeline",
+        "--scenario",
+        "star/k8/rooted/sync/probe-dfs",
+        "--seed",
+        seed,
+    ]);
+    assert!(out.status.success());
+    let docs = parse_lines(&String::from_utf8(out.stdout).expect("utf-8 JSONL"));
+    let header_seed = docs[0].get("seed").and_then(Json::as_u64_lossless);
+    assert_eq!(header_seed, seed.parse().ok());
+
+    // Every executed trial leaves one timeline under its own derived seed
+    // (uniform 64-bit values), the limit-exceeded ones included.
+    let dir = std::env::temp_dir().join(format!("disp-campaign-cli-seeds-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("a UTF-8 temp path");
+    let run = campaign(&[
+        "run",
+        "--timeline",
+        "--seed",
+        "5",
+        "--reps",
+        "2",
+        "--threads",
+        "1",
+        "--out",
+        dir_arg,
+        "--scenario",
+        "star/k8/rooted/sync/probe-dfs",
+        "--scenario",
+        CUT_SHORT,
+    ]);
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let read = |name: &str| std::fs::read_to_string(PathBuf::from(&dir).join(name)).unwrap();
+    let mut trial_seeds: Vec<u64> = read("trials.jsonl")
+        .lines()
+        .map(|l| TrialRecord::from_json_line(l).expect("a trial record").seed)
+        .collect();
+    assert!(trial_seeds.iter().any(|&s| s > 1 << 53), "{trial_seeds:?}");
+    let mut header_seeds: Vec<u64> = parse_lines(&read("timelines.jsonl"))
+        .iter()
+        .filter(|doc| event(doc) == "timeline_start")
+        .map(|doc| {
+            doc.get("seed")
+                .and_then(Json::as_u64_lossless)
+                .expect("a seed")
+        })
+        .collect();
+    trial_seeds.sort_unstable();
+    header_seeds.sort_unstable();
+    assert_eq!(header_seeds, trial_seeds);
+
+    let report = campaign(&["report", "--out", dir_arg, "--timeline"]);
+    assert!(report.status.success());
+    let view = String::from_utf8_lossy(&report.stdout);
+    for s in &trial_seeds {
+        assert!(
+            view.contains(&format!("seed={s}\n")),
+            "seed {s} missing from:\n{view}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

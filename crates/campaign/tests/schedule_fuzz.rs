@@ -14,7 +14,7 @@ use disp_core::scenario::{Registry, ScenarioSpec, Schedule};
 use disp_graph::generators::GraphFamily;
 use disp_rng::mix;
 use disp_rng::prelude::*;
-use disp_sim::{AsyncRunner, Outcome, Placement, SyncRunner, TraceEvent};
+use disp_sim::{Outcome, Placement, Trace, TraceEvent};
 
 // `random-walk` is builtin now; the fuzzer needs no extras.
 fn registry() -> Registry {
@@ -85,41 +85,17 @@ fn fuzz_spec(rng: &mut StdRng, registry: &Registry) -> ScenarioSpec {
     }
 }
 
-/// Run `spec` with tracing enabled, returning the outcome and the full event
-/// trace. Built through [`ScenarioSpec::build`], so the fuzzed executions
-/// are exactly the instances campaigns run under the same seed.
+/// Run `spec` with a trace observing it, returning the outcome and the full
+/// event trace. Built through [`ScenarioSpec::build`] and driven by
+/// [`ScenarioSpec::execute`], so the fuzzed executions are exactly the
+/// instances campaigns run under the same seed.
 fn traced_run(spec: &ScenarioSpec, registry: &Registry, seed: u64) -> (Outcome, Vec<TraceEvent>) {
     let (mut world, mut protocol) = spec.build(registry, seed).expect("fuzz specs are valid");
-    world.enable_trace();
-    let config = spec.run_config(&world);
-    let (dynamics, crashes) = spec.build_faults(world.num_agents(), seed);
-    let outcome = match spec.build_adversary(world.num_agents(), seed) {
-        None => {
-            let mut runner = SyncRunner::new(config);
-            if let Some(d) = dynamics {
-                runner = runner.with_dynamics(d);
-            }
-            if let Some(c) = crashes {
-                runner = runner.with_crashes(c);
-            }
-            runner
-                .run(&mut world, protocol.as_mut())
-                .expect("fuzz runs must terminate")
-        }
-        Some(adversary) => {
-            let mut runner = AsyncRunner::new(config, adversary);
-            if let Some(d) = dynamics {
-                runner = runner.with_dynamics(d);
-            }
-            if let Some(c) = crashes {
-                runner = runner.with_crashes(c);
-            }
-            runner
-                .run(&mut world, protocol.as_mut())
-                .expect("fuzz runs must terminate")
-        }
-    };
-    (outcome, world.trace().events().to_vec())
+    let mut trace = Trace::new();
+    let outcome = spec
+        .execute(&mut world, protocol.as_mut(), seed, &mut trace)
+        .expect("fuzz runs must terminate");
+    (outcome, trace.events().to_vec())
 }
 
 #[test]

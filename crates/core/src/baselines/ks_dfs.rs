@@ -51,7 +51,6 @@
 //! move). The `tests/soa_differential.rs` suite pins this rewrite
 //! step-for-step to the retained enum-of-structs reference.
 
-use crate::verify;
 use disp_graph::Port;
 use disp_sim::{bits, ActivationCtx, AgentId, AgentProtocol, World};
 
@@ -223,11 +222,6 @@ impl KsDfs {
     /// Number of settled agents so far.
     pub fn settled_count(&self) -> usize {
         self.settled_count
-    }
-
-    /// Whether any agent had to fall back to scatter mode (pocket case).
-    pub fn used_scatter_fallback(&self) -> bool {
-        self.tags.contains(&tag::SCATTER)
     }
 
     #[inline]
@@ -498,15 +492,6 @@ impl AgentProtocol for KsDfs {
 
     fn name(&self) -> &'static str {
         "ks-dfs"
-    }
-}
-
-/// Convenience: verify the final configuration after a run (panics with a
-/// readable message on violation). Tests and the harness call this after the
-/// runner finishes.
-pub fn assert_dispersed(world: &World) {
-    if let Err(v) = verify::check_dispersion(world) {
-        panic!("dispersion violated by ks-dfs: {v}");
     }
 }
 

@@ -60,8 +60,8 @@ use disp_graph::generators::GraphFamily;
 use disp_graph::{NodeId, Topology};
 use disp_rng::mix;
 use disp_sim::{
-    Adversary, AdversaryKind, AgentProtocol, AsyncRunner, CrashPlan, DynamicAdversary, Outcome,
-    Placement, RunConfig, RunError, SyncRunner, TimelineRecorder, World, WorldPool,
+    Adversary, AdversaryKind, AgentProtocol, AsyncRunner, CrashPlan, DynamicAdversary, Observer,
+    Outcome, Placement, RunConfig, RunError, SyncRunner, World, WorldPool,
 };
 use std::fmt;
 
@@ -432,18 +432,6 @@ impl Limits {
                 .max_steps
                 .unwrap_or_else(|| default_rounds.saturating_mul(step_factor)),
             memory_sample_interval: if k >= 4096 { 0 } else { 4 },
-        }
-    }
-
-    /// Materialize into the engine's [`RunConfig`] with the legacy fixed
-    /// defaults, ignoring the instance. Prefer [`Limits::resolve`]; this is
-    /// kept for callers without a graph at hand.
-    pub fn to_run_config(self) -> RunConfig {
-        let d = RunConfig::default();
-        RunConfig {
-            max_rounds: self.max_rounds.unwrap_or(d.max_rounds),
-            max_steps: self.max_steps.unwrap_or(d.max_steps),
-            ..d
         }
     }
 }
@@ -1335,14 +1323,17 @@ impl ScenarioSpec {
     }
 
     /// Drive a prepared world/protocol pair to completion under this
-    /// spec's schedule and fault plans, with an optional flight recorder
-    /// sampling round/epoch boundaries (see [`disp_sim::timeline`]).
-    fn execute(
+    /// spec's schedule and fault plans for `seed`, reporting to `observer`
+    /// (see [`disp_sim::observe`]). The one place a scenario's adversary
+    /// and faults meet the runners: harnesses that keep the world after the
+    /// run (final positions, every-step checkers) call it on what
+    /// [`ScenarioSpec::build`] returned.
+    pub fn execute<O: Observer>(
         &self,
         world: &mut World,
         protocol: &mut dyn AgentProtocol,
         seed: u64,
-        recorder: Option<&mut TimelineRecorder>,
+        observer: &mut O,
     ) -> Result<Outcome, RunError> {
         let config = self.run_config(world);
         let (dynamics, crashes) = self.build_faults(world.num_agents(), seed);
@@ -1355,7 +1346,7 @@ impl ScenarioSpec {
                 if let Some(c) = crashes {
                     runner = runner.with_crashes(c);
                 }
-                runner.run_recorded(world, protocol, recorder)
+                runner.run_observed(world, protocol, observer)
             }
             Some(adversary) => {
                 let mut runner = AsyncRunner::new(config, adversary);
@@ -1365,37 +1356,9 @@ impl ScenarioSpec {
                 if let Some(c) = crashes {
                     runner = runner.with_crashes(c);
                 }
-                runner.run_recorded(world, protocol, recorder)
+                runner.run_observed(world, protocol, observer)
             }
         }
-    }
-
-    /// The one trial body behind every `run*` entry point: build in
-    /// `pool` → execute → verify, then hand the world back to the pool.
-    /// `trace_cap` turns on the event trace (returned; empty otherwise);
-    /// neither it nor `recorder` perturbs the run.
-    fn run_body(
-        &self,
-        registry: &Registry,
-        seed: u64,
-        pool: &mut WorldPool,
-        trace_cap: Option<usize>,
-        recorder: Option<&mut TimelineRecorder>,
-    ) -> Result<(ScenarioReport, disp_sim::Trace), ScenarioError> {
-        let (mut world, mut protocol) = self.build_pooled(registry, seed, pool)?;
-        if let Some(cap) = trace_cap {
-            world.enable_trace_with_cap(cap);
-        }
-        let outcome = self.execute(&mut world, protocol.as_mut(), seed, recorder);
-        let dispersed = outcome.is_ok() && verify::is_dispersed_at(&world, self.min_distance);
-        let trace = world.take_trace();
-        pool.put(world);
-        let report = ScenarioReport {
-            scenario: self.label(),
-            outcome: outcome?,
-            dispersed,
-        };
-        Ok((report, trace))
     }
 
     /// Execute the scenario under `seed`. The seed fully determines the run:
@@ -1416,57 +1379,37 @@ impl ScenarioSpec {
         seed: u64,
         pool: &mut WorldPool,
     ) -> Result<ScenarioReport, ScenarioError> {
-        self.run_recorded(registry, seed, pool, None)
+        self.run_observed(registry, seed, pool, &mut ())
     }
 
-    /// [`ScenarioSpec::run_pooled`] with an optional flight recorder
-    /// attached (see [`ScenarioSpec::run_with_timeline`]). On a
-    /// limit-exceeded run the recorder still holds the partial timeline.
-    pub fn run_recorded(
+    /// [`ScenarioSpec::run_pooled`] with `observer` watching the run: the
+    /// one trial body (build in `pool` → execute → verify, then hand the
+    /// world back to the pool). A [`disp_sim::Trace`] collects the Move /
+    /// CohortMove / Milestone events up to its cap; a
+    /// [`disp_sim::TimelineRecorder`] samples settled/active/parked counts,
+    /// the per-role class histogram, cumulative moves and fault-world
+    /// gauges at round (SYNC) / epoch (ASYNC) boundaries, decimated into
+    /// its budget. Observation does not perturb the run: the report is
+    /// byte-identical to an unobserved run of the same seed, and what the
+    /// observer saw is a pure function of `(self, seed)` and its settings.
+    /// The caller owns the observer, so a run that hits its limit still
+    /// leaves the partial trace or timeline in it.
+    pub fn run_observed<O: Observer>(
         &self,
         registry: &Registry,
         seed: u64,
         pool: &mut WorldPool,
-        recorder: Option<&mut TimelineRecorder>,
+        observer: &mut O,
     ) -> Result<ScenarioReport, ScenarioError> {
-        Ok(self.run_body(registry, seed, pool, None, recorder)?.0)
-    }
-
-    /// Like [`ScenarioSpec::run`], but with event tracing enabled for the
-    /// whole run: returns the report together with the recorded
-    /// [`Trace`](disp_sim::Trace) (Move / CohortMove / Milestone events, in
-    /// order, capped at `cap` events — the trace marks itself truncated
-    /// rather than growing without bound). Tracing does not perturb the
-    /// run: the outcome is identical to an untraced run of the same seed.
-    pub fn run_traced(
-        &self,
-        registry: &Registry,
-        seed: u64,
-        cap: usize,
-    ) -> Result<(ScenarioReport, disp_sim::Trace), ScenarioError> {
-        self.run_body(registry, seed, &mut WorldPool::new(), Some(cap), None)
-    }
-
-    /// Like [`ScenarioSpec::run`], but with the flight recorder attached:
-    /// returns the report together with the recorded
-    /// [`Timeline`](disp_sim::Timeline) — settled/active/parked counts, the
-    /// per-role class histogram, cumulative moves, and fault-world gauges
-    /// at round (SYNC) / epoch (ASYNC) boundaries, decimated into the
-    /// recorder's fixed budget (default
-    /// [`disp_sim::DEFAULT_TIMELINE_BUDGET`] points). Recording does not
-    /// perturb the run: the outcome is byte-identical to an unrecorded run
-    /// of the same seed, and the timeline itself is a pure function of
-    /// `(self, seed, budget)`.
-    pub fn run_with_timeline(
-        &self,
-        registry: &Registry,
-        seed: u64,
-        budget: usize,
-    ) -> Result<(ScenarioReport, disp_sim::Timeline), ScenarioError> {
-        let mut recorder = TimelineRecorder::with_budget(budget);
-        let report =
-            self.run_recorded(registry, seed, &mut WorldPool::new(), Some(&mut recorder))?;
-        Ok((report, recorder.finish()))
+        let (mut world, mut protocol) = self.build_pooled(registry, seed, pool)?;
+        let outcome = self.execute(&mut world, protocol.as_mut(), seed, observer);
+        let dispersed = outcome.is_ok() && verify::is_dispersed_at(&world, self.min_distance);
+        pool.put(world);
+        Ok(ScenarioReport {
+            scenario: self.label(),
+            outcome: outcome?,
+            dispersed,
+        })
     }
 }
 
@@ -2127,6 +2070,19 @@ mod tests {
         assert_eq!(a.outcome, b.outcome);
     }
 
+    fn recorded(
+        spec: &ScenarioSpec,
+        r: &Registry,
+        seed: u64,
+        budget: usize,
+    ) -> (ScenarioReport, disp_sim::Timeline) {
+        let mut recorder = disp_sim::TimelineRecorder::with_budget(budget);
+        let report = spec
+            .run_observed(r, seed, &mut WorldPool::new(), &mut recorder)
+            .unwrap();
+        (report, recorder.finish())
+    }
+
     #[test]
     fn timeline_runs_match_plain_runs_and_sample_role_histograms() {
         let r = reg();
@@ -2138,7 +2094,7 @@ mod tests {
         ] {
             let spec = ScenarioSpec::parse(label, &r).unwrap();
             let plain = spec.run(&r, 11).unwrap();
-            let (report, tl) = spec.run_with_timeline(&r, 11, 4096).unwrap();
+            let (report, tl) = recorded(&spec, &r, 11, 4096);
             assert_eq!(
                 plain.outcome, report.outcome,
                 "{label}: recording must not change results"
@@ -2173,7 +2129,7 @@ mod tests {
                 assert_eq!(settled, p.settled, "{label} t={}", p.time);
             }
             // And the whole thing is deterministic.
-            let (_, tl2) = spec.run_with_timeline(&r, 11, 4096).unwrap();
+            let (_, tl2) = recorded(&spec, &r, 11, 4096);
             assert_eq!(tl, tl2, "{label}: timeline is a pure function of the run");
         }
     }
@@ -2184,7 +2140,7 @@ mod tests {
         // A 256-agent rooted line takes hundreds of rounds — enough to
         // force decimation at a budget of 32.
         let spec = ScenarioSpec::parse("line/k256/rooted/sync/probe-dfs", &r).unwrap();
-        let (report, tl) = spec.run_with_timeline(&r, 7, 32).unwrap();
+        let (report, tl) = recorded(&spec, &r, 7, 32);
         assert!(report.outcome.rounds > 64, "run long enough to decimate");
         assert!(tl.points.len() <= 33, "{} points", tl.points.len());
         assert!(tl.stride > 1);

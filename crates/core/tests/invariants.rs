@@ -24,9 +24,7 @@ use disp_core::scenario::{Registry, ScenarioSpec, Schedule};
 use disp_core::verify::{check_dispersion, check_dispersion_at, envelope};
 use disp_graph::generators::GraphFamily;
 use disp_rng::mix;
-use disp_sim::{
-    ActivationCtx, AgentId, AgentProtocol, AsyncRunner, Outcome, Placement, SyncRunner, World,
-};
+use disp_sim::{ActivationCtx, AgentId, AgentProtocol, Outcome, Placement, World};
 
 /// Wraps a protocol and checks the settled-collision safety invariant after
 /// every single activation (the "trace hook" of the harness).
@@ -86,41 +84,16 @@ fn registry() -> Registry {
 }
 
 /// Run `spec` under `seed` with the every-step checker attached. Built
-/// through [`ScenarioSpec::build`], so the harness exercises exactly the
-/// instances (graph/placement/algorithm sub-seeds and all) that campaigns
-/// run, while keeping the `World` so the caller can verify the final
-/// configuration.
+/// through [`ScenarioSpec::build`] and driven by [`ScenarioSpec::execute`],
+/// so the harness exercises exactly the instances (graph/placement/algorithm
+/// sub-seeds and all) and schedules that campaigns run, while keeping the
+/// `World` so the caller can verify the final configuration.
 fn run_checked(spec: &ScenarioSpec, registry: &Registry, seed: u64) -> (Outcome, World, u64) {
     let (mut world, inner) = spec.build(registry, seed).expect("grid specs are valid");
     let mut protocol = InvariantChecked { inner, checks: 0 };
-    let config = spec.run_config(&world);
-    let (dynamics, crashes) = spec.build_faults(world.num_agents(), seed);
-    let outcome = match spec.build_adversary(world.num_agents(), seed) {
-        None => {
-            let mut runner = SyncRunner::new(config);
-            if let Some(d) = dynamics {
-                runner = runner.with_dynamics(d);
-            }
-            if let Some(c) = crashes {
-                runner = runner.with_crashes(c);
-            }
-            runner
-                .run(&mut world, &mut protocol)
-                .expect("grid runs must terminate")
-        }
-        Some(adversary) => {
-            let mut runner = AsyncRunner::new(config, adversary);
-            if let Some(d) = dynamics {
-                runner = runner.with_dynamics(d);
-            }
-            if let Some(c) = crashes {
-                runner = runner.with_crashes(c);
-            }
-            runner
-                .run(&mut world, &mut protocol)
-                .expect("grid runs must terminate")
-        }
-    };
+    let outcome = spec
+        .execute(&mut world, &mut protocol, seed, &mut ())
+        .expect("grid runs must terminate");
     (outcome, world, protocol.checks)
 }
 

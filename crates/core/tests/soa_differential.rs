@@ -40,7 +40,7 @@ mod soa_differential {
 use disp_core::scenario::{AlgorithmFactory, ParamValue, Params, Registry, ScenarioSpec, Schedule};
 use disp_graph::generators::GraphFamily;
 use disp_rng::mix;
-use disp_sim::{AgentProtocol, AsyncRunner, Outcome, Placement, SyncRunner, TraceEvent, World};
+use disp_sim::{AgentProtocol, Outcome, Placement, Trace, TraceEvent, World};
 use soa_differential::ref_ks_dfs::KsDfs as RefKsDfs;
 use soa_differential::ref_probe_dfs::ProbeDfs as RefProbeDfs;
 use soa_differential::ref_rooted_sync::{RootedSyncDisp as RefRootedSyncDisp, SyncConfig};
@@ -118,9 +118,9 @@ fn registry() -> Registry {
 }
 
 // ---------------------------------------------------------------------------
-// Execution: ScenarioSpec::build + the exact runner wiring of
-// ScenarioSpec::run, kept inline so the World (final positions) and the
-// Trace survive the run.
+// Execution: ScenarioSpec::build + ScenarioSpec::execute, the path every
+// ScenarioSpec::run takes, with the World (final positions) kept and a
+// Trace observing the run.
 // ---------------------------------------------------------------------------
 
 const TRACE_CAP: usize = 1 << 20;
@@ -134,36 +134,10 @@ struct RunRecord {
 
 fn run_traced(spec: &ScenarioSpec, registry: &Registry, seed: u64) -> RunRecord {
     let (mut world, mut protocol) = spec.build(registry, seed).expect("pool specs are valid");
-    world.enable_trace_with_cap(TRACE_CAP);
-    let config = spec.run_config(&world);
-    let (dynamics, crashes) = spec.build_faults(world.num_agents(), seed);
-    let outcome = match spec.build_adversary(world.num_agents(), seed) {
-        None => {
-            let mut runner = SyncRunner::new(config);
-            if let Some(d) = dynamics {
-                runner = runner.with_dynamics(d);
-            }
-            if let Some(c) = crashes {
-                runner = runner.with_crashes(c);
-            }
-            runner
-                .run(&mut world, protocol.as_mut())
-                .expect("pool runs must terminate")
-        }
-        Some(adversary) => {
-            let mut runner = AsyncRunner::new(config, adversary);
-            if let Some(d) = dynamics {
-                runner = runner.with_dynamics(d);
-            }
-            if let Some(c) = crashes {
-                runner = runner.with_crashes(c);
-            }
-            runner
-                .run(&mut world, protocol.as_mut())
-                .expect("pool runs must terminate")
-        }
-    };
-    let trace = world.take_trace();
+    let mut trace = Trace::with_cap(TRACE_CAP);
+    let outcome = spec
+        .execute(&mut world, protocol.as_mut(), seed, &mut trace)
+        .expect("pool runs must terminate");
     RunRecord {
         outcome,
         positions: world.snapshot_positions(),

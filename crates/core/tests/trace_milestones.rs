@@ -1,17 +1,29 @@
-//! The trace-export contract: `run_traced` records the Move/CohortMove
-//! stream plus the Milestone codes the protocols document, without
-//! perturbing the run, and respects the bounded-growth cap.
+//! The trace-export contract: a `Trace` observing a run records the
+//! Move/CohortMove stream plus the Milestone codes the protocols document,
+//! without perturbing the run, and respects the bounded-growth cap.
 
 use disp_core::probe_dfs::MILESTONE_SETTLED;
-use disp_core::scenario::{Registry, ScenarioSpec, Schedule};
+use disp_core::scenario::{Registry, ScenarioReport, ScenarioSpec, Schedule};
 use disp_graph::generators::GraphFamily;
-use disp_sim::{TraceEvent, DEFAULT_TRACE_CAP};
+use disp_sim::{Trace, TraceEvent, WorldPool};
+
+fn traced_run(
+    spec: &ScenarioSpec,
+    registry: &Registry,
+    seed: u64,
+    mut trace: Trace,
+) -> (ScenarioReport, Trace) {
+    let report = spec
+        .run_observed(registry, seed, &mut WorldPool::new(), &mut trace)
+        .unwrap();
+    (report, trace)
+}
 
 #[test]
 fn probe_dfs_run_records_one_settled_milestone_per_agent() {
     let registry = Registry::builtin();
     let spec = ScenarioSpec::new(GraphFamily::Line, 24, "probe-dfs").with_schedule(Schedule::Sync);
-    let (report, trace) = spec.run_traced(&registry, 7, DEFAULT_TRACE_CAP).unwrap();
+    let (report, trace) = traced_run(&spec, &registry, 7, Trace::new());
     assert!(report.dispersed);
     assert!(!trace.truncated());
 
@@ -61,7 +73,7 @@ fn traced_run_outcome_is_identical_to_untraced() {
     ] {
         let spec = ScenarioSpec::from_label(label).unwrap();
         let plain = spec.run(&registry, 11).unwrap();
-        let (traced, trace) = spec.run_traced(&registry, 11, DEFAULT_TRACE_CAP).unwrap();
+        let (traced, trace) = traced_run(&spec, &registry, 11, Trace::new());
         assert_eq!(plain.outcome, traced.outcome, "{label}");
         assert_eq!(plain.dispersed, traced.dispersed, "{label}");
         assert!(!trace.events().is_empty(), "{label} recorded nothing");
@@ -72,7 +84,7 @@ fn traced_run_outcome_is_identical_to_untraced() {
 fn tiny_cap_truncates_instead_of_growing() {
     let registry = Registry::builtin();
     let spec = ScenarioSpec::new(GraphFamily::Line, 32, "probe-dfs").with_schedule(Schedule::Sync);
-    let (report, trace) = spec.run_traced(&registry, 7, 5).unwrap();
+    let (report, trace) = traced_run(&spec, &registry, 7, Trace::with_cap(5));
     assert!(report.dispersed);
     assert_eq!(trace.events().len(), 5);
     assert!(trace.truncated());

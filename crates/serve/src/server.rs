@@ -40,7 +40,7 @@ use disp_campaign::report::{campaign_report_json, section_measurements};
 use disp_campaign::telemetry::{timeline_to_jsonl, trace_to_jsonl};
 use disp_cluster::ClusterBoard;
 use disp_core::scenario::{grammar_help, Registry, ScenarioSpec};
-use disp_sim::{DEFAULT_TIMELINE_BUDGET, DEFAULT_TRACE_CAP};
+use disp_sim::{TimelineRecorder, Trace, WorldPool, DEFAULT_TIMELINE_BUDGET, DEFAULT_TRACE_CAP};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -705,8 +705,9 @@ fn serve_trace(
         Ok(spec) => spec,
         Err(e) => return bad(stream, &format!("scenario '{label}': {e}")),
     };
-    match spec.run_traced(&registry, seed, cap) {
-        Ok((_report, trace)) => {
+    let mut trace = Trace::with_cap(cap);
+    match spec.run_observed(&registry, seed, &mut WorldPool::new(), &mut trace) {
+        Ok(_) => {
             let body = trace_to_jsonl(&trace);
             write_chunked_head(stream, 200, "application/jsonl", keep_alive)?;
             write_chunk(stream, body.as_bytes())?;
@@ -760,8 +761,10 @@ fn serve_timeline(
         Ok(spec) => spec,
         Err(e) => return bad(stream, &format!("scenario '{label}': {e}")),
     };
-    match spec.run_with_timeline(&registry, seed, budget) {
-        Ok((_report, timeline)) => {
+    let mut recorder = TimelineRecorder::with_budget(budget);
+    match spec.run_observed(&registry, seed, &mut WorldPool::new(), &mut recorder) {
+        Ok(_) => {
+            let timeline = recorder.finish();
             // The gauge tracks the deepest decimation any served timeline
             // reached: nonzero means budgets are being exercised.
             let level = timeline.decimation_level() as u64;

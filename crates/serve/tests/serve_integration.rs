@@ -426,17 +426,17 @@ fn timeline_endpoints_use_the_shared_encoder_and_track_job_progress() {
     let mut client = Client::new(&server.addr().to_string());
 
     // `GET /timeline` streams exactly what `disp-campaign timeline` would
-    // print for the same scenario and seed: both sides run
-    // `run_with_timeline` and encode through the shared
+    // print for the same scenario and seed: both sides run `run_observed`
+    // with a default-budget recorder and encode through the shared
     // `timeline_to_jsonl`, so byte-identity holds by construction — and is
     // pinned here over a real socket.
     let label = "star/k8/rooted/sync/probe-dfs";
     let registry = Registry::builtin();
     let spec = ScenarioSpec::parse(label, &registry).unwrap();
-    let (_report, timeline) = spec
-        .run_with_timeline(&registry, 7, disp_sim::DEFAULT_TIMELINE_BUDGET)
+    let mut recorder = disp_sim::TimelineRecorder::new();
+    spec.run_observed(&registry, 7, &mut disp_sim::WorldPool::new(), &mut recorder)
         .unwrap();
-    let expected = timeline_to_jsonl(&timeline, &spec.label(), 7);
+    let expected = timeline_to_jsonl(&recorder.finish(), &spec.label(), 7);
     let resp = client
         .get(&format!("/timeline?scenario={label}&seed=7"))
         .unwrap();

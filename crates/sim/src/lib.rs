@@ -28,6 +28,8 @@
 //! * [`SyncRunner`] / [`AsyncRunner`] — drive a protocol to termination under
 //!   the two schedulers, producing an [`Outcome`] (rounds, epochs, moves,
 //!   peak per-agent memory bits).
+//! * [`Observer`] — the one way to watch a run: the event [`Trace`] and the
+//!   [`TimelineRecorder`] both implement it, and `()` watches nothing.
 //! * [`adversary`] — pluggable ASYNC activation adversaries.
 //! * [`fault`] — deterministic fault plans: the [`DynamicAdversary`]
 //!   (one seeded edge removed per round, the arXiv 2408.12220 dynamic-ring
@@ -73,6 +75,7 @@ pub mod clock;
 pub mod fault;
 pub mod ids;
 pub mod metrics;
+pub mod observe;
 pub mod placement;
 pub mod protocol;
 pub mod runner;
@@ -90,6 +93,7 @@ pub use clock::Clock;
 pub use fault::{CrashPlan, DynamicAdversary};
 pub use ids::AgentId;
 pub use metrics::{Metrics, Outcome};
+pub use observe::Observer;
 pub use placement::Placement;
 pub use protocol::AgentProtocol;
 pub use runner::{AsyncRunner, RunConfig, RunError, SyncRunner};
@@ -108,6 +112,7 @@ pub mod prelude {
     pub use crate::fault::{CrashPlan, DynamicAdversary};
     pub use crate::ids::AgentId;
     pub use crate::metrics::{Metrics, Outcome};
+    pub use crate::observe::Observer;
     pub use crate::placement::Placement;
     pub use crate::protocol::AgentProtocol;
     pub use crate::runner::{AsyncRunner, RunConfig, RunError, SyncRunner};

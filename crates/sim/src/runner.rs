@@ -14,8 +14,9 @@ use crate::clock::Clock;
 use crate::fault::{CrashPlan, DynamicAdversary};
 use crate::ids::AgentId;
 use crate::metrics::Outcome;
+use crate::observe::Observer;
 use crate::protocol::AgentProtocol;
-use crate::timeline::{TimelinePoint, TimelineRecorder};
+use crate::timeline::TimelinePoint;
 use crate::world::World;
 
 /// Limits and sampling knobs for a run.
@@ -122,10 +123,10 @@ fn should_sample(t: u64, interval: u64) -> bool {
 }
 
 /// Sample one flight-recorder point from the current world + protocol
-/// state. Pure observation: nothing here mutates either, so a recorded run
-/// is byte-identical to an unrecorded one. Cost is O(classes) plus one
-/// small allocation per sample — and samples happen once per *stride*
-/// boundaries, never per activation.
+/// state. Pure observation: nothing here mutates either, so an observed run
+/// is byte-identical to an unobserved one. Cost is O(classes) plus one
+/// small allocation per sample — and samples happen only at the boundaries
+/// an observer wants, never per activation.
 fn timeline_point<P: AgentProtocol + ?Sized>(
     world: &World,
     protocol: &P,
@@ -152,6 +153,31 @@ fn timeline_point<P: AgentProtocol + ?Sized>(
         dead_edges: world.liveness().map_or(0, |l| l.dead_edges() as u64),
         batch,
         classes,
+    }
+}
+
+/// Hand `observer` the boundary at `time` if it wants it.
+fn observe_boundary<P: AgentProtocol + ?Sized, O: Observer>(
+    observer: &mut O,
+    world: &World,
+    protocol: &P,
+    time: u64,
+    batch: u64,
+) {
+    if observer.wants_boundary(time) {
+        observer.boundary(timeline_point(world, protocol, time, batch));
+    }
+}
+
+/// Hand `observer` the final point at `time` if it wants it.
+fn observe_final<P: AgentProtocol + ?Sized, O: Observer>(
+    observer: &mut O,
+    world: &World,
+    protocol: &P,
+    time: u64,
+) {
+    if observer.wants_final() {
+        observer.final_point(timeline_point(world, protocol, time, 0));
     }
 }
 
@@ -223,18 +249,18 @@ impl SyncRunner {
         world: &mut World,
         protocol: &mut P,
     ) -> Result<Outcome, RunError> {
-        self.run_recorded(world, protocol, None)
+        self.run_observed(world, protocol, &mut ())
     }
 
-    /// Like [`run`](SyncRunner::run), but samples a flight-recorder point
-    /// into `recorder` at every round boundary the recorder's stride
-    /// selects (plus the initial state and a forced final point — also on
-    /// the limit-exceeded path, so partial runs keep their tail).
-    pub fn run_recorded<P: AgentProtocol + ?Sized>(
+    /// Like [`run`](SyncRunner::run), reporting to `observer` (see
+    /// [`crate::observe`]): every event, the round boundaries it wants
+    /// (the initial state is round 0) and the final point, also on the
+    /// limit-exceeded path, so partial runs keep their tail.
+    pub fn run_observed<P: AgentProtocol + ?Sized, O: Observer>(
         &self,
         world: &mut World,
         protocol: &mut P,
-        mut recorder: Option<&mut TimelineRecorder>,
+        observer: &mut O,
     ) -> Result<Outcome, RunError> {
         let k = world.num_agents();
         let mut clock = Clock::new(k);
@@ -244,15 +270,11 @@ impl SyncRunner {
         let mut dynamics = self.dynamics.clone();
         let mut crashes = self.crashes.clone();
         sample_memory(world, protocol);
-        if let Some(rec) = recorder.as_deref_mut() {
-            rec.record(timeline_point(world, protocol, 0, 0));
-        }
+        observe_boundary(observer, world, protocol, 0, 0);
         while !protocol.is_terminated() {
             if clock.rounds() >= self.config.max_rounds || world.active_count() == 0 {
                 world.sync_ride_accounting();
-                if let Some(rec) = recorder.as_deref_mut() {
-                    rec.record_final(timeline_point(world, protocol, clock.rounds(), 0));
-                }
+                observe_final(observer, world, protocol, clock.rounds());
                 return Err(RunError::LimitExceeded {
                     outcome: build_outcome(world, &clock, false),
                 });
@@ -286,7 +308,7 @@ impl SyncRunner {
                     continue;
                 }
                 world.begin_activation(agent);
-                let mut ctx = world.ctx(agent, now);
+                let mut ctx = world.ctx(agent, now, observer);
                 protocol.on_activate(agent, &mut ctx);
                 // Wakes with a larger id are still due this round.
                 world.drain_transitions(&mut transitions);
@@ -302,17 +324,11 @@ impl SyncRunner {
             if should_sample(clock.rounds(), self.config.memory_sample_interval) {
                 sample_memory(world, protocol);
             }
-            if let Some(rec) = recorder.as_deref_mut() {
-                if rec.wants(clock.rounds()) {
-                    rec.record(timeline_point(world, protocol, clock.rounds(), 0));
-                }
-            }
+            observe_boundary(observer, world, protocol, clock.rounds(), 0);
         }
         world.sync_ride_accounting();
         sample_memory(world, protocol);
-        if let Some(rec) = recorder {
-            rec.record_final(timeline_point(world, protocol, clock.rounds(), 0));
-        }
+        observe_final(observer, world, protocol, clock.rounds());
         Ok(build_outcome(world, &clock, true))
     }
 }
@@ -361,11 +377,6 @@ impl<A: Adversary> AsyncRunner<A> {
         self
     }
 
-    /// The adversary's name (for reports).
-    pub fn adversary_name(&self) -> &'static str {
-        self.adversary.name()
-    }
-
     /// Run `protocol` on `world` until it terminates or the step limit is
     /// hit.
     pub fn run<P: AgentProtocol + ?Sized>(
@@ -373,20 +384,20 @@ impl<A: Adversary> AsyncRunner<A> {
         world: &mut World,
         protocol: &mut P,
     ) -> Result<Outcome, RunError> {
-        self.run_recorded(world, protocol, None)
+        self.run_observed(world, protocol, &mut ())
     }
 
-    /// Like [`run`](AsyncRunner::run), but samples a flight-recorder point
-    /// into `recorder` at every **epoch boundary** the recorder's stride
-    /// selects (plus the initial state and a forced final point — also on
-    /// the limit-exceeded paths). Timeline time is measured in epochs; the
-    /// `batch` field carries the size of the adversary batch that closed
-    /// the epoch.
-    pub fn run_recorded<P: AgentProtocol + ?Sized>(
+    /// Like [`run`](AsyncRunner::run), reporting to `observer` (see
+    /// [`crate::observe`]): every event, the **epoch boundaries** it wants
+    /// (the initial state is epoch 0) and the final point, also on the
+    /// limit-exceeded paths but not on an adversary fault. Boundary time
+    /// is measured in epochs; a point's `batch` field carries the size of
+    /// the adversary batch that closed the epoch.
+    pub fn run_observed<P: AgentProtocol + ?Sized, O: Observer>(
         &mut self,
         world: &mut World,
         protocol: &mut P,
-        mut recorder: Option<&mut TimelineRecorder>,
+        observer: &mut O,
     ) -> Result<Outcome, RunError> {
         let k = world.num_agents();
         let mut clock = Clock::new(k);
@@ -401,15 +412,11 @@ impl<A: Adversary> AsyncRunner<A> {
             dynamics.advance(world);
         }
         sample_memory(world, protocol);
-        if let Some(rec) = recorder.as_deref_mut() {
-            rec.record(timeline_point(world, protocol, 0, 0));
-        }
+        observe_boundary(observer, world, protocol, 0, 0);
         while !protocol.is_terminated() {
             if clock.steps() >= self.config.max_steps || world.active_count() == 0 {
                 world.sync_ride_accounting();
-                if let Some(rec) = recorder.as_deref_mut() {
-                    rec.record_final(timeline_point(world, protocol, clock.epochs(), 0));
-                }
+                observe_final(observer, world, protocol, clock.epochs());
                 return Err(RunError::LimitExceeded {
                     outcome: build_outcome(world, &clock, false),
                 });
@@ -487,9 +494,7 @@ impl<A: Adversary> AsyncRunner<A> {
                 // steps up to the limit elapsed, nothing beyond it ran.
                 clock.cap_steps(self.config.max_steps);
                 world.sync_ride_accounting();
-                if let Some(rec) = recorder.as_deref_mut() {
-                    rec.record_final(timeline_point(world, protocol, clock.epochs(), 0));
-                }
+                observe_final(observer, world, protocol, clock.epochs());
                 return Err(RunError::LimitExceeded {
                     outcome: build_outcome(world, &clock, false),
                 });
@@ -508,7 +513,7 @@ impl<A: Adversary> AsyncRunner<A> {
                     continue;
                 }
                 world.begin_activation(agent);
-                let mut ctx = world.ctx(agent, fire);
+                let mut ctx = world.ctx(agent, fire, observer);
                 protocol.on_activate(agent, &mut ctx);
                 clock.note_exec(agent);
             }
@@ -532,16 +537,8 @@ impl<A: Adversary> AsyncRunner<A> {
                     if let Some(dynamics) = self.dynamics.as_mut() {
                         dynamics.advance(world);
                     }
-                    if let Some(rec) = recorder.as_deref_mut() {
-                        if rec.wants(clock.epochs()) {
-                            rec.record(timeline_point(
-                                world,
-                                protocol,
-                                clock.epochs(),
-                                batch.len() as u64,
-                            ));
-                        }
-                    }
+                    let closing = batch.len() as u64;
+                    observe_boundary(observer, world, protocol, clock.epochs(), closing);
                 }
             }
             clock.finish_step(fire);
@@ -551,9 +548,7 @@ impl<A: Adversary> AsyncRunner<A> {
         }
         world.sync_ride_accounting();
         sample_memory(world, protocol);
-        if let Some(rec) = recorder {
-            rec.record_final(timeline_point(world, protocol, clock.epochs(), 0));
-        }
+        observe_final(observer, world, protocol, clock.epochs());
         Ok(build_outcome(world, &clock, true))
     }
 }
@@ -913,9 +908,7 @@ mod tests {
         let runner = SyncRunner::new(RunConfig::default());
         let plain = runner.run(&mut w1, &mut p1).unwrap();
         let mut rec = crate::timeline::TimelineRecorder::new();
-        let recorded = runner
-            .run_recorded(&mut w2, &mut p2, Some(&mut rec))
-            .unwrap();
+        let recorded = runner.run_observed(&mut w2, &mut p2, &mut rec).unwrap();
         assert_eq!(plain, recorded, "observation must never change results");
         let tl = rec.finish();
         // 8 rounds: initial point + one per boundary, no decimation.
@@ -939,7 +932,7 @@ mod tests {
         let mut proto = WalkAround::new(3, 8);
         let mut rec = crate::timeline::TimelineRecorder::new();
         let out = AsyncRunner::new(RunConfig::default(), RoundRobinAdversary::new(3))
-            .run_recorded(&mut world, &mut proto, Some(&mut rec))
+            .run_observed(&mut world, &mut proto, &mut rec)
             .unwrap();
         assert!(out.terminated);
         assert_eq!(out.epochs, 8);
@@ -973,7 +966,7 @@ mod tests {
         let mut world = World::new_rooted(g, 2, NodeId(0));
         let mut rec = crate::timeline::TimelineRecorder::new();
         let err = SyncRunner::new(RunConfig::with_limits(10, 10))
-            .run_recorded(&mut world, &mut Never, Some(&mut rec))
+            .run_observed(&mut world, &mut Never, &mut rec)
             .unwrap_err();
         assert!(matches!(err, RunError::LimitExceeded { .. }));
         let tl = rec.finish();

@@ -98,11 +98,6 @@ impl TimelineRecorder {
         }
     }
 
-    /// The point budget.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
     /// The current sampling stride (a power of two; 1 until the first
     /// decimation).
     pub fn stride(&self) -> u64 {
@@ -173,11 +168,6 @@ impl Timeline {
     /// a gauge so lossy-looking timelines are visible on `/metrics`.
     pub fn decimation_level(&self) -> u32 {
         self.stride.trailing_zeros()
-    }
-
-    /// The settled count of the final point (0 for an empty timeline).
-    pub fn final_settled(&self) -> u64 {
-        self.points.last().map_or(0, |p| p.settled)
     }
 }
 

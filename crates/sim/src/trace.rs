@@ -1,5 +1,5 @@
-//! Optional event tracing for debugging and for tests that assert on
-//! fine-grained behaviour (e.g. "the seeker met the oscillating settler").
+//! Event tracing for debugging and for tests that assert on fine-grained
+//! behaviour (e.g. "the seeker met the oscillating settler").
 
 use crate::ids::AgentId;
 use disp_graph::{NodeId, Port};
@@ -52,18 +52,16 @@ pub enum TraceEvent {
     },
 }
 
-/// Default bound on recorded events ([`Trace::enabled`] uses it): enough
+/// Default bound on recorded events ([`Trace::new`] uses it): enough
 /// for every scale-campaign trial the repo runs, small enough that an
 /// accidentally traced 10^6-agent run cannot eat the machine.
 pub const DEFAULT_TRACE_CAP: usize = 1 << 20;
 
-/// A bounded-growth event log. Disabled by default; when disabled, recording
-/// is a no-op so protocols can emit milestones unconditionally. When the cap
-/// is reached further events are dropped (never an error) and
-/// [`Trace::truncated`] reports the loss.
+/// A bounded-growth event log, filled as an [`Observer`](crate::Observer)
+/// of a run. When the cap is reached further events are dropped (never an
+/// error) and [`Trace::truncated`] reports the loss.
 #[derive(Debug, Clone)]
 pub struct Trace {
-    enabled: bool,
     cap: usize,
     dropped: u64,
     events: Vec<TraceEvent>,
@@ -71,40 +69,24 @@ pub struct Trace {
 
 impl Default for Trace {
     fn default() -> Self {
-        Trace::disabled()
+        Trace::new()
     }
 }
 
 impl Trace {
-    /// A trace that ignores all events.
-    pub fn disabled() -> Self {
-        Trace {
-            enabled: false,
-            cap: DEFAULT_TRACE_CAP,
-            dropped: 0,
-            events: Vec::new(),
-        }
-    }
-
     /// A trace that records up to [`DEFAULT_TRACE_CAP`] events.
-    pub fn enabled() -> Self {
-        Trace::enabled_with_cap(DEFAULT_TRACE_CAP)
+    pub fn new() -> Self {
+        Trace::with_cap(DEFAULT_TRACE_CAP)
     }
 
     /// A trace that records up to `cap` events, then drops the rest and
     /// marks itself [`truncated`](Trace::truncated).
-    pub fn enabled_with_cap(cap: usize) -> Self {
+    pub fn with_cap(cap: usize) -> Self {
         Trace {
-            enabled: true,
             cap,
             dropped: 0,
             events: Vec::new(),
         }
-    }
-
-    /// Whether events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// The bound on recorded events.
@@ -124,11 +106,8 @@ impl Trace {
         self.dropped
     }
 
-    /// Record an event (no-op when disabled; drops once the cap is hit).
+    /// Record an event (dropped once the cap is hit).
     pub fn record(&mut self, event: TraceEvent) {
-        if !self.enabled {
-            return;
-        }
         if self.events.len() >= self.cap {
             self.dropped += 1;
             return;
@@ -155,21 +134,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_trace_ignores_events() {
-        let mut t = Trace::disabled();
-        t.record(TraceEvent::Milestone {
-            agent: AgentId(0),
-            node: NodeId(0),
-            code: 1,
-            time: 0,
-        });
-        assert!(t.events().is_empty());
-        assert!(!t.is_enabled());
-    }
-
-    #[test]
     fn enabled_trace_records_and_counts() {
-        let mut t = Trace::enabled();
+        let mut t = Trace::new();
         t.record(TraceEvent::Move {
             agent: AgentId(0),
             from: NodeId(0),
@@ -191,7 +157,7 @@ mod tests {
 
     #[test]
     fn cap_bounds_growth_and_marks_truncation() {
-        let mut t = Trace::enabled_with_cap(3);
+        let mut t = Trace::with_cap(3);
         for i in 0..10 {
             t.record(TraceEvent::Milestone {
                 agent: AgentId(0),
@@ -214,21 +180,5 @@ mod tests {
             })
             .collect();
         assert_eq!(codes, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn disabled_trace_never_truncates() {
-        let mut t = Trace::disabled();
-        for _ in 0..5 {
-            t.record(TraceEvent::Milestone {
-                agent: AgentId(0),
-                node: NodeId(0),
-                code: 1,
-                time: 0,
-            });
-        }
-        assert!(t.events().is_empty());
-        assert!(!t.truncated());
-        assert_eq!(t.dropped(), 0);
     }
 }

@@ -43,7 +43,8 @@
 
 use crate::ids::AgentId;
 use crate::metrics::Metrics;
-use crate::trace::{Trace, TraceEvent};
+use crate::observe::Observer;
+use crate::trace::TraceEvent;
 use disp_graph::{EdgeLiveness, NodeId, Port, Topology};
 
 const NONE: u32 = u32::MAX;
@@ -156,7 +157,6 @@ pub struct World {
     dead: Vec<bool>,
     dead_count: usize,
     metrics: Metrics,
-    trace: Trace,
 }
 
 /// Reset `v` to `len` copies of `fill`, keeping its allocation.
@@ -232,7 +232,6 @@ impl World {
             dead: Vec::new(),
             dead_count: 0,
             metrics: Metrics::new(k),
-            trace: Trace::disabled(),
         };
         world.init_buffers();
         world
@@ -266,7 +265,6 @@ impl World {
             dead,
             dead_count: _,
             metrics: old_metrics,
-            trace: _,
         } = shell;
         cohorts.clear();
         free_cohorts.clear();
@@ -293,7 +291,6 @@ impl World {
             dead,
             dead_count: 0,
             metrics: old_metrics.into_reset(k),
-            trace: Trace::disabled(),
         };
         world.init_buffers();
         world
@@ -342,30 +339,6 @@ impl World {
     /// `root`.
     pub fn new_rooted(graph: impl Into<Topology>, k: usize, root: NodeId) -> Self {
         World::new(graph, vec![root; k])
-    }
-
-    /// Enable event tracing (off by default; traces grow linearly with the
-    /// number of moves).
-    pub fn enable_trace(&mut self) {
-        self.trace = Trace::enabled();
-    }
-
-    /// Enable event tracing with an explicit cap on recorded events (the
-    /// trace drops further events and marks itself truncated past it).
-    pub fn enable_trace_with_cap(&mut self, cap: usize) {
-        self.trace = Trace::enabled_with_cap(cap);
-    }
-
-    /// Access the recorded trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Take ownership of the recorded trace, leaving tracing disabled.
-    /// Used by the trace-export path to hand the event log to an encoder
-    /// without cloning it.
-    pub fn take_trace(&mut self) -> Trace {
-        std::mem::take(&mut self.trace)
     }
 
     /// Number of agents `k`.
@@ -781,17 +754,29 @@ impl World {
         self.moved[agent.index()] = false;
     }
 
-    /// Borrow an [`ActivationCtx`] for `agent`. Runners call this right after
-    /// [`World::begin_activation`].
-    pub(crate) fn ctx(&mut self, agent: AgentId, time: u64) -> ActivationCtx<'_> {
+    /// Borrow an [`ActivationCtx`] for `agent` that reports to `observer`.
+    /// Runners call this right after [`World::begin_activation`].
+    pub(crate) fn ctx<'w>(
+        &'w mut self,
+        agent: AgentId,
+        time: u64,
+        observer: &'w mut dyn Observer,
+    ) -> ActivationCtx<'w> {
         ActivationCtx {
             world: self,
+            observer,
             agent,
             time,
         }
     }
 
-    fn apply_move(&mut self, agent: AgentId, port: Port, time: u64) -> Result<Port, MoveError> {
+    fn apply_move(
+        &mut self,
+        agent: AgentId,
+        port: Port,
+        time: u64,
+        observer: &mut dyn Observer,
+    ) -> Result<Port, MoveError> {
         let a = agent.index();
         debug_assert_eq!(
             self.cohort_of[a], NONE,
@@ -817,7 +802,7 @@ impl World {
         self.unlink_from_node(a);
         self.link_to_node(a, to);
         self.metrics.record_move(agent);
-        self.trace.record(TraceEvent::Move {
+        observer.event(TraceEvent::Move {
             agent,
             from,
             to,
@@ -860,9 +845,11 @@ impl Iterator for AgentIter<'_> {
 /// context provides the co-location information needed to do so lawfully —
 /// plus the scheduling (park/wake) and cohort operations described in the
 /// module docs, which are simulation-level accelerations of protocol-legal
-/// behaviour.
+/// behaviour. Moves, cohort moves and milestones are reported to the run's
+/// [`Observer`].
 pub struct ActivationCtx<'w> {
     world: &'w mut World,
+    observer: &'w mut dyn Observer,
     agent: AgentId,
     time: u64,
 }
@@ -946,7 +933,8 @@ impl<'w> ActivationCtx<'w> {
     /// means the adversary cut the edge this round, and the agent should
     /// wait (retry on a later activation) rather than panic.
     pub fn try_move_via(&mut self, port: Port) -> Result<Port, MoveError> {
-        self.world.apply_move(self.agent, port, self.time)
+        self.world
+            .apply_move(self.agent, port, self.time, &mut *self.observer)
     }
 
     /// Whether the edge behind `port` at the current node is alive right
@@ -977,20 +965,17 @@ impl<'w> ActivationCtx<'w> {
         self.world.wake(target);
     }
 
-    /// Record a protocol-defined [`TraceEvent::Milestone`] for `target` at
-    /// its current node (settlement, subsumption, phase change…). A no-op
-    /// unless tracing is enabled, so protocols emit unconditionally; each
-    /// protocol documents its `code` constants.
+    /// Report a protocol-defined [`TraceEvent::Milestone`] for `target` at
+    /// its current node (settlement, subsumption, phase change…) to the
+    /// run's observer. Protocols emit unconditionally; each protocol
+    /// documents its `code` constants.
     pub fn milestone(&mut self, target: AgentId, code: u32) {
-        if self.world.trace.is_enabled() {
-            let node = self.world.positions[target.index()];
-            self.world.trace.record(TraceEvent::Milestone {
-                agent: target,
-                node,
-                code,
-                time: self.time,
-            });
-        }
+        self.observer.event(TraceEvent::Milestone {
+            agent: target,
+            node: self.world.positions[target.index()],
+            code,
+            time: self.time,
+        });
     }
 
     // ------------------------------------------------------------------
@@ -1051,7 +1036,7 @@ impl<'w> ActivationCtx<'w> {
                 cohort.hops += 1;
                 let members = cohort.members;
                 self.world.metrics.record_cohort_move(members as u64);
-                self.world.trace.record(TraceEvent::CohortMove {
+                self.observer.event(TraceEvent::CohortMove {
                     driver: self.agent,
                     from,
                     to,
@@ -1078,11 +1063,17 @@ mod tests {
         w.agents_at(NodeId(v)).collect()
     }
 
+    /// The `()` observer, borrowed for as long as a test's context lives
+    /// (a zero-sized box allocates nothing).
+    fn nobody() -> &'static mut () {
+        Box::leak(Box::new(()))
+    }
+
     #[test]
     fn cohort_slots_are_recycled_when_a_cohort_empties() {
         let mut w = world_on_ring(4);
         w.begin_activation(AgentId(3));
-        let mut ctx = w.ctx(AgentId(3), 0);
+        let mut ctx = w.ctx(AgentId(3), 0, nobody());
         ctx.enroll(AgentId(0));
         ctx.enroll(AgentId(1));
         ctx.move_cohort_via(Port(1));
@@ -1094,7 +1085,7 @@ mod tests {
         // A different driver's next convoy reuses the slot (agents 0 and 1
         // materialized at the old cohort's node, so 0 can drive 1).
         w.begin_activation(AgentId(0));
-        let mut ctx = w.ctx(AgentId(0), 1);
+        let mut ctx = w.ctx(AgentId(0), 1, nobody());
         ctx.enroll(AgentId(1));
         assert_eq!(w.cohorts.len(), 1);
         assert!(w.free_cohorts.is_empty());
@@ -1110,7 +1101,7 @@ mod tests {
         let mut pool = WorldPool::new();
         let mut w = pool.take(generators::ring(6), vec![NodeId(0); 5]);
         w.begin_activation(AgentId(4));
-        let mut ctx = w.ctx(AgentId(4), 0);
+        let mut ctx = w.ctx(AgentId(4), 0, nobody());
         ctx.enroll(AgentId(1));
         ctx.enroll(AgentId(2));
         ctx.move_cohort_via(Port(1));
@@ -1145,7 +1136,7 @@ mod tests {
     fn move_updates_positions_and_colocation() {
         let mut w = world_on_ring(2);
         w.begin_activation(AgentId(0));
-        let pin = w.ctx(AgentId(0), 0).move_via(Port(1));
+        let pin = w.ctx(AgentId(0), 0, nobody()).move_via(Port(1));
         // Ring built with edges (i, i+1): port 1 of node 0 goes to node 1,
         // arriving on node 1's port 1.
         assert_eq!(pin, Port(1));
@@ -1159,7 +1150,7 @@ mod tests {
     fn second_move_in_one_activation_is_rejected() {
         let mut w = world_on_ring(1);
         w.begin_activation(AgentId(0));
-        let mut ctx = w.ctx(AgentId(0), 0);
+        let mut ctx = w.ctx(AgentId(0), 0, nobody());
         ctx.move_via(Port(1));
         assert_eq!(ctx.try_move_via(Port(1)), Err(MoveError::AlreadyMoved));
     }
@@ -1169,7 +1160,7 @@ mod tests {
         let mut w = world_on_ring(1);
         for t in 0..6u64 {
             w.begin_activation(AgentId(0));
-            w.ctx(AgentId(0), t).move_via(Port(2));
+            w.ctx(AgentId(0), t, nobody()).move_via(Port(2));
         }
         assert_eq!(w.metrics().total_moves(), 6);
         // Walking port 2 six times around a 6-ring returns to the start.
@@ -1180,7 +1171,7 @@ mod tests {
     fn invalid_port_is_rejected() {
         let mut w = world_on_ring(1);
         w.begin_activation(AgentId(0));
-        let mut ctx = w.ctx(AgentId(0), 0);
+        let mut ctx = w.ctx(AgentId(0), 0, nobody());
         assert!(matches!(
             ctx.try_move_via(Port(3)),
             Err(MoveError::InvalidPort { .. })
@@ -1195,7 +1186,7 @@ mod tests {
     fn colocated_excludes_self() {
         let mut w = world_on_ring(3);
         w.begin_activation(AgentId(1));
-        let ctx = w.ctx(AgentId(1), 0);
+        let ctx = w.ctx(AgentId(1), 0, nobody());
         let peers: Vec<AgentId> = ctx.colocated_iter().collect();
         assert_eq!(peers.len(), 2);
         assert!(!peers.contains(&AgentId(1)));
@@ -1214,11 +1205,11 @@ mod tests {
     #[test]
     fn trace_records_moves_when_enabled() {
         let mut w = world_on_ring(1);
-        w.enable_trace();
+        let mut trace = crate::trace::Trace::new();
         w.begin_activation(AgentId(0));
-        w.ctx(AgentId(0), 7).move_via(Port(1));
-        assert_eq!(w.trace().events().len(), 1);
-        match w.trace().events()[0] {
+        w.ctx(AgentId(0), 7, &mut trace).move_via(Port(1));
+        assert_eq!(trace.events().len(), 1);
+        match trace.events()[0] {
             TraceEvent::Move {
                 agent,
                 from,
@@ -1264,7 +1255,7 @@ mod tests {
         let mut w = world_on_ring(3);
         // Agent 2 drives agents 0 and 1 two hops around the ring.
         w.begin_activation(AgentId(2));
-        let mut ctx = w.ctx(AgentId(2), 0);
+        let mut ctx = w.ctx(AgentId(2), 0, nobody());
         ctx.enroll(AgentId(0));
         ctx.enroll(AgentId(1));
         assert_eq!(ctx.cohort_len(), 2);
@@ -1277,14 +1268,14 @@ mod tests {
         assert_eq!(w.metrics().total_moves(), 3);
 
         w.begin_activation(AgentId(2));
-        w.ctx(AgentId(2), 1).move_cohort_via(Port(2));
+        w.ctx(AgentId(2), 1, nobody()).move_cohort_via(Port(2));
         assert_eq!(w.metrics().total_moves(), 6);
         assert_eq!(w.position(AgentId(0)), NodeId(2));
 
         // Extraction materializes at the cohort node, charges the ride and
         // wakes the member.
         w.begin_activation(AgentId(2));
-        let mut ctx = w.ctx(AgentId(2), 2);
+        let mut ctx = w.ctx(AgentId(2), 2, nobody());
         ctx.extract(AgentId(0));
         assert_eq!(ctx.cohort_len(), 1);
         assert_eq!(w.position(AgentId(0)), NodeId(2));
@@ -1301,17 +1292,17 @@ mod tests {
     fn driver_solo_trip_leaves_cohort_behind() {
         let mut w = world_on_ring(2);
         w.begin_activation(AgentId(1));
-        let mut ctx = w.ctx(AgentId(1), 0);
+        let mut ctx = w.ctx(AgentId(1), 0, nobody());
         ctx.enroll(AgentId(0));
         ctx.move_via(Port(1)); // solo: cohort stays at node 0
         assert_eq!(w.position(AgentId(0)), NodeId(0));
         assert_eq!(w.position(AgentId(1)), NodeId(1));
         // Coming back, the driver may move the cohort again.
         w.begin_activation(AgentId(1));
-        w.ctx(AgentId(1), 1).move_via(Port(1));
+        w.ctx(AgentId(1), 1, nobody()).move_via(Port(1));
         assert_eq!(w.position(AgentId(1)), NodeId(0));
         w.begin_activation(AgentId(1));
-        w.ctx(AgentId(1), 2).move_cohort_via(Port(2));
+        w.ctx(AgentId(1), 2, nobody()).move_cohort_via(Port(2));
         assert_eq!(w.position(AgentId(0)), NodeId(5));
     }
 
@@ -1320,18 +1311,18 @@ mod tests {
     fn moving_the_cohort_from_afar_is_rejected() {
         let mut w = world_on_ring(2);
         w.begin_activation(AgentId(1));
-        let mut ctx = w.ctx(AgentId(1), 0);
+        let mut ctx = w.ctx(AgentId(1), 0, nobody());
         ctx.enroll(AgentId(0));
         ctx.move_via(Port(1));
         w.begin_activation(AgentId(1));
-        w.ctx(AgentId(1), 1).move_cohort_via(Port(1));
+        w.ctx(AgentId(1), 1, nobody()).move_cohort_via(Port(1));
     }
 
     #[test]
     fn snapshot_positions_sees_riders() {
         let mut w = world_on_ring(3);
         w.begin_activation(AgentId(2));
-        let mut ctx = w.ctx(AgentId(2), 0);
+        let mut ctx = w.ctx(AgentId(2), 0, nobody());
         ctx.enroll(AgentId(0));
         ctx.move_cohort_via(Port(1));
         assert_eq!(
@@ -1349,7 +1340,7 @@ mod tests {
         let mut w = world_on_ring(1);
         assert!(w.kill_edge(NodeId(0), Port(1))); // edge 0–1 down
         w.begin_activation(AgentId(0));
-        let mut ctx = w.ctx(AgentId(0), 0);
+        let mut ctx = w.ctx(AgentId(0), 0, nobody());
         assert!(!ctx.is_port_live(Port(1)));
         assert!(ctx.is_port_live(Port(2)));
         assert!(matches!(
@@ -1363,7 +1354,10 @@ mod tests {
         assert_eq!(w.metrics().total_moves(), 0);
         assert!(w.revive_edge(NodeId(0), Port(1)));
         w.begin_activation(AgentId(0));
-        assert_eq!(w.ctx(AgentId(0), 1).try_move_via(Port(1)), Ok(Port(1)));
+        assert_eq!(
+            w.ctx(AgentId(0), 1, nobody()).try_move_via(Port(1)),
+            Ok(Port(1))
+        );
         assert_eq!(w.position(AgentId(0)), NodeId(1));
     }
 
@@ -1372,7 +1366,7 @@ mod tests {
         let mut w = world_on_ring(2);
         w.kill_edge(NodeId(0), Port(1));
         w.begin_activation(AgentId(1));
-        let mut ctx = w.ctx(AgentId(1), 0);
+        let mut ctx = w.ctx(AgentId(1), 0, nobody());
         ctx.enroll(AgentId(0));
         assert!(matches!(
             ctx.try_move_cohort_via(Port(1)),
@@ -1383,7 +1377,7 @@ mod tests {
         assert_eq!(w.position(AgentId(0)), NodeId(0));
         assert_eq!(w.metrics().total_moves(), 0);
         w.begin_activation(AgentId(1));
-        w.ctx(AgentId(1), 1).move_cohort_via(Port(2));
+        w.ctx(AgentId(1), 1, nobody()).move_cohort_via(Port(2));
         assert_eq!(w.position(AgentId(0)), NodeId(5));
     }
 
@@ -1391,7 +1385,7 @@ mod tests {
     fn crashing_a_settled_agent_orphans_its_node() {
         let mut w = world_on_ring(2);
         w.begin_activation(AgentId(0));
-        let mut ctx = w.ctx(AgentId(0), 0);
+        let mut ctx = w.ctx(AgentId(0), 0, nobody());
         ctx.park(AgentId(0)); // "settled" from the scheduler's viewpoint
         w.crash(AgentId(0));
         assert!(w.is_dead(AgentId(0)));
@@ -1409,7 +1403,7 @@ mod tests {
     fn crashing_a_driver_disbands_its_cohort_in_place() {
         let mut w = world_on_ring(3);
         w.begin_activation(AgentId(2));
-        let mut ctx = w.ctx(AgentId(2), 0);
+        let mut ctx = w.ctx(AgentId(2), 0, nobody());
         ctx.enroll(AgentId(0));
         ctx.enroll(AgentId(1));
         ctx.move_cohort_via(Port(1));
@@ -1432,7 +1426,7 @@ mod tests {
     fn crashing_a_rider_extracts_only_that_rider() {
         let mut w = world_on_ring(3);
         w.begin_activation(AgentId(2));
-        let mut ctx = w.ctx(AgentId(2), 0);
+        let mut ctx = w.ctx(AgentId(2), 0, nobody());
         ctx.enroll(AgentId(0));
         ctx.enroll(AgentId(1));
         ctx.move_cohort_via(Port(1));
@@ -1444,7 +1438,7 @@ mod tests {
         assert!(!w.is_active(AgentId(0)));
         assert_eq!(w.cohort_len(AgentId(2)), 1);
         w.begin_activation(AgentId(2));
-        w.ctx(AgentId(2), 1).move_cohort_via(Port(2));
+        w.ctx(AgentId(2), 1, nobody()).move_cohort_via(Port(2));
         assert_eq!(w.position(AgentId(1)), NodeId(2));
         assert_eq!(w.position(AgentId(0)), NodeId(1), "corpse stays behind");
     }
