@@ -406,22 +406,44 @@ mod tests {
         assert_eq!(spec, p.scenario);
     }
 
+    /// Run every repetition of `p` with `run_trial` and aggregate the
+    /// records with [`Measurement::from_trials`].
+    fn measure(p: &ExperimentPoint, registry: &Registry) -> (Measurement, Vec<TrialRecord>) {
+        let trials: Vec<TrialRecord> = (0..p.repetitions)
+            .map(|r| p.run_trial(registry, r, 1000 * r as u64 + 17))
+            .collect();
+        (Measurement::from_trials(p, &trials), trials)
+    }
+
     #[test]
-    fn from_trials_aggregates_sync_and_async_trials() {
+    fn measure_produces_dispersed_results() {
+        let (m, _) = measure(&small_point("probe-dfs", Schedule::Sync), &reg());
+        assert!(m.all_dispersed);
+        assert!(m.time_mean > 0.0);
+        assert!(m.peak_memory_bits > 0);
+        assert_eq!(m.k, 16);
+    }
+
+    #[test]
+    fn async_measurement_reports_epochs() {
+        let p = small_point("probe-dfs", Schedule::AsyncRandom { prob: 0.6, seed: 0 });
+        let (m, trials) = measure(&p, &reg());
+        assert!(m.all_dispersed);
+        assert!(m.time_mean >= 1.0);
+        assert!(trials.iter().all(|t| t.outcome.time() == t.outcome.epochs));
+    }
+
+    #[test]
+    fn from_trials_aggregates_like_measure() {
         let registry = reg();
         for schedule in [Schedule::Sync, Schedule::AsyncRandom { prob: 0.6, seed: 0 }] {
-            let p = small_point("probe-dfs", schedule);
-            let trials: Vec<TrialRecord> = (0..2)
-                .map(|r| p.run_trial(&registry, r, 1000 * r as u64 + 17))
-                .collect();
-            let m = Measurement::from_trials(&p, &trials);
-            assert!(m.all_dispersed, "{schedule:?}");
-            assert!(m.time_mean >= 1.0, "{schedule:?}: rounds or epochs");
-            assert!(m.peak_memory_bits > 0);
-            assert_eq!(m.k, 16);
+            let (m, trials) = measure(&small_point("probe-dfs", schedule), &registry);
             let times: Vec<u64> = trials.iter().map(|t| t.outcome.time()).collect();
             assert_eq!(m.time_mean, (times[0] + times[1]) as f64 / 2.0);
             assert_eq!(m.time_min, *times.iter().min().unwrap() as f64);
+            assert_eq!(m.time_max, *times.iter().max().unwrap() as f64);
+            let peak = trials.iter().map(|t| t.outcome.peak_memory_bits).max();
+            assert_eq!(m.peak_memory_bits, peak.unwrap());
             assert_eq!(m.n, trials[1].outcome.n);
         }
     }
