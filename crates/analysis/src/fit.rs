@@ -52,20 +52,6 @@ pub fn loglog_fit(points: &[(f64, f64)]) -> Option<LogLogFit> {
     })
 }
 
-/// Average of `y / (x·log₂(x+2))` over the samples — a flatness indicator for
-/// `O(k log k)` behaviour (roughly constant across `x` when the bound is
-/// tight).
-pub fn klogk_ratio(points: &[(f64, f64)]) -> f64 {
-    if points.is_empty() {
-        return f64::NAN;
-    }
-    points
-        .iter()
-        .map(|(x, y)| y / (x * (x + 2.0).log2()))
-        .sum::<f64>()
-        / points.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,16 +70,6 @@ mod tests {
         let pts: Vec<(f64, f64)> = (1..=20).map(|i| (i as f64, 0.5 * (i * i) as f64)).collect();
         let fit = loglog_fit(&pts).unwrap();
         assert!((fit.exponent - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn klogk_is_flat_for_klogk_data() {
-        let pts: Vec<(f64, f64)> = (4..=64)
-            .step_by(4)
-            .map(|i| (i as f64, 2.0 * i as f64 * (i as f64 + 2.0).log2()))
-            .collect();
-        let r = klogk_ratio(&pts);
-        assert!((r - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! campaign observation, [`fit`] estimates log–log
 //! scaling exponents so the harness can check the *shape* of the paper's
 //! bounds, [`stats`] provides the usual summaries, and [`report`] renders
-//! Markdown and CSV tables for `EXPERIMENTS.md`.
+//! the Markdown and CSV tables of a campaign report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,7 +7,7 @@
 //! * `probe_star/doubling_probe/128` — `ProbeDfs` on a rooted star,
 //!   the doubling-probe micro-benchmark.
 //! * `sync_rooted/complete/ks-dfs` — the scan baseline on the complete
-//!   graph through the scenario `run_custom` path.
+//!   graph through `ScenarioSpec::run`.
 //! * `scale/line100k/probe-dfs` — the flat-state hot loop itself: a rooted
 //!   `k = 10^5` line through the implicit-topology scenario path (cohort
 //!   rides + worklist; would take hours, not milliseconds, without them).

@@ -48,8 +48,8 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args[1..], &registry),
         Some("resume") => cmd_resume(&args[1..], &registry),
         Some("report") => cmd_report(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..], &registry),
-        Some("timeline") => cmd_timeline(&args[1..], &registry),
+        Some("trace") => cmd_observe(&args[1..], &registry, false),
+        Some("timeline") => cmd_observe(&args[1..], &registry, true),
         Some("scenarios") => {
             cmd_scenarios(&registry);
             Ok(())
@@ -91,10 +91,10 @@ USAGE:
 --format json prints the machine-readable report document (the same schema
 disp-serve returns from GET /runs/:id/results?format=summary).
 
---batch N steals work in runs of N contiguous grid trials, each run reusing
-one warm world-allocation pool — the fast path for campaigns of many small
-trials. Results, checkpoints and resumes are byte-identical to --batch 1
-(the default) for any thread count.
+--batch N steals work in runs of N contiguous grid trials — the fast path
+for campaigns of many small trials. (Every engine thread reuses one warm
+world-allocation pool whatever the batch.) Results, checkpoints and resumes
+are byte-identical to --batch 1 (the default) for any thread count.
 
 --events (requires --out) streams per-trial telemetry — start/finish with
 wall-clock micros — to the DIR/events.jsonl sidecar. Timing is not content:
@@ -413,79 +413,54 @@ fn execute(
     render(flags, spec, records)
 }
 
-/// `trace`: run one trial of one scenario with the simulator's event trace
-/// observing it and write the log as JSONL (stdout by default, `--out
-/// FILE`). A run that hits its limit writes the partial log, then fails.
-fn cmd_trace(args: &[String], registry: &Registry) -> Result<(), String> {
+/// `trace` / `timeline`: run one trial of one scenario with the event
+/// trace or the flight recorder observing it and write what it saw as
+/// JSONL (stdout by default, `--out FILE`). Uses the same encoders as
+/// disp-serve's `GET /trace` and `GET /timeline`, so the two are
+/// byte-identical for the same scenario + seed. A run that hits its limit
+/// writes the partial log or timeline, then fails.
+fn cmd_observe(args: &[String], registry: &Registry, timeline: bool) -> Result<(), String> {
+    let command = if timeline { "timeline" } else { "trace" };
     let flags = parse_flags(args)?;
     if flags.campaign.is_some() {
-        return Err("trace takes --scenario LABEL, not --campaign".into());
+        return Err(format!("{command} takes --scenario LABEL, not --campaign"));
     }
     let label = match flags.scenarios.as_slice() {
         [label] => label,
-        [] => return Err("trace requires --scenario LABEL".into()),
-        _ => return Err("trace runs exactly one scenario (one --scenario flag)".into()),
-    };
-    let spec = ScenarioSpec::parse(label, registry).map_err(|e| e.to_string())?;
-    let mut trace = Trace::with_cap(flags.cap.unwrap_or(DEFAULT_TRACE_CAP));
-    let result = spec.run_observed(registry, flags.seed, &mut WorldPool::new(), &mut trace);
-    let jsonl = trace_to_jsonl(&trace);
-    match &flags.out {
-        Some(path) => {
-            std::fs::write(path, &jsonl).map_err(|e| format!("write {}: {e}", path.display()))?;
-            eprintln!(
-                "traced {} (seed {}): {} event(s){} → {}",
-                spec.label(),
-                flags.seed,
-                trace.events().len(),
-                if trace.truncated() { ", truncated" } else { "" },
-                path.display()
-            );
+        [] => return Err(format!("{command} requires --scenario LABEL")),
+        _ => {
+            return Err(format!(
+                "{command} runs exactly one scenario (one --scenario flag)"
+            ))
         }
-        None => print!("{jsonl}"),
-    }
-    let report = result.map_err(|e| e.to_string())?;
-    eprintln!(
-        "outcome: dispersed={} moves={} time={}",
-        report.dispersed,
-        report.outcome.total_moves,
-        report.outcome.time()
-    );
-    Ok(())
-}
-
-/// `timeline`: run one trial of one scenario with the flight recorder
-/// observing it and write the decimated timeline as JSONL (stdout by
-/// default, `--out FILE`). Uses the same encoder as disp-serve's `GET
-/// /timeline`, so the two are byte-identical for the same scenario + seed.
-/// A run that hits its limit writes the partial timeline, then fails.
-fn cmd_timeline(args: &[String], registry: &Registry) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    if flags.campaign.is_some() {
-        return Err("timeline takes --scenario LABEL, not --campaign".into());
-    }
-    let label = match flags.scenarios.as_slice() {
-        [label] => label,
-        [] => return Err("timeline requires --scenario LABEL".into()),
-        _ => return Err("timeline runs exactly one scenario (one --scenario flag)".into()),
     };
     let spec = ScenarioSpec::parse(label, registry).map_err(|e| e.to_string())?;
-    let budget = flags.budget.unwrap_or(DEFAULT_TIMELINE_BUDGET);
-    let mut recorder = TimelineRecorder::with_budget(budget);
-    let result = spec.run_observed(registry, flags.seed, &mut WorldPool::new(), &mut recorder);
-    let timeline = recorder.finish();
-    let jsonl = timeline_to_jsonl(&timeline, &spec.label(), flags.seed);
+    let (label, seed, mut pool) = (spec.label(), flags.seed, WorldPool::new());
+    let (result, jsonl, summary) = if timeline {
+        let budget = flags.budget.unwrap_or(DEFAULT_TIMELINE_BUDGET);
+        let mut recorder = TimelineRecorder::with_budget(budget);
+        let result = spec.run_observed(registry, seed, &mut pool, &mut recorder);
+        let timeline = recorder.finish();
+        let summary = format!(
+            "recorded {label} (seed {seed}): {} point(s), decimation level {}",
+            timeline.points.len(),
+            timeline.decimation_level(),
+        );
+        (result, timeline_to_jsonl(&timeline, &label, seed), summary)
+    } else {
+        let mut trace = Trace::with_cap(flags.cap.unwrap_or(DEFAULT_TRACE_CAP));
+        let result = spec.run_observed(registry, seed, &mut pool, &mut trace);
+        let summary = format!(
+            "traced {label} (seed {seed}): {} event(s){}",
+            trace.events().len(),
+            if trace.truncated() { ", truncated" } else { "" },
+        );
+        (result, trace_to_jsonl(&trace), summary)
+    };
     match &flags.out {
         Some(path) => {
             std::fs::write(path, &jsonl).map_err(|e| format!("write {}: {e}", path.display()))?;
-            eprintln!(
-                "recorded {} (seed {}): {} point(s), decimation level {} → {}",
-                spec.label(),
-                flags.seed,
-                timeline.points.len(),
-                timeline.decimation_level(),
-                path.display()
-            );
+            eprintln!("{summary} → {}", path.display());
         }
         None => print!("{jsonl}"),
     }

@@ -116,6 +116,13 @@ impl AgentProtocol for RandomWalk {
         })
     }
 
+    fn class_counts(&self, out: &mut Vec<(&'static str, u32)>) {
+        let settled = self.settled_count as u32;
+        let walking = (self.home.len() - self.settled_count - self.dead_count) as u32;
+        out.push(("walking", walking));
+        out.push(("settled", settled));
+    }
+
     fn name(&self) -> &'static str {
         "random-walk"
     }

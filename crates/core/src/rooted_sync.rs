@@ -52,7 +52,7 @@ fn enc(p: Option<Port>) -> Port {
     p.unwrap_or(NO_PORT)
 }
 
-/// Tuning knobs (also used by the ablation benches).
+/// Tuning knobs (also swept by the `ablations` binary).
 #[derive(Debug, Clone, Copy)]
 pub struct SyncConfig {
     /// Rounds a seeker waits at the probed neighbor before returning. The

@@ -1335,30 +1335,17 @@ impl ScenarioSpec {
         seed: u64,
         observer: &mut O,
     ) -> Result<Outcome, RunError> {
+        let k = world.num_agents();
         let config = self.run_config(world);
-        let (dynamics, crashes) = self.build_faults(world.num_agents(), seed);
-        match self.build_adversary(world.num_agents(), seed) {
-            None => {
-                let mut runner = SyncRunner::new(config);
-                if let Some(d) = dynamics {
-                    runner = runner.with_dynamics(d);
-                }
-                if let Some(c) = crashes {
-                    runner = runner.with_crashes(c);
-                }
-                runner.run_observed(world, protocol, observer)
-            }
-            Some(adversary) => {
-                let mut runner = AsyncRunner::new(config, adversary);
-                if let Some(d) = dynamics {
-                    runner = runner.with_dynamics(d);
-                }
-                if let Some(c) = crashes {
-                    runner = runner.with_crashes(c);
-                }
-                runner.run_observed(world, protocol, observer)
-            }
-        }
+        let adversary = self.build_adversary(k, seed);
+        drive(
+            world,
+            protocol,
+            config,
+            adversary,
+            self.build_faults(k, seed),
+            observer,
+        )
     }
 
     /// Execute the scenario under `seed`. The seed fully determines the run:
@@ -1437,16 +1424,55 @@ pub fn run_custom(
     let graph = graph.into();
     let k = positions.len();
     let config = limits.resolve(k, graph.num_edges(), graph.max_degree(), schedule);
+    let adversary = schedule
+        .adversary()
+        .map(|(kind, _)| kind.build(k, mix(&[seed, SEED_ADVERSARY])));
     let mut world = World::new(graph, positions);
     let mut protocol = factory.build(&world, params, mix(&[seed, SEED_ALGORITHM]));
-    let outcome = match schedule.adversary() {
-        None => SyncRunner::new(config).run(&mut world, protocol.as_mut())?,
-        Some((kind, _)) => {
-            let adversary = kind.build(k, mix(&[seed, SEED_ADVERSARY]));
-            AsyncRunner::new(config, adversary).run(&mut world, protocol.as_mut())?
-        }
-    };
+    let outcome = drive(
+        &mut world,
+        protocol.as_mut(),
+        config,
+        adversary,
+        (None, None),
+        &mut (),
+    )?;
     Ok((outcome, verify::is_dispersed(&world)))
+}
+
+/// Drive `protocol` on `world` to completion: the SYNC runner when there
+/// is no adversary, the ASYNC runner under it otherwise, with the fault
+/// plans attached. The one place the scenario layer builds a runner.
+fn drive<O: Observer>(
+    world: &mut World,
+    protocol: &mut dyn AgentProtocol,
+    config: RunConfig,
+    adversary: Option<Box<dyn Adversary>>,
+    (dynamics, crashes): (Option<DynamicAdversary>, Option<CrashPlan>),
+    observer: &mut O,
+) -> Result<Outcome, RunError> {
+    match adversary {
+        None => {
+            let mut runner = SyncRunner::new(config);
+            if let Some(d) = dynamics {
+                runner = runner.with_dynamics(d);
+            }
+            if let Some(c) = crashes {
+                runner = runner.with_crashes(c);
+            }
+            runner.run_observed(world, protocol, observer)
+        }
+        Some(adversary) => {
+            let mut runner = AsyncRunner::new(config, adversary);
+            if let Some(d) = dynamics {
+                runner = runner.with_dynamics(d);
+            }
+            if let Some(c) = crashes {
+                runner = runner.with_crashes(c);
+            }
+            runner.run_observed(world, protocol, observer)
+        }
+    }
 }
 
 /// Human-readable description of the canonical scenario-label grammar and
@@ -2086,12 +2112,21 @@ mod tests {
     #[test]
     fn timeline_runs_match_plain_runs_and_sample_role_histograms() {
         let r = reg();
-        for label in [
+        let labels = [
             "ring/k16/rooted/sync/probe-dfs",
             "ring/k16/rooted/sync/ks-dfs",
             "line/k12/rooted/sync/sync-seeker",
             "ring/k16/rooted/async-lag3/probe-dfs",
-        ] {
+            "ring/k16/rooted/sync/random-walk",
+            "ring/k32/rooted/sync/crash4/random-walk",
+        ];
+        for algorithm in r.labels() {
+            assert!(
+                labels.iter().any(|l| l.ends_with(&format!("/{algorithm}"))),
+                "builtin {algorithm} has no timeline case"
+            );
+        }
+        for label in labels {
             let spec = ScenarioSpec::parse(label, &r).unwrap();
             let plain = spec.run(&r, 11).unwrap();
             let (report, tl) = recorded(&spec, &r, 11, 4096);
@@ -2100,6 +2135,7 @@ mod tests {
                 "{label}: recording must not change results"
             );
             assert_eq!(plain.dispersed, report.dispersed, "{label}");
+            assert!(report.dispersed, "{label}");
             let first = tl.points.first().unwrap();
             let last = tl.points.last().unwrap();
             assert_eq!(first.time, 0, "{label}");
@@ -2113,7 +2149,11 @@ mod tests {
                 "{label}: final point sits at the end of the run"
             );
             let k = report.outcome.k as u64;
-            assert_eq!(last.settled, k, "{label}: everyone settles at the end");
+            assert_eq!(
+                last.settled,
+                k - last.crashed,
+                "{label}: every survivor settles by the end"
+            );
             assert_eq!(last.moves, report.outcome.total_moves, "{label}");
             // Every point's histogram covers all agents and names a
             // "settled" class that matches the derived settled count.

@@ -116,7 +116,6 @@ pub struct GraphBuilder {
     degrees: Vec<u32>,
     edge_set: HashSet<(u32, u32), EdgeKeyHash>,
     name: String,
-    check_connectivity: bool,
 }
 
 impl GraphBuilder {
@@ -131,20 +130,12 @@ impl GraphBuilder {
             degrees: vec![0; num_nodes],
             edge_set: HashSet::with_capacity_and_hasher(num_nodes, EdgeKeyHash),
             name: String::from("custom"),
-            check_connectivity: true,
         }
     }
 
     /// Set the human-readable name recorded on the built graph.
     pub fn name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
-        self
-    }
-
-    /// Disable the connectivity check in [`GraphBuilder::build`] (useful for
-    /// tests that construct deliberately broken graphs).
-    pub fn allow_disconnected(mut self) -> Self {
-        self.check_connectivity = false;
         self
     }
 
@@ -231,14 +222,12 @@ impl GraphBuilder {
             back_ports,
             name: self.name,
         };
-        if self.check_connectivity {
-            let reachable = crate::properties::reachable_from(&graph, NodeId(0));
-            if reachable != graph.num_nodes() {
-                return Err(GraphError::Disconnected {
-                    reachable,
-                    num_nodes: graph.num_nodes(),
-                });
-            }
+        let reachable = crate::properties::reachable_from(&graph, NodeId(0));
+        if reachable != graph.num_nodes() {
+            return Err(GraphError::Disconnected {
+                reachable,
+                num_nodes: graph.num_nodes(),
+            });
         }
         debug_assert!(crate::validate::check_port_labeling(&graph).is_ok());
         Ok(graph)
@@ -311,14 +300,6 @@ mod tests {
                 num_nodes: 4
             })
         ));
-    }
-
-    #[test]
-    fn allow_disconnected_skips_check() {
-        let mut b = GraphBuilder::new(4).allow_disconnected();
-        b.add_edge(NodeId(0), NodeId(1)).unwrap();
-        b.add_edge(NodeId(2), NodeId(3)).unwrap();
-        assert!(b.build().is_ok());
     }
 
     #[test]

@@ -75,11 +75,6 @@ impl PortGraph {
         &self.name
     }
 
-    /// Override the human-readable label.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Iterator over all node ids `0..n`.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.num_nodes() as u32).map(NodeId)
@@ -252,14 +247,5 @@ mod tests {
     fn invalid_port_panics() {
         let g = triangle();
         let _ = g.neighbor(NodeId(0), Port(3));
-    }
-
-    #[test]
-    fn rename_changes_label_only() {
-        let mut g = triangle();
-        let edges_before: Vec<_> = g.edges().collect();
-        g.set_name("triangle-renamed");
-        assert_eq!(g.name(), "triangle-renamed");
-        assert_eq!(edges_before, g.edges().collect::<Vec<_>>());
     }
 }

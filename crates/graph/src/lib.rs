@@ -28,7 +28,6 @@
 //! * [`validate`] — the structural invariants of the model, including the
 //!   §8.2 ASYNC port restriction needed by the general asynchronous
 //!   algorithm.
-//! * [`dot`] — Graphviz export for debugging and documentation.
 //!
 //! ## Quick example
 //!
@@ -50,7 +49,6 @@
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod dot;
 pub mod generators;
 pub mod graph;
 pub mod ids;

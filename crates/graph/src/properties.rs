@@ -1,5 +1,4 @@
-//! Structural properties: BFS distances, connectivity, diameter, degree
-//! statistics.
+//! Structural properties: BFS distances, connectivity, diameter, trees.
 
 use crate::graph::PortGraph;
 use crate::ids::NodeId;
@@ -94,30 +93,6 @@ fn argmax(dist: &[Option<usize>]) -> Option<NodeId> {
     best.map(|(i, _)| NodeId(i as u32))
 }
 
-/// Summary of a degree distribution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegreeStats {
-    /// Minimum degree.
-    pub min: usize,
-    /// Maximum degree (`Δ`).
-    pub max: usize,
-    /// Mean degree (`2m / n`).
-    pub mean: f64,
-}
-
-/// Compute [`DegreeStats`] for the graph.
-pub fn degree_stats(g: &PortGraph) -> DegreeStats {
-    DegreeStats {
-        min: g.min_degree(),
-        max: g.max_degree(),
-        mean: if g.num_nodes() == 0 {
-            0.0
-        } else {
-            g.degree_sum() as f64 / g.num_nodes() as f64
-        },
-    }
-}
-
 /// Whether the graph is a tree (connected with `m = n - 1`).
 pub fn is_tree(g: &PortGraph) -> bool {
     is_connected(g) && g.num_edges() + 1 == g.num_nodes()
@@ -152,10 +127,6 @@ mod tests {
     fn complete_graph_diameter_is_one() {
         let g = generators::complete(6);
         assert_eq!(diameter(&g), Some(1));
-        let stats = degree_stats(&g);
-        assert_eq!(stats.min, 5);
-        assert_eq!(stats.max, 5);
-        assert!((stats.mean - 5.0).abs() < 1e-9);
     }
 
     #[test]

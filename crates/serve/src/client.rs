@@ -282,16 +282,17 @@ fn read_chunked(stream: &mut TcpStream, rest: &mut Vec<u8>) -> std::io::Result<V
             }
             read_more(stream, rest)?;
         };
-        let size_line = std::str::from_utf8(&rest[..line_end])
-            .map_err(|_| std::io::Error::new(ErrorKind::InvalidData, "bad chunk size"))?;
-        let size = usize::from_str_radix(size_line.trim(), 16)
-            .map_err(|_| std::io::Error::new(ErrorKind::InvalidData, "bad chunk size"))?;
+        let bad_size = || std::io::Error::new(ErrorKind::InvalidData, "bad chunk size");
+        let size_line = std::str::from_utf8(&rest[..line_end]).map_err(|_| bad_size())?;
+        let size = usize::from_str_radix(size_line.trim(), 16).map_err(|_| bad_size())?;
+        // The size comes off the wire: `size + 2` must not overflow.
+        let framed = size.checked_add(2).ok_or_else(bad_size)?;
         rest.drain(..line_end + 2);
-        while rest.len() < size + 2 {
+        while rest.len() < framed {
             read_more(stream, rest)?;
         }
         body.extend_from_slice(&rest[..size]);
-        rest.drain(..size + 2); // chunk data + trailing CRLF
+        rest.drain(..framed); // chunk data + trailing CRLF
         if size == 0 {
             return Ok(body);
         }
@@ -315,5 +316,30 @@ fn read_more(stream: &mut TcpStream, buf: &mut Vec<u8>) -> std::io::Result<()> {
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn a_chunk_size_past_usize_is_an_error_not_a_panic() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut head = [0u8; 1024];
+            let _ = conn.read(&mut head).unwrap();
+            conn.write_all(
+                b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n\
+                  ffffffffffffffff\r\nhello\r\n0\r\n\r\n",
+            )
+            .unwrap();
+        });
+        let err = Client::new(&addr).get("/").unwrap_err();
+        assert!(err.contains("bad chunk size"), "{err}");
+        server.join().unwrap();
     }
 }

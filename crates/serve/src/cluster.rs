@@ -16,7 +16,7 @@
 use crate::cache::TrialCache;
 use crate::client::Client;
 use crate::metrics::Metrics;
-use crate::server::AppState;
+use crate::server::{AppState, Reply};
 use disp_analysis::json::Json;
 use disp_campaign::telemetry::TrialEvent;
 use disp_cluster::proto::{
@@ -31,13 +31,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn error_body(message: &str) -> Vec<u8> {
-    Json::Obj(vec![("error".into(), Json::Str(message.into()))])
-        .to_string_compact()
-        .into_bytes()
-}
-
-/// Handle one `POST /internal/<cmd>` request; returns `(status, body)`.
+/// Handle one `POST /internal/<cmd>` request. An `Err` is an error reply.
 ///
 /// Answers 404 unless this server was started as a coordinator. During
 /// shutdown, leases answer `Draining` (workers exit cleanly) and
@@ -48,67 +42,54 @@ pub(crate) fn handle_internal(
     shutdown: &AtomicBool,
     cmd: &str,
     body: &[u8],
-) -> (u16, Vec<u8>) {
-    let Some(board) = &state.cluster else {
-        return (404, error_body("this server is not a coordinator"));
+) -> Result<Reply, Reply> {
+    let board = state
+        .cluster
+        .as_ref()
+        .ok_or_else(|| Reply::error(404, "this server is not a coordinator"))?;
+    let text = std::str::from_utf8(body).map_err(|_| Reply::error(400, "body is not UTF-8"))?;
+    let bad = |e: String| Reply::error(400, &e);
+    let reply = match cmd {
+        "lease" => {
+            let (worker, _, stats) = decode_worker_ref(text).map_err(bad)?;
+            if let Some(stats) = stats {
+                board.note_worker_stats(&worker, stats);
+            }
+            let lease = if shutdown.load(Ordering::SeqCst) {
+                LeaseReply::Draining
+            } else {
+                board.lease(&worker)
+            };
+            lease.encode()
+        }
+        "heartbeat" => {
+            let (worker, held, stats) = decode_worker_ref(text).map_err(bad)?;
+            let (job, batch) = held.ok_or_else(|| bad("heartbeat needs job and batch".into()))?;
+            if let Some(stats) = stats {
+                board.note_worker_stats(&worker, stats);
+            }
+            let ok = !shutdown.load(Ordering::SeqCst) && board.heartbeat(&worker, &job, batch);
+            Json::Obj(vec![("ok".into(), Json::Bool(ok))]).to_string_compact()
+        }
+        "reconcile" => {
+            let (worker, job, batch, digests) = decode_reconcile(text).map_err(bad)?;
+            board.reconcile(&worker, &job, batch, &digests).encode()
+        }
+        "complete" => {
+            let (header, uploads) = decode_complete_body(text).map_err(bad)?;
+            // A broken upload (wrong identity, uncovered slot) is the
+            // worker's bug; the lease stays live for a retry.
+            let done = board
+                .complete(&header.worker, &header.job, header.batch, &uploads)
+                .map_err(bad)?;
+            if !done.stale {
+                absorb_uploads(state, &header, &uploads);
+            }
+            done.encode()
+        }
+        _ => return Err(Reply::error(404, "no such endpoint")),
     };
-    let Ok(text) = std::str::from_utf8(body) else {
-        return (400, error_body("body is not UTF-8"));
-    };
-    match cmd {
-        "lease" => match decode_worker_ref(text) {
-            Ok((worker, _, stats)) => {
-                if let Some(stats) = stats {
-                    board.note_worker_stats(&worker, stats);
-                }
-                let reply = if shutdown.load(Ordering::SeqCst) {
-                    LeaseReply::Draining
-                } else {
-                    board.lease(&worker)
-                };
-                (200, reply.encode().into_bytes())
-            }
-            Err(e) => (400, error_body(&e)),
-        },
-        "heartbeat" => match decode_worker_ref(text) {
-            Ok((worker, Some((job, batch)), stats)) => {
-                if let Some(stats) = stats {
-                    board.note_worker_stats(&worker, stats);
-                }
-                let ok = !shutdown.load(Ordering::SeqCst) && board.heartbeat(&worker, &job, batch);
-                let body = Json::Obj(vec![("ok".into(), Json::Bool(ok))])
-                    .to_string_compact()
-                    .into_bytes();
-                (200, body)
-            }
-            Ok((_, None, _)) => (400, error_body("heartbeat needs job and batch")),
-            Err(e) => (400, error_body(&e)),
-        },
-        "reconcile" => match decode_reconcile(text) {
-            Ok((worker, job, batch, digests)) => {
-                let reply = board.reconcile(&worker, &job, batch, &digests);
-                (200, reply.encode().into_bytes())
-            }
-            Err(e) => (400, error_body(&e)),
-        },
-        "complete" => match decode_complete_body(text) {
-            Ok((header, uploads)) => {
-                match board.complete(&header.worker, &header.job, header.batch, &uploads) {
-                    Ok(reply) => {
-                        if !reply.stale {
-                            absorb_uploads(state, &header, &uploads);
-                        }
-                        (200, reply.encode().into_bytes())
-                    }
-                    // A broken upload (wrong identity, uncovered slot) is
-                    // the worker's bug; the lease stays live for a retry.
-                    Err(e) => (400, error_body(&e)),
-                }
-            }
-            Err(e) => (400, error_body(&e)),
-        },
-        _ => (404, error_body("no such endpoint")),
-    }
+    Ok(Reply::json(200, reply))
 }
 
 /// Fold an accepted batch completion into the shared cache tier, the

@@ -24,6 +24,9 @@
 //! channel closes, idle connections notice within one read tick, in-flight
 //! requests finish with `Connection: close`, and the job manager drains —
 //! no request is ever abandoned mid-response.
+//!
+//! Handlers return a `Reply`; `send` is the one writer that frames it
+//! and the only code that counts `disp_http_errors_total`.
 
 use crate::cache::{CacheBudget, TrialCache};
 use crate::cluster;
@@ -340,21 +343,22 @@ fn handle_connection(
             served > 0,
             &mut req_slot,
         ) {
-            Ok(ReadOutcome::Parsed) => {}
             Ok(ReadOutcome::Closed) => return Ok(()),
-            Err(_) => {
-                Metrics::inc(&state.metrics.http_requests);
-                Metrics::inc(&state.metrics.http_errors);
-                let body = error_json("malformed request");
-                let _ = write_response(&mut stream, 400, "application/json", &body, false);
-                return Ok(());
-            }
+            Ok(ReadOutcome::Parsed) | Err(_) => Metrics::inc(&state.metrics.http_requests),
         }
-        let req = req_slot.take().expect("Parsed implies a request");
-        Metrics::inc(&state.metrics.http_requests);
+        let Some(req) = req_slot.take() else {
+            let _ = send(
+                &mut stream,
+                state,
+                Reply::error(400, "malformed request"),
+                false,
+            );
+            return Ok(());
+        };
         let keep_alive = req.wants_keep_alive() && !shutdown.load(Ordering::SeqCst);
         let begun = Instant::now();
-        let outcome = route(&req, &mut stream, state, shutdown, keep_alive);
+        let reply = route(&req, &mut stream, state, shutdown, keep_alive).unwrap_or_else(|e| e);
+        let outcome = send(&mut stream, state, reply, keep_alive);
         state
             .metrics
             .http_request_duration_us
@@ -367,35 +371,71 @@ fn handle_connection(
     }
 }
 
-fn error_json(message: &str) -> Vec<u8> {
-    Json::Obj(vec![("error".into(), Json::Str(message.into()))])
-        .to_string_compact()
-        .into_bytes()
+/// What a handler answers. Handlers build replies; only [`send`] writes
+/// them, so framing and error accounting live in one place.
+pub(crate) enum Reply {
+    /// A fixed-length body: status, content type, bytes.
+    Body(u16, &'static str, Vec<u8>),
+    /// A 200 JSONL document, sent chunked as one chunk.
+    Jsonl(String),
+    /// A 200 stream the handler already wrote to the socket, with how the
+    /// writing went.
+    Streamed(std::io::Result<()>),
 }
 
-fn respond(
+impl Reply {
+    /// A JSON document.
+    pub(crate) fn json(status: u16, body: impl Into<Vec<u8>>) -> Reply {
+        Reply::Body(status, "application/json", body.into())
+    }
+
+    /// A JSON error document, `{"error": message}`.
+    pub(crate) fn error(status: u16, message: &str) -> Reply {
+        let doc = Json::Obj(vec![("error".into(), Json::Str(message.into()))]);
+        Reply::json(status, doc.to_string_compact())
+    }
+}
+
+/// Write `reply` to the socket: the one writer of every reply that is not
+/// streamed, and the only code that counts errors.
+fn send(
     stream: &mut TcpStream,
     state: &AppState,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
+    reply: Reply,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    if status >= 400 {
-        Metrics::inc(&state.metrics.http_errors);
+    match reply {
+        Reply::Body(status, content_type, body) => {
+            if status >= 400 {
+                Metrics::inc(&state.metrics.http_errors);
+            }
+            write_response(stream, status, content_type, &body, keep_alive)
+        }
+        Reply::Jsonl(body) => {
+            write_chunked_head(stream, 200, "application/jsonl", keep_alive)?;
+            write_chunk(stream, body.as_bytes())?;
+            finish_chunks(stream)
+        }
+        Reply::Streamed(written) => written,
     }
-    write_response(stream, status, content_type, body, keep_alive)
 }
 
+/// Dispatch one request. An `Err` is an error reply, sent like any other.
 fn route(
     req: &Request,
     stream: &mut TcpStream,
     state: &Arc<AppState>,
     shutdown: &AtomicBool,
     keep_alive: bool,
-) -> std::io::Result<()> {
+) -> Result<Reply, Reply> {
+    let job = |id: &str| {
+        state
+            .manager
+            .get(id)
+            .ok_or_else(|| Reply::error(404, "no such run"))
+    };
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (req.method.as_str(), segments.as_slice()) {
+    Ok(match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => {
             // The literal "ok" stays greppable for smoke checks while the
             // body carries identity: role, uptime, workspace version.
@@ -405,14 +445,7 @@ fn route(
                 state.started.elapsed().as_secs(),
                 env!("CARGO_PKG_VERSION"),
             );
-            respond(
-                stream,
-                state,
-                200,
-                "application/json",
-                body.as_bytes(),
-                keep_alive,
-            )
+            Reply::json(200, body)
         }
         ("GET", ["metrics"]) => {
             let gauges = Gauges {
@@ -422,177 +455,62 @@ fn route(
                 cluster: state.cluster.as_ref().map(|board| board.stats()),
             };
             let body = state.metrics.render(&state.cache, gauges);
-            respond(
-                stream,
-                state,
-                200,
-                "text/plain",
-                body.as_bytes(),
-                keep_alive,
-            )
+            Reply::Body(200, "text/plain", body.into_bytes())
         }
-        ("POST", ["internal", cmd]) => {
-            let (status, body) = cluster::handle_internal(state, shutdown, cmd, &req.body);
-            respond(stream, state, status, "application/json", &body, keep_alive)
-        }
-        ("GET", ["trace"]) => serve_trace(req, stream, state, keep_alive),
-        ("GET", ["timeline"]) => serve_timeline(req, stream, state, keep_alive),
+        ("POST", ["internal", cmd]) => cluster::handle_internal(state, shutdown, cmd, &req.body)?,
+        ("GET", ["trace"]) => observe(req, state, false)?,
+        ("GET", ["timeline"]) => observe(req, state, true)?,
         ("GET", ["scenarios"]) => {
             let body = grammar_help(&Registry::builtin());
-            respond(
-                stream,
-                state,
-                200,
-                "text/plain; charset=utf-8",
-                body.as_bytes(),
-                keep_alive,
-            )
+            Reply::Body(200, "text/plain; charset=utf-8", body.into_bytes())
         }
-        ("POST", ["runs"]) => match parse_submission(&req.body) {
-            Ok(spec) => match state.manager.submit(spec) {
-                Ok(job) => {
-                    Metrics::inc(&state.metrics.jobs_submitted);
-                    let body = Json::Obj(vec![
-                        ("id".into(), Json::Str(job.id.clone())),
-                        ("state".into(), Json::Str(job.state().label().into())),
-                        ("total".into(), Json::Num(job.total as f64)),
-                        ("url".into(), Json::Str(format!("/runs/{}", job.id))),
-                    ])
-                    .to_string_compact()
-                    .into_bytes();
-                    respond(stream, state, 201, "application/json", &body, keep_alive)
-                }
-                Err(e) => respond(
-                    stream,
-                    state,
-                    409,
-                    "application/json",
-                    &error_json(&e),
-                    keep_alive,
-                ),
-            },
-            Err(e) => respond(
-                stream,
-                state,
-                400,
-                "application/json",
-                &error_json(&e),
-                keep_alive,
-            ),
-        },
-        ("GET", ["runs", id]) => match state.manager.get(id) {
-            Some(job) => {
-                let body = job_status_json(&job).to_string_compact().into_bytes();
-                respond(stream, state, 200, "application/json", &body, keep_alive)
+        ("POST", ["runs"]) => {
+            let spec = parse_submission(&req.body).map_err(|e| Reply::error(400, &e))?;
+            let job = state
+                .manager
+                .submit(spec)
+                .map_err(|e| Reply::error(409, &e))?;
+            Metrics::inc(&state.metrics.jobs_submitted);
+            let body = Json::Obj(vec![
+                ("id".into(), Json::Str(job.id.clone())),
+                ("state".into(), Json::Str(job.state().label().into())),
+                ("total".into(), Json::Num(job.total as f64)),
+                ("url".into(), Json::Str(format!("/runs/{}", job.id))),
+            ]);
+            Reply::json(201, body.to_string_compact())
+        }
+        ("GET", ["runs", id]) => {
+            let job = job(id)?;
+            Reply::json(200, job_status_json(&job).to_string_compact())
+        }
+        ("GET", ["runs", id, "events"]) => {
+            let job = job(id)?;
+            Reply::Streamed(stream_events(stream, &job, state, shutdown, keep_alive))
+        }
+        ("GET", ["runs", id, "timeline"]) => Reply::Jsonl(job(id)?.progress_jsonl()),
+        ("GET", ["runs", id, "results"]) => {
+            let job = job(id)?;
+            let Some(lines) = job.results() else {
+                let msg = format!("run is {}, results not available", job.state().label());
+                return Err(Reply::error(409, &msg));
+            };
+            if req.query_param("format") == Some("summary") {
+                // Memoized on the job: big summaries parse every line, and
+                // dashboards poll this endpoint.
+                let doc = job.summary_or_build(|| summary_json(&job.spec, &lines));
+                Reply::json(200, doc.as_str())
+            } else {
+                Reply::Streamed(stream_results(stream, &lines, keep_alive))
             }
-            None => respond(
-                stream,
-                state,
-                404,
-                "application/json",
-                &error_json("no such run"),
-                keep_alive,
-            ),
-        },
-        ("GET", ["runs", id, "events"]) => match state.manager.get(id) {
-            Some(job) => stream_events(stream, &job, state, shutdown, keep_alive),
-            None => respond(
-                stream,
-                state,
-                404,
-                "application/json",
-                &error_json("no such run"),
-                keep_alive,
-            ),
-        },
-        ("GET", ["runs", id, "timeline"]) => match state.manager.get(id) {
-            Some(job) => {
-                let body = job.progress_jsonl();
-                write_chunked_head(stream, 200, "application/jsonl", keep_alive)?;
-                write_chunk(stream, body.as_bytes())?;
-                finish_chunks(stream)
-            }
-            None => respond(
-                stream,
-                state,
-                404,
-                "application/json",
-                &error_json("no such run"),
-                keep_alive,
-            ),
-        },
-        ("GET", ["runs", id, "results"]) => match state.manager.get(id) {
-            Some(job) => match job.results() {
-                Some(lines) => {
-                    if req.query_param("format") == Some("summary") {
-                        // Memoized on the job: big summaries parse every
-                        // line, and dashboards poll this endpoint.
-                        let doc = job.summary_or_build(|| summary_json(&job.spec, &lines));
-                        respond(
-                            stream,
-                            state,
-                            200,
-                            "application/json",
-                            doc.as_bytes(),
-                            keep_alive,
-                        )
-                    } else {
-                        stream_results(stream, &lines, keep_alive)
-                    }
-                }
-                None => {
-                    let msg = format!("run is {}, results not available", job.state().label());
-                    respond(
-                        stream,
-                        state,
-                        409,
-                        "application/json",
-                        &error_json(&msg),
-                        keep_alive,
-                    )
-                }
-            },
-            None => respond(
-                stream,
-                state,
-                404,
-                "application/json",
-                &error_json("no such run"),
-                keep_alive,
-            ),
-        },
-        ("DELETE", ["runs", id]) => match state.manager.get(id) {
-            Some(job) => {
-                job.request_cancel();
-                let body = job_status_json(&job).to_string_compact().into_bytes();
-                respond(stream, state, 200, "application/json", &body, keep_alive)
-            }
-            None => respond(
-                stream,
-                state,
-                404,
-                "application/json",
-                &error_json("no such run"),
-                keep_alive,
-            ),
-        },
-        (_, ["runs"]) | (_, ["runs", ..]) => respond(
-            stream,
-            state,
-            405,
-            "application/json",
-            &error_json("method not allowed"),
-            keep_alive,
-        ),
-        _ => respond(
-            stream,
-            state,
-            404,
-            "application/json",
-            &error_json("no such endpoint"),
-            keep_alive,
-        ),
-    }
+        }
+        ("DELETE", ["runs", id]) => {
+            let job = job(id)?;
+            job.request_cancel();
+            Reply::json(200, job_status_json(&job).to_string_compact())
+        }
+        (_, ["runs"]) | (_, ["runs", ..]) => Reply::error(405, "method not allowed"),
+        _ => Reply::error(404, "no such endpoint"),
+    })
 }
 
 /// Stream finished JSONL lines as a chunked response, batching lines into
@@ -662,123 +580,62 @@ fn stream_events(
     }
 }
 
-/// `GET /trace?scenario=LABEL[&seed=S][&cap=N]`: run one traced trial and
-/// stream its event log as JSONL. The label is validated first (an illegal
-/// scenario is a 400, never a mid-stream failure) and the trace is capped
-/// so a pathological request cannot hold an unbounded log in memory.
-fn serve_trace(
-    req: &Request,
-    stream: &mut TcpStream,
-    state: &AppState,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let bad = |stream: &mut TcpStream, msg: &str| {
-        respond(
-            stream,
-            state,
-            400,
-            "application/json",
-            &error_json(msg),
-            keep_alive,
-        )
-    };
-    let label = match req.query_param("scenario") {
-        Some(label) => label,
-        None => return bad(stream, "missing required query parameter 'scenario'"),
-    };
+/// `GET /trace?scenario=LABEL[&seed=S][&cap=N]` and `GET
+/// /timeline?scenario=LABEL[&seed=S][&budget=N]`: run one trial under the
+/// event trace or the flight recorder and send what it saw as JSONL —
+/// byte-identical to `disp-campaign trace` / `timeline` for the same
+/// scenario and seed (both sides use the shared encoders). Every input is
+/// validated before the trial runs, and a run that fails is a 400, never a
+/// mid-stream failure. The cap or budget bounds observer memory however
+/// long the trial runs.
+fn observe(req: &Request, state: &AppState, timeline: bool) -> Result<Reply, Reply> {
+    let bad = |msg: &str| Reply::error(400, msg);
+    let label = req
+        .query_param("scenario")
+        .ok_or_else(|| bad("missing required query parameter 'scenario'"))?;
     let seed = match req.query_param("seed") {
-        Some(s) => match s.parse::<u64>() {
-            Ok(seed) => seed,
-            Err(_) => return bad(stream, "seed must be an unsigned integer"),
-        },
+        Some(s) => s
+            .parse::<u64>()
+            .map_err(|_| bad("seed must be an unsigned integer"))?,
         None => 1,
     };
-    let cap = match req.query_param("cap") {
-        Some(c) => match c.parse::<usize>() {
-            Ok(cap) if cap > 0 => cap,
-            _ => return bad(stream, "cap must be a positive integer"),
-        },
-        None => DEFAULT_TRACE_CAP,
+    let (bound_name, default) = if timeline {
+        ("budget", DEFAULT_TIMELINE_BUDGET)
+    } else {
+        ("cap", DEFAULT_TRACE_CAP)
+    };
+    let bound = match req.query_param(bound_name) {
+        Some(b) => b
+            .parse::<usize>()
+            .ok()
+            .filter(|&b| b > 0)
+            .ok_or_else(|| bad(&format!("{bound_name} must be a positive integer")))?,
+        None => default,
     };
     let registry = Registry::builtin();
-    let spec = match ScenarioSpec::parse(label, &registry) {
-        Ok(spec) => spec,
-        Err(e) => return bad(stream, &format!("scenario '{label}': {e}")),
+    let spec = ScenarioSpec::parse(label, &registry)
+        .map_err(|e| bad(&format!("scenario '{label}': {e}")))?;
+    let mut pool = WorldPool::new();
+    let body = if timeline {
+        let mut recorder = TimelineRecorder::with_budget(bound);
+        spec.run_observed(&registry, seed, &mut pool, &mut recorder)
+            .map_err(|e| bad(&e.to_string()))?;
+        let timeline = recorder.finish();
+        // The gauge tracks the deepest decimation any served timeline
+        // reached: nonzero means budgets are being exercised.
+        let level = timeline.decimation_level() as u64;
+        state
+            .metrics
+            .timeline_decimation_level
+            .fetch_max(level, Ordering::Relaxed);
+        timeline_to_jsonl(&timeline, &spec.label(), seed)
+    } else {
+        let mut trace = Trace::with_cap(bound);
+        spec.run_observed(&registry, seed, &mut pool, &mut trace)
+            .map_err(|e| bad(&e.to_string()))?;
+        trace_to_jsonl(&trace)
     };
-    let mut trace = Trace::with_cap(cap);
-    match spec.run_observed(&registry, seed, &mut WorldPool::new(), &mut trace) {
-        Ok(_) => {
-            let body = trace_to_jsonl(&trace);
-            write_chunked_head(stream, 200, "application/jsonl", keep_alive)?;
-            write_chunk(stream, body.as_bytes())?;
-            finish_chunks(stream)
-        }
-        Err(e) => bad(stream, &e.to_string()),
-    }
-}
-
-/// `GET /timeline?scenario=LABEL[&seed=S][&budget=N]`: run one recorded
-/// trial and stream its flight-recorder timeline as JSONL — byte-identical
-/// to `disp-campaign timeline` for the same scenario and seed (both sides
-/// use the shared encoder). The label is validated first, and the budget
-/// bounds recorder memory regardless of how long the trial runs.
-fn serve_timeline(
-    req: &Request,
-    stream: &mut TcpStream,
-    state: &AppState,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let bad = |stream: &mut TcpStream, msg: &str| {
-        respond(
-            stream,
-            state,
-            400,
-            "application/json",
-            &error_json(msg),
-            keep_alive,
-        )
-    };
-    let label = match req.query_param("scenario") {
-        Some(label) => label,
-        None => return bad(stream, "missing required query parameter 'scenario'"),
-    };
-    let seed = match req.query_param("seed") {
-        Some(s) => match s.parse::<u64>() {
-            Ok(seed) => seed,
-            Err(_) => return bad(stream, "seed must be an unsigned integer"),
-        },
-        None => 1,
-    };
-    let budget = match req.query_param("budget") {
-        Some(b) => match b.parse::<usize>() {
-            Ok(budget) if budget > 0 => budget,
-            _ => return bad(stream, "budget must be a positive integer"),
-        },
-        None => DEFAULT_TIMELINE_BUDGET,
-    };
-    let registry = Registry::builtin();
-    let spec = match ScenarioSpec::parse(label, &registry) {
-        Ok(spec) => spec,
-        Err(e) => return bad(stream, &format!("scenario '{label}': {e}")),
-    };
-    let mut recorder = TimelineRecorder::with_budget(budget);
-    match spec.run_observed(&registry, seed, &mut WorldPool::new(), &mut recorder) {
-        Ok(_) => {
-            let timeline = recorder.finish();
-            // The gauge tracks the deepest decimation any served timeline
-            // reached: nonzero means budgets are being exercised.
-            let level = timeline.decimation_level() as u64;
-            state
-                .metrics
-                .timeline_decimation_level
-                .fetch_max(level, Ordering::Relaxed);
-            let body = timeline_to_jsonl(&timeline, &spec.label(), seed);
-            write_chunked_head(stream, 200, "application/jsonl", keep_alive)?;
-            write_chunk(stream, body.as_bytes())?;
-            finish_chunks(stream)
-        }
-        Err(e) => bad(stream, &e.to_string()),
-    }
+    Ok(Reply::Jsonl(body))
 }
 
 /// Build the JSON summary document for a finished job — the same encoder

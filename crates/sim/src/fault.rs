@@ -88,13 +88,6 @@ impl DynamicAdversary {
             }
         }
     }
-
-    /// Restore every edge this adversary currently holds down.
-    pub fn restore_all(&mut self, world: &mut World) {
-        for (v, p) in self.down.drain(..) {
-            world.revive_edge(v, p);
-        }
-    }
 }
 
 /// A deterministic crash schedule: `f` distinct victims, each with a crash
@@ -209,8 +202,6 @@ mod tests {
             seen.insert(dynamics.down[0]);
         }
         assert!(seen.len() > 50, "draws must spread over the ring");
-        dynamics.restore_all(&mut world);
-        assert!(world.liveness().unwrap().all_alive());
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! which is what lets the campaign engine reproduce trials byte-for-byte
 //! from recorded seeds.
 
-use crate::ids::AgentId;
 use disp_graph::{NodeId, Topology};
 use disp_rng::prelude::*;
 
@@ -177,22 +176,23 @@ fn bfs_from(graph: &Topology, start: NodeId) -> Vec<usize> {
     dist
 }
 
-/// Group agents by their start node — handy for tests and reports.
-pub fn occupied_nodes(positions: &[NodeId]) -> Vec<(NodeId, Vec<AgentId>)> {
-    let mut groups: std::collections::BTreeMap<u32, Vec<AgentId>> = Default::default();
-    for (i, &v) in positions.iter().enumerate() {
-        groups.entry(v.0).or_default().push(AgentId(i as u32));
-    }
-    groups
-        .into_iter()
-        .map(|(v, agents)| (NodeId(v), agents))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::AgentId;
     use disp_graph::generators;
+
+    /// Agents grouped by start node, in node order.
+    fn occupied_nodes(positions: &[NodeId]) -> Vec<(NodeId, Vec<AgentId>)> {
+        let mut groups: std::collections::BTreeMap<u32, Vec<AgentId>> = Default::default();
+        for (i, &v) in positions.iter().enumerate() {
+            groups.entry(v.0).or_default().push(AgentId(i as u32));
+        }
+        groups
+            .into_iter()
+            .map(|(v, agents)| (NodeId(v), agents))
+            .collect()
+    }
 
     fn graphs() -> Vec<Topology> {
         vec![

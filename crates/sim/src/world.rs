@@ -444,12 +444,6 @@ impl World {
         self.dead_count
     }
 
-    /// Number of surviving agents (`k` minus crashes).
-    #[inline]
-    pub fn alive_count(&self) -> usize {
-        self.num_agents() - self.dead_count
-    }
-
     /// Crash `agent`: it permanently leaves the world. A settled victim's
     /// node is *orphaned* — the agent is unlinked from the occupancy list,
     /// so survivors see the node as free and may re-settle it. A driving
@@ -937,17 +931,6 @@ impl<'w> ActivationCtx<'w> {
             .apply_move(self.agent, port, self.time, &mut *self.observer)
     }
 
-    /// Whether the edge behind `port` at the current node is alive right
-    /// now. Always `true` in static worlds. Protocols may use this to avoid
-    /// a doomed [`ActivationCtx::try_move_via`], but waiting on the error
-    /// is equally correct.
-    pub fn is_port_live(&self, port: Port) -> bool {
-        match &self.world.liveness {
-            Some(live) => live.is_alive(&self.world.graph, self.node(), port),
-            None => true,
-        }
-    }
-
     // ------------------------------------------------------------------
     // Scheduling
     // ------------------------------------------------------------------
@@ -1341,8 +1324,6 @@ mod tests {
         assert!(w.kill_edge(NodeId(0), Port(1))); // edge 0–1 down
         w.begin_activation(AgentId(0));
         let mut ctx = w.ctx(AgentId(0), 0, nobody());
-        assert!(!ctx.is_port_live(Port(1)));
-        assert!(ctx.is_port_live(Port(2)));
         assert!(matches!(
             ctx.try_move_via(Port(1)),
             Err(MoveError::EdgeDown { port: Port(1) })
@@ -1390,7 +1371,6 @@ mod tests {
         w.crash(AgentId(0));
         assert!(w.is_dead(AgentId(0)));
         assert_eq!(w.dead_count(), 1);
-        assert_eq!(w.alive_count(), 1);
         // The node is orphaned: occupancy no longer lists the corpse, so a
         // surviving agent sees an empty node and may re-settle there …
         assert_eq!(at(&w, 0), vec![AgentId(1)]);
