@@ -10,7 +10,7 @@
 //! [`crate::jsonl`]) aggregate exactly like records held in memory.
 
 use crate::json::Json;
-use crate::scenario_json::{legacy_point_to_scenario, scenario_from_json, scenario_to_json};
+use crate::scenario_json::{scenario_from_json, scenario_to_json};
 use crate::stats::Summary;
 use disp_core::scenario::{Registry, ScenarioSpec};
 use disp_sim::{Observer, Outcome};
@@ -204,25 +204,15 @@ impl TrialRecord {
     }
 
     /// Parse a line produced by [`TrialRecord::to_json_line`].
-    ///
-    /// Lines written before the scenario redesign (object key `point` with
-    /// an inline `{family, algorithm, schedule, …}` encoding) are accepted
-    /// and upgraded to rooted scenarios — see `DESIGN.md` §7 for the
-    /// compatibility story.
     pub fn from_json_line(line: &str) -> Result<TrialRecord, String> {
         let v = Json::parse(line)?;
-        let point = if let Some(scenario) = v.get("scenario") {
-            ExperimentPoint {
-                scenario: scenario_from_json(scenario)?,
-                repetitions: v
-                    .get("repetitions")
-                    .and_then(Json::as_u64)
-                    .ok_or("trial: missing repetitions")? as usize,
-            }
-        } else if let Some(legacy) = v.get("point") {
-            legacy_point_to_scenario(legacy)?
-        } else {
-            return Err("trial: missing scenario".into());
+        let scenario = v.get("scenario").ok_or("trial: missing scenario")?;
+        let point = ExperimentPoint {
+            scenario: scenario_from_json(scenario)?,
+            repetitions: v
+                .get("repetitions")
+                .and_then(Json::as_u64)
+                .ok_or("trial: missing repetitions")? as usize,
         };
         let outcome_obj = v.get("outcome").ok_or("trial: missing outcome")?;
         let outcome = Outcome::from_named(|name| outcome_obj.get(name).and_then(Json::as_u64))
@@ -351,28 +341,6 @@ mod tests {
         // The recorded seed must reproduce the recorded outcome exactly.
         let replay = back.point.run_trial(&registry, back.rep, back.seed);
         assert_eq!(replay.outcome, rec.outcome);
-    }
-
-    #[test]
-    fn legacy_point_lines_still_ingest() {
-        // A line exactly as PR 1's campaign store wrote it (pre-scenario).
-        let line = r#"{"point":{"family":"star","k":16,"occupancy":1,"algorithm":"probe-dfs","schedule":{"kind":"async-rand","prob":0.7,"seed":"000000000000002a"},"repetitions":2},"rep":1,"seed":"000000000000002a","outcome":{"rounds":0,"steps":71,"epochs":9,"activations":760,"total_moves":77,"max_moves_per_agent":9,"peak_memory_bits":18,"terminated":1,"k":16,"n":16,"m":15,"max_degree":15},"dispersed":true}"#;
-        let rec = TrialRecord::from_json_line(line).unwrap();
-        assert_eq!(rec.point.scenario.algorithm, "probe-dfs");
-        assert_eq!(rec.point.scenario.placement, Placement::Rooted);
-        assert_eq!(
-            rec.point.scenario.schedule,
-            Schedule::AsyncRandom { prob: 0.7, seed: 0 }
-        );
-        assert_eq!(rec.point.repetitions, 2);
-        assert_eq!(rec.seed, 42);
-        assert_eq!(
-            rec.point.point_id(),
-            "star/k16/rooted/async-rand0.7/probe-dfs"
-        );
-        // Re-serialization upgrades to the scenario encoding.
-        let upgraded = TrialRecord::from_json_line(&rec.to_json_line()).unwrap();
-        assert_eq!(upgraded, rec);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! omitted. The emitted key order is fixed, which makes
 //! `spec → JSON → spec → JSON` byte-identical.
 
-use crate::experiment::ExperimentPoint;
 use crate::json::Json;
 use disp_core::scenario::{fmt_f64, Limits, ParamValue, Params, ScenarioSpec, Schedule};
 use disp_graph::generators::GraphFamily;
@@ -154,72 +153,6 @@ pub fn scenario_from_json(v: &Json) -> Result<ScenarioSpec, String> {
         algorithm,
         params,
         limits,
-    })
-}
-
-/// Upgrade a pre-redesign `"point"` object (PR 1's JSONL encoding:
-/// `{family, k, occupancy, algorithm, schedule: {kind, …}, repetitions}`)
-/// into an [`ExperimentPoint`]. All legacy points were rooted; embedded
-/// adversary seeds are dropped (they never were part of a point's identity).
-pub fn legacy_point_to_scenario(v: &Json) -> Result<ExperimentPoint, String> {
-    let family_label = v
-        .get("family")
-        .and_then(Json::as_str)
-        .ok_or("legacy point: missing family")?;
-    let family = GraphFamily::from_label(family_label)
-        .ok_or_else(|| format!("legacy point: unknown family '{family_label}'"))?;
-    let sched = v.get("schedule").ok_or("legacy point: missing schedule")?;
-    let kind = sched
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("legacy point: missing schedule kind")?;
-    let schedule = match kind {
-        "sync" => Schedule::Sync,
-        "async-rr" => Schedule::AsyncRoundRobin,
-        "async-rand" => Schedule::AsyncRandom {
-            prob: sched
-                .get("prob")
-                .and_then(Json::as_f64)
-                .ok_or("legacy point: missing prob")?,
-            seed: 0,
-        },
-        "async-lag" => Schedule::AsyncLagging {
-            max_lag: sched
-                .get("max_lag")
-                .and_then(Json::as_u64)
-                .ok_or("legacy point: missing max_lag")?,
-            seed: 0,
-        },
-        other => return Err(format!("legacy point: unknown schedule kind '{other}'")),
-    };
-    let scenario = ScenarioSpec {
-        family,
-        k: v.get("k")
-            .and_then(Json::as_u64)
-            .ok_or("legacy point: missing k")? as usize,
-        occupancy: v
-            .get("occupancy")
-            .and_then(Json::as_f64)
-            .ok_or("legacy point: missing occupancy")?,
-        placement: Placement::Rooted,
-        schedule,
-        dyn_ring: None,
-        crashes: 0,
-        min_distance: 1,
-        algorithm: v
-            .get("algorithm")
-            .and_then(Json::as_str)
-            .ok_or("legacy point: missing algorithm")?
-            .to_string(),
-        params: Params::new(),
-        limits: Limits::default(),
-    };
-    Ok(ExperimentPoint {
-        scenario,
-        repetitions: v
-            .get("repetitions")
-            .and_then(Json::as_u64)
-            .ok_or("legacy point: missing repetitions")? as usize,
     })
 }
 

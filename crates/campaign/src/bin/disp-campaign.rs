@@ -32,6 +32,7 @@ use disp_campaign::telemetry::{
 };
 use disp_core::scenario::{grammar_help, Registry, ScenarioSpec};
 use disp_sim::{TimelineRecorder, Trace, WorldPool, DEFAULT_TIMELINE_BUDGET, DEFAULT_TRACE_CAP};
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -42,22 +43,16 @@ fn main() -> ExitCode {
     let wants_help = args.iter().skip(1).any(|a| a == "--help" || a == "-h");
     let result = match args.first().map(String::as_str) {
         Some("run" | "resume" | "report" | "trace" | "timeline" | "scenarios") if wants_help => {
-            print!("{}", USAGE);
-            Ok(())
+            emit(USAGE)
         }
         Some("run") => cmd_run(&args[1..], &registry),
         Some("resume") => cmd_resume(&args[1..], &registry),
         Some("report") => cmd_report(&args[1..]),
         Some("trace") => cmd_observe(&args[1..], &registry, false),
         Some("timeline") => cmd_observe(&args[1..], &registry, true),
-        Some("scenarios") => {
-            cmd_scenarios(&registry);
-            Ok(())
-        }
-        Some("--help" | "-h" | "help") | None => {
-            print!("{}", USAGE);
-            Ok(())
-        }
+        // One source of truth with the server's GET /scenarios endpoint.
+        Some("scenarios") => emit(&grammar_help(&registry)),
+        Some("--help" | "-h" | "help") | None => emit(USAGE),
         Some(other) => Err(format!("unknown subcommand '{other}'\n\n{USAGE}")),
     };
     match result {
@@ -66,6 +61,20 @@ fn main() -> ExitCode {
             eprintln!("disp-campaign: {message}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Write `text` to stdout: the one writer of everything this CLI prints
+/// there. A reader that closed the pipe early (`… | head`) chose to stop,
+/// so a broken pipe ends the process quietly with exit 0; any other write
+/// error fails the command.
+fn emit(text: &str) -> Result<(), String> {
+    let mut stdout = std::io::stdout().lock();
+    let written = stdout.write_all(text.as_bytes());
+    match written.and_then(|()| stdout.flush()) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => Err(format!("write to stdout: {e}")),
     }
 }
 
@@ -147,6 +156,9 @@ struct Flags {
     cap: Option<usize>,
     timeline: bool,
     budget: Option<usize>,
+    /// Every flag given, in order (commands that read only a few of them
+    /// reject the rest).
+    given: Vec<String>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,6 +187,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         cap: None,
         timeline: false,
         budget: None,
+        given: Vec::new(),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -247,6 +260,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             }
             other => return Err(format!("unknown flag '{other}'\n\n{USAGE}")),
         }
+        flags.given.push(arg.clone());
     }
     if flags.csv.is_some() && flags.format != Format::Text {
         return Err("--csv and --format are mutually exclusive".into());
@@ -420,10 +434,18 @@ fn execute(
 /// byte-identical for the same scenario + seed. A run that hits its limit
 /// writes the partial log or timeline, then fails.
 fn cmd_observe(args: &[String], registry: &Registry, timeline: bool) -> Result<(), String> {
-    let command = if timeline { "timeline" } else { "trace" };
+    let (command, bound) = if timeline {
+        ("timeline", "--budget")
+    } else {
+        ("trace", "--cap")
+    };
     let flags = parse_flags(args)?;
-    if flags.campaign.is_some() {
-        return Err(format!("{command} takes --scenario LABEL, not --campaign"));
+    let takes = ["--scenario", "--seed", bound, "--out"];
+    if let Some(flag) = flags.given.iter().find(|f| !takes.contains(&f.as_str())) {
+        return Err(format!(
+            "{command} does not take {flag} (it takes --scenario LABEL, --seed S, {bound} N \
+             and --out FILE)"
+        ));
     }
     let label = match flags.scenarios.as_slice() {
         [label] => label,
@@ -462,7 +484,7 @@ fn cmd_observe(args: &[String], registry: &Registry, timeline: bool) -> Result<(
             std::fs::write(path, &jsonl).map_err(|e| format!("write {}: {e}", path.display()))?;
             eprintln!("{summary} → {}", path.display());
         }
-        None => print!("{jsonl}"),
+        None => emit(&jsonl)?,
     }
     let report = result.map_err(|e| e.to_string())?;
     eprintln!(
@@ -485,7 +507,7 @@ fn render_timelines(store: &CampaignStore) -> Result<(), String> {
             path.display()
         )
     })?;
-    println!("# Timelines ({})\n", path.display());
+    emit(&format!("# Timelines ({})\n\n", path.display()))?;
     let mut scenario = String::new();
     let mut seed = 0u64;
     let mut settled: Vec<f64> = Vec::new();
@@ -519,10 +541,10 @@ fn render_timelines(store: &CampaignStore) -> Result<(), String> {
             Some("timeline_end") => {
                 let spark = disp_analysis::sparkline_scaled(&settled, population, 60);
                 let final_settled = settled.last().copied().unwrap_or(0.0);
-                println!(
-                    "{scenario} seed={seed}\n  [{spark}] settled {}/{} at t={}",
+                emit(&format!(
+                    "{scenario} seed={seed}\n  [{spark}] settled {}/{} at t={}\n",
                     final_settled as u64, population as u64, last_time as u64
-                );
+                ))?;
             }
             _ => {}
         }
@@ -558,11 +580,6 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     render(&flags, &spec, ingest.records)
 }
 
-fn cmd_scenarios(registry: &Registry) {
-    // One source of truth with the server's GET /scenarios endpoint.
-    print!("{}", grammar_help(registry));
-}
-
 fn render(
     flags: &Flags,
     spec: &CampaignSpec,
@@ -576,20 +593,18 @@ fn render(
             let path = csv_dir.join(format!("{}.csv", section.name));
             std::fs::write(&path, render_section_csv(ms))
                 .map_err(|e| format!("write {}: {e}", path.display()))?;
-            println!("wrote {} ({} rows)", path.display(), ms.len());
+            emit(&format!("wrote {} ({} rows)\n", path.display(), ms.len()))?;
         }
         return Ok(());
     }
     if flags.format == Format::Json {
-        println!(
-            "{}",
-            campaign_report_json(spec, &sections).to_string_compact()
-        );
-        return Ok(());
+        let doc = campaign_report_json(spec, &sections).to_string_compact();
+        return emit(&format!("{doc}\n"));
     }
-    println!("# Campaign {} ({} mode)\n", spec.name, spec.mode.label());
+    let (name, mode) = (&spec.name, spec.mode.label());
+    emit(&format!("# Campaign {name} ({mode} mode)\n\n"))?;
     for (section, ms) in &sections {
-        println!("{}", render_section_markdown(section, ms));
+        emit(&format!("{}\n", render_section_markdown(section, ms)))?;
     }
     Ok(())
 }

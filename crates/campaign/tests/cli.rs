@@ -1,11 +1,14 @@
 //! The `disp-campaign` binary's surface: the bare form and every
 //! subcommand's `--help` / `-h` print the usage on stdout and exit 0, while
-//! an unknown flag is still an error; a trial that hits its limit still
-//! shows its trace and timeline; and timeline headers carry exact seeds.
+//! an unknown flag is still an error, and so is a flag `trace` or
+//! `timeline` would not read; a trial that hits its limit still shows its
+//! trace and timeline; timeline headers carry exact seeds; and a reader
+//! that closes stdout early ends the command quietly.
 
 use disp_analysis::{Json, TrialRecord};
+use std::io::Read;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn campaign(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_disp-campaign"))
@@ -44,6 +47,58 @@ fn an_unknown_flag_is_still_an_error() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown flag '--frobnicate'"), "{err}");
+}
+
+#[test]
+fn trace_and_timeline_reject_the_flags_they_do_not_read() {
+    let label = "star/k8/rooted/sync/probe-dfs";
+    for (sub, flags) in [
+        ("timeline", &["--cap", "3"][..]),
+        ("trace", &["--budget", "3"]),
+        ("trace", &["--threads", "7", "--force", "--events"]),
+        ("timeline", &["--reps", "2"]),
+        ("trace", &["--campaign", "mini"]),
+    ] {
+        let mut args = vec![sub, "--scenario", label, "--seed", "2"];
+        args.extend_from_slice(flags);
+        let out = campaign(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("{sub} does not take {}", flags[0])),
+            "{args:?}: {err}"
+        );
+    }
+    // Each reads its own bound.
+    for (sub, bound) in [("trace", "--cap"), ("timeline", "--budget")] {
+        let out = campaign(&[sub, "--scenario", label, "--seed", "2", bound, "4"]);
+        assert!(out.status.success(), "{sub} {bound}");
+    }
+}
+
+#[test]
+fn a_reader_that_closes_stdout_early_ends_the_command_quietly() {
+    // ~280 KB of trace, far more than a pipe buffers: the writer is still
+    // writing when the reader goes away.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_disp-campaign"))
+        .args(["trace", "--scenario", "star/k32/rooted/sync/probe-dfs"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("disp-campaign runs");
+    let mut head = [0u8; 20];
+    child
+        .stdout
+        .take()
+        .expect("piped stdout")
+        .read_exact(&mut head)
+        .unwrap();
+    // The read end closes here, with the rest of the trace unread.
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
 }
 
 /// `/rounds20` stops a 32-agent rooted line long before it disperses.

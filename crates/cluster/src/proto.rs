@@ -12,7 +12,7 @@
 //!   per slot it already holds; the coordinator answers with the slot
 //!   indexes it is missing (and cross-checks digests of slots it does
 //!   hold — a mismatch is a determinism violation and fails the job).
-//! - **complete** — the worker streams the missing records as a chunked
+//! - **complete** — the worker uploads the missing records as a chunked
 //!   JSONL body: one header line, then a `{slot, wall_micros, cached}`
 //!   meta line followed by the *raw record line* per trial. Shipping the
 //!   original bytes (never a re-serialization) is what makes the

@@ -221,12 +221,6 @@ impl EdgeLiveness {
         self.dead_half_edges / 2
     }
 
-    /// Whether every edge of the base is currently alive.
-    #[inline]
-    pub fn all_alive(&self) -> bool {
-        self.dead_half_edges == 0
-    }
-
     /// Iterator over the currently-live ports at `v`, in base port order.
     /// Port numbers are the *base* labels (they never renumber); the `i`-th
     /// yielded port corresponds to port `i+1` of a compacted rebuild of the
@@ -249,7 +243,7 @@ mod tests {
     fn kill_and_revive_flip_both_half_edges_and_degrees() {
         let topo = Topology::from(generators::ring(6));
         let mut live = EdgeLiveness::new(&topo);
-        assert!(live.all_alive());
+        assert_eq!(live.dead_edges(), 0);
         let (v, p) = (NodeId(2), Port(2)); // edge 2–3
         let (u, pin) = topo.traverse(v, p);
         assert!(live.kill(&topo, v, p));
@@ -263,7 +257,7 @@ mod tests {
         assert!(live.revive(&topo, u, pin));
         assert!(live.is_alive(&topo, v, p));
         assert_eq!(live.live_degree(&topo, v), 2);
-        assert!(live.all_alive());
+        assert_eq!(live.dead_edges(), 0);
         assert!(!live.revive(&topo, v, p));
     }
 
@@ -279,7 +273,7 @@ mod tests {
         let (u, pin) = topo.traverse(v, p);
         assert!(!live.is_alive(&topo, u, pin));
         assert!(live.revive(&topo, v, p));
-        assert!(live.all_alive());
+        assert_eq!(live.dead_edges(), 0);
     }
 
     #[test]

@@ -178,7 +178,7 @@ fn overlay_matches_naive_rebuild_over_400_fuzzed_sequences() {
                 for (v, p) in dead.drain(..) {
                     assert!(live.revive(&topo, v, p), "{ctx}: final revive");
                 }
-                assert!(live.all_alive(), "{ctx}: not fully restored");
+                assert_eq!(live.dead_edges(), 0, "{ctx}: not fully restored");
                 for v in topo.nodes() {
                     assert_eq!(live.live_degree(&topo, v), topo.degree(v), "{ctx}: {v}");
                 }
@@ -215,5 +215,5 @@ fn dynamic_ring_round_pattern_is_cheap_and_exact() {
     }
     let (v, p) = prev.unwrap();
     live.revive(&topo, v, p);
-    assert!(live.all_alive());
+    assert_eq!(live.dead_edges(), 0);
 }

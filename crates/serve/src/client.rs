@@ -1,14 +1,24 @@
 //! A minimal blocking HTTP/1.1 client over `std::net` — just enough to
-//! drive `disp-serve`: keep-alive connection reuse, fixed-length and
-//! chunked response bodies, JSON helpers. Shared by the `disp-load`
-//! harness, the integration tests and the CI smoke, so the server is
-//! always exercised through the same wire code its load numbers are
-//! measured with.
+//! drive `disp-serve`: keep-alive connection reuse, JSON helpers and
+//! chunked uploads. The wire format is [`crate::http`]'s, the same codec
+//! the server reads requests with (heads, body framing, the chunked
+//! decoder, the chunk writer); this module adds only what is specific to
+//! a client: the status line, keep-alive and the stale-connection retry.
+//! Shared by the `disp-load` harness, the integration tests and the CI
+//! smoke, so the server is always exercised through the same wire code
+//! its load numbers are measured with.
 
+use crate::http::{self, finish_chunks, write_chunk, Message, MessageReader};
 use disp_analysis::json::Json;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
+
+/// Upper bound on a response body. Far above the server's request bound:
+/// it must admit the largest body the server sends, the JSONL results or
+/// event stream of a 100,000-trial job (a record line is ~400 bytes, so
+/// tens of MB).
+const MAX_RESPONSE_BODY_BYTES: usize = 256 * 1024 * 1024;
 
 /// A parsed HTTP response.
 #[derive(Debug, Clone)]
@@ -22,12 +32,24 @@ pub struct HttpResponse {
 }
 
 impl HttpResponse {
+    /// Read the status line of `message`.
+    pub fn from_message(message: Message) -> Result<HttpResponse, String> {
+        let status = message
+            .start_line
+            .split(' ')
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| format!("bad status line '{}'", message.start_line))?;
+        Ok(HttpResponse {
+            status,
+            headers: message.headers,
+            body: message.body,
+        })
+    }
+
     /// First header with the given (lowercase) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+        http::header(&self.headers, name)
     }
 
     /// Body as UTF-8 (lossy).
@@ -72,22 +94,22 @@ impl Client {
         self.request("DELETE", path, None)
     }
 
-    /// `POST path` with a `Transfer-Encoding: chunked` body — the upload
-    /// path for cluster batch results, whose JSONL bodies are assembled
-    /// incrementally. Same stale-connection retry policy as [`request`].
+    /// One request with a `Content-Length` body (empty for `None`).
+    pub fn request(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<Vec<u8>>,
+    ) -> Result<HttpResponse, String> {
+        self.exchange(method, path, body.as_deref().unwrap_or_default(), false)
+    }
+
+    /// [`request`] with a `Transfer-Encoding: chunked` body: the upload
+    /// path for cluster batch results.
     ///
     /// [`request`]: Client::request
     pub fn post_chunked(&mut self, path: &str, body: &[u8]) -> Result<HttpResponse, String> {
-        let had_connection = self.stream.is_some();
-        match self.try_request_inner("POST", path, body, true) {
-            Ok(resp) => Ok(resp),
-            Err((e, retry_safe)) if had_connection && retry_safe => {
-                self.stream = None;
-                self.try_request_inner("POST", path, body, true)
-                    .map_err(|(e2, _)| format!("{e2} (after stale-connection retry: {e})"))
-            }
-            Err((e, _)) => Err(e),
-        }
+        self.exchange("POST", path, body, true)
     }
 
     /// One request with a single reconnect retry: a server may legally
@@ -102,20 +124,20 @@ impl Client {
     /// zero-bytes-then-close means the request was never processed. A
     /// failure after response bytes is never retried: the server may have
     /// acted, so double-submitting would be unsound.
-    pub fn request(
+    fn exchange(
         &mut self,
         method: &str,
         path: &str,
-        body: Option<Vec<u8>>,
+        body: &[u8],
+        chunked: bool,
     ) -> Result<HttpResponse, String> {
         let had_connection = self.stream.is_some();
-        let body = body.as_deref().unwrap_or(&[]);
-        match self.try_request_inner(method, path, body, false) {
+        match self.attempt(method, path, body, chunked) {
             Ok(resp) => Ok(resp),
             Err((e, retry_safe)) if had_connection && retry_safe => {
                 // Stale keep-alive connection: reconnect once.
                 self.stream = None;
-                self.try_request_inner(method, path, body, false)
+                self.attempt(method, path, body, chunked)
                     .map_err(|(e2, _)| format!("{e2} (after stale-connection retry: {e})"))
             }
             Err((e, _)) => Err(e),
@@ -124,7 +146,7 @@ impl Client {
 
     /// The error side carries whether a retry is safe (no response bytes
     /// were received before the failure).
-    fn try_request_inner(
+    fn attempt(
         &mut self,
         method: &str,
         path: &str,
@@ -143,18 +165,15 @@ impl Client {
             self.stream = Some(stream);
         }
         let stream = self.stream.as_mut().expect("connected above");
-        let head = if chunked {
-            format!(
-                "{method} {path} HTTP/1.1\r\nhost: {}\r\ntransfer-encoding: chunked\r\n\r\n",
-                self.addr,
-            )
+        let framing = if chunked {
+            "transfer-encoding: chunked".to_string()
         } else {
-            format!(
-                "{method} {path} HTTP/1.1\r\nhost: {}\r\ncontent-length: {}\r\n\r\n",
-                self.addr,
-                body.len(),
-            )
+            format!("content-length: {}", body.len())
         };
+        let head = format!(
+            "{method} {path} HTTP/1.1\r\nhost: {}\r\n{framing}\r\n\r\n",
+            self.addr
+        );
         let mut got_response_bytes = false;
         let io = (|| -> std::io::Result<HttpResponse> {
             stream.write_all(head.as_bytes())?;
@@ -163,15 +182,13 @@ impl Client {
                 // enough that the server's incremental decoder is actually
                 // exercised by real uploads.
                 for piece in body.chunks(32 * 1024) {
-                    write!(stream, "{:x}\r\n", piece.len())?;
-                    stream.write_all(piece)?;
-                    stream.write_all(b"\r\n")?;
+                    write_chunk(stream, piece)?;
                 }
-                stream.write_all(b"0\r\n\r\n")?;
+                finish_chunks(stream)?;
             } else {
                 stream.write_all(body)?;
+                stream.flush()?;
             }
-            stream.flush()?;
             read_response(stream, &mut got_response_bytes)
         })();
         match io {
@@ -192,126 +209,28 @@ impl Client {
     }
 }
 
-fn read_response(stream: &mut TcpStream, got_any: &mut bool) -> std::io::Result<HttpResponse> {
+/// Read one response through the shared codec. `got_any` records whether
+/// any response byte arrived (the retry rule needs to know). Malformed or
+/// oversized responses are `InvalidData` errors.
+fn read_response(stream: &mut impl Read, got_any: &mut bool) -> std::io::Result<HttpResponse> {
+    let invalid = |e: String| std::io::Error::new(ErrorKind::InvalidData, e);
+    let mut reader = MessageReader::new(MAX_RESPONSE_BODY_BYTES);
     let mut buf = Vec::new();
-    let head_end = loop {
-        if let Some(i) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break i + 4;
+    let mut chunk = [0u8; 8192];
+    loop {
+        if let Some((message, _)) = reader.poll(&mut buf).map_err(invalid)? {
+            return HttpResponse::from_message(message).map_err(invalid);
         }
-        let mut chunk = [0u8; 8192];
         match stream.read(&mut chunk) {
             Ok(0) => {
                 return Err(std::io::Error::new(
                     ErrorKind::UnexpectedEof,
-                    "EOF before response head",
+                    "EOF before the response was complete",
                 ))
             }
             Ok(n) => {
                 *got_any = true;
                 buf.extend_from_slice(&chunk[..n]);
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    };
-    let head = std::str::from_utf8(&buf[..head_end])
-        .map_err(|_| std::io::Error::new(ErrorKind::InvalidData, "head is not UTF-8"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or("");
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!("bad status line '{status_line}'"),
-            )
-        })?;
-    let mut headers = Vec::new();
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-        }
-    }
-    let mut rest = buf.split_off(head_end);
-    let header = |name: &str| {
-        headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    };
-    let body = if header("transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked")) {
-        read_chunked(stream, &mut rest)?
-    } else {
-        let len: usize = header("content-length")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        while rest.len() < len {
-            let mut chunk = [0u8; 8192];
-            match stream.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        ErrorKind::UnexpectedEof,
-                        "EOF mid-body",
-                    ))
-                }
-                Ok(n) => rest.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        rest.truncate(len);
-        rest
-    };
-    Ok(HttpResponse {
-        status,
-        headers,
-        body,
-    })
-}
-
-/// Decode a chunked body; `rest` holds bytes already read past the head.
-fn read_chunked(stream: &mut TcpStream, rest: &mut Vec<u8>) -> std::io::Result<Vec<u8>> {
-    let mut body = Vec::new();
-    loop {
-        // Read until we have a full size line.
-        let line_end = loop {
-            if let Some(i) = rest.windows(2).position(|w| w == b"\r\n") {
-                break i;
-            }
-            read_more(stream, rest)?;
-        };
-        let bad_size = || std::io::Error::new(ErrorKind::InvalidData, "bad chunk size");
-        let size_line = std::str::from_utf8(&rest[..line_end]).map_err(|_| bad_size())?;
-        let size = usize::from_str_radix(size_line.trim(), 16).map_err(|_| bad_size())?;
-        // The size comes off the wire: `size + 2` must not overflow.
-        let framed = size.checked_add(2).ok_or_else(bad_size)?;
-        rest.drain(..line_end + 2);
-        while rest.len() < framed {
-            read_more(stream, rest)?;
-        }
-        body.extend_from_slice(&rest[..size]);
-        rest.drain(..framed); // chunk data + trailing CRLF
-        if size == 0 {
-            return Ok(body);
-        }
-    }
-}
-
-fn read_more(stream: &mut TcpStream, buf: &mut Vec<u8>) -> std::io::Result<()> {
-    let mut chunk = [0u8; 8192];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "EOF mid-chunked-body",
-                ))
-            }
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                return Ok(());
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
@@ -341,5 +260,21 @@ mod tests {
         let err = Client::new(&addr).get("/").unwrap_err();
         assert!(err.contains("bad chunk size"), "{err}");
         server.join().unwrap();
+    }
+
+    #[test]
+    fn ambiguous_framing_and_a_missing_chunk_crlf_are_invalid_data() {
+        let both = b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\ntransfer-encoding: chunked\r\n\r\n\
+                     5\r\nhello\r\n0\r\n\r\n";
+        let no_crlf = b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n\
+                        5\r\nhelloXX0\r\n\r\n";
+        for raw in [&both[..], &no_crlf[..]] {
+            let err = read_response(&mut &raw[..], &mut false).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+        }
+        // The same bytes, well framed, are a response.
+        let good = b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
+        let resp = read_response(&mut &good[..], &mut false).unwrap();
+        assert_eq!((resp.status, resp.text().as_str()), (200, "hello"));
     }
 }

@@ -13,7 +13,9 @@
 //!
 //! ## Layers
 //!
-//! * [`http`] — request parsing, keep-alive, chunked streaming.
+//! * [`http`] — the one HTTP/1.1 codec (message reader, chunked decoder,
+//!   chunk writer) for both directions, plus request reading with
+//!   keep-alive and the response writers.
 //! * [`cache`] — the content-addressed trial cache over a JSONL log
 //!   (promoted to the shared cluster tier in `disp-cluster`; re-exported
 //!   here unchanged).
@@ -23,8 +25,8 @@
 //! * [`cluster`] — the HTTP side of coordinator/worker mode: the
 //!   `/internal/*` handlers and the worker-process runner.
 //! * [`metrics`] — counters and their `/metrics` text exposition.
-//! * [`client`] — the minimal blocking client used by `disp-load`, the
-//!   tests and the CI smoke.
+//! * [`client`] — the minimal blocking client, over the same codec, used
+//!   by `disp-load`, the tests and the CI smoke.
 //!
 //! Binaries: `disp-serve` (the daemon, optionally `--role
 //! coordinator|worker`) and `disp-load` (the load-generation harness that

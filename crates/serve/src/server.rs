@@ -31,8 +31,8 @@
 use crate::cache::{CacheBudget, TrialCache};
 use crate::cluster;
 use crate::http::{
-    finish_chunks, read_request, write_chunk, write_chunked_head, write_response, ReadOutcome,
-    Request, READ_TICK,
+    finish_chunks, read_request, write_chunk, write_chunked_head, write_response, Request,
+    READ_TICK,
 };
 use crate::jobs::{ExecBackend, Job, JobManager, JobSnapshot, JobState, Retention};
 use crate::metrics::{Gauges, Metrics};
@@ -330,23 +330,16 @@ fn handle_connection(
     stream.set_write_timeout(Some(Duration::from_secs(30)))?;
     stream.set_nodelay(true)?;
     let mut buf = Vec::new();
-    let mut req_slot = None;
     let mut served = 0usize;
     loop {
         // A fresh connection gets its first request read unconditionally;
         // after that, an idle connection yields to queued ones.
-        match read_request(
-            &mut stream,
-            &mut buf,
-            shutdown,
-            waiting,
-            served > 0,
-            &mut req_slot,
-        ) {
-            Ok(ReadOutcome::Closed) => return Ok(()),
-            Ok(ReadOutcome::Parsed) | Err(_) => Metrics::inc(&state.metrics.http_requests),
+        let read = read_request(&mut stream, &mut buf, shutdown, waiting, served > 0);
+        if let Ok(None) = read {
+            return Ok(());
         }
-        let Some(req) = req_slot.take() else {
+        Metrics::inc(&state.metrics.http_requests);
+        let Ok(Some(req)) = read else {
             let _ = send(
                 &mut stream,
                 state,
@@ -585,9 +578,10 @@ fn stream_events(
 /// event trace or the flight recorder and send what it saw as JSONL —
 /// byte-identical to `disp-campaign trace` / `timeline` for the same
 /// scenario and seed (both sides use the shared encoders). Every input is
-/// validated before the trial runs, and a run that fails is a 400, never a
-/// mid-stream failure. The cap or budget bounds observer memory however
-/// long the trial runs.
+/// validated before the trial runs — the other path's bound included, which
+/// is a 400 rather than silently ignored — and a run that fails is a 400,
+/// never a mid-stream failure. The cap or budget bounds observer memory
+/// however long the trial runs.
 fn observe(req: &Request, state: &AppState, timeline: bool) -> Result<Reply, Reply> {
     let bad = |msg: &str| Reply::error(400, msg);
     let label = req
@@ -599,11 +593,17 @@ fn observe(req: &Request, state: &AppState, timeline: bool) -> Result<Reply, Rep
             .map_err(|_| bad("seed must be an unsigned integer"))?,
         None => 1,
     };
-    let (bound_name, default) = if timeline {
-        ("budget", DEFAULT_TIMELINE_BUDGET)
+    let (bound_name, default, other) = if timeline {
+        ("budget", DEFAULT_TIMELINE_BUDGET, "cap")
     } else {
-        ("cap", DEFAULT_TRACE_CAP)
+        ("cap", DEFAULT_TRACE_CAP, "budget")
     };
+    if req.query_param(other).is_some() {
+        return Err(bad(&format!(
+            "{} takes '{bound_name}', not '{other}'",
+            req.path
+        )));
+    }
     let bound = match req.query_param(bound_name) {
         Some(b) => b
             .parse::<usize>()

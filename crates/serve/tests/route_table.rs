@@ -159,6 +159,7 @@ fn every_route_and_error_branch_keeps_its_reply_shape() {
         case("GET", format!("/trace?scenario={label}&cap=0"), 400),
         case("GET", format!("/trace?scenario={label}&cap=x"), 400),
         case("GET", format!("/trace?scenario={limited}"), 400),
+        case("GET", format!("/trace?scenario={label}&budget=4"), 400),
         case("GET", format!("/timeline?scenario={label}&seed=2"), 200).replies(jsonl, Chunked),
         case("GET", format!("/timeline?scenario={label}&budget=4"), 200).replies(jsonl, Chunked),
         case("GET", "/timeline", 400),
@@ -168,6 +169,7 @@ fn every_route_and_error_branch_keeps_its_reply_shape() {
         case("GET", format!("/timeline?scenario={label}&budget=0"), 400),
         case("GET", format!("/timeline?scenario={label}&budget=x"), 400),
         case("GET", format!("/timeline?scenario={limited}"), 400),
+        case("GET", format!("/timeline?scenario={label}&cap=5"), 400),
         case("POST", "/internal/lease", 404).body("{}"),
         case("GET", "/nope", 404),
     ];

@@ -17,6 +17,9 @@ use disp_campaign::run::run_campaign;
 use disp_campaign::telemetry::timeline_to_jsonl;
 use disp_core::scenario::{Registry, ScenarioSpec};
 use disp_serve::{parse_metric, Client, ServeConfig, Server};
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// The `mini` campaign's grid, reshaped as the ad-hoc submission a client
@@ -330,6 +333,54 @@ fn a_deeply_nested_body_is_a_400_and_the_server_stays_up() {
     assert_eq!(resp.status, 400);
     assert!(resp.text().contains("nesting"), "{}", resp.text());
     assert_eq!(client.get("/healthz").unwrap().status, 200);
+    server.shutdown();
+}
+
+#[test]
+fn an_overflowing_second_chunk_is_a_400_and_every_worker_survives() {
+    // The second chunk's size is usize::MAX: added unchecked to the first
+    // chunk's length it wrapped, and the slice that followed panicked the
+    // HTTP worker. Three such bodies against two workers left none alive.
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServeConfig {
+            http_threads: 2,
+            job_threads: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr().to_string();
+    let body = format!("1\r\nA\r\nffffffffffffffff\r\n{}", "B".repeat(36));
+    let request =
+        format!("POST /runs HTTP/1.1\r\nhost: {addr}\r\ntransfer-encoding: chunked\r\n\r\n{body}");
+    for attempt in 0..3 {
+        let mut raw = TcpStream::connect(&addr).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        raw.write_all(request.as_bytes()).unwrap();
+        let mut reply = String::new();
+        raw.read_to_string(&mut reply)
+            .unwrap_or_else(|e| panic!("attempt {attempt}: {e}"));
+        assert!(
+            reply.starts_with("HTTP/1.1 400 "),
+            "attempt {attempt}: {reply}"
+        );
+    }
+    let mut client = Client::new(&addr);
+    assert_eq!(client.get("/healthz").unwrap().status, 200);
+    // The scrape itself holds one worker; no other stays busy, and once
+    // the client leaves, none is. (A worker that closed a connection may
+    // take a moment to step down, hence the deadline.)
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while metric(&mut client, "disp_http_workers_busy") != 1 {
+        assert!(Instant::now() < deadline, "an HTTP worker stayed busy");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop(client);
+    while server.state().workers_busy.load(Ordering::SeqCst) > 0 {
+        assert!(Instant::now() < deadline, "an HTTP worker stayed busy");
+        std::thread::sleep(Duration::from_millis(10));
+    }
     server.shutdown();
 }
 
