@@ -17,25 +17,51 @@
 //! ```
 
 use disp_analysis::report::markdown_table;
-use disp_bench::cli;
+use disp_campaign::cli::{emit, Cli, Command, Flag, Kind::*};
 use disp_campaign::engine::parallel_map;
 use disp_core::rooted_sync::{RootedSyncDisp, SyncConfig};
 use disp_core::verify::check_dispersion;
 use disp_graph::generators;
 use disp_graph::NodeId;
 use disp_sim::{RunConfig, SyncRunner, World};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let study = cli::flag_value(&args, "--study").unwrap_or_else(|| "all".to_string());
-    let threads = cli::threads(&args);
+const USAGE: &str = "\
+ablations — the seeker-pool and neighbor-wait ablations of Algorithm 2
 
-    if study == "seeker-fraction" || study == "all" {
-        seeker_fraction_study(threads);
-    }
-    if study == "wait-length" || study == "all" {
-        wait_length_study(threads);
-    }
+USAGE:
+  ablations [--study seeker-fraction|wait-length|all] [--threads N]
+
+Each study is a markdown table on stdout; --threads defaults to the
+machine's available parallelism and changes no number in the tables.
+";
+
+const ABLATIONS: Command = Command::new(
+    "ablations",
+    &[
+        Flag::new("--study", OneOf(&["seeker-fraction", "wait-length", "all"])),
+        Flag::new("--threads", Positive),
+    ],
+);
+
+const CLI: Cli = Cli {
+    name: "ablations",
+    usage: USAGE,
+    commands: &[ABLATIONS],
+};
+
+fn main() -> ExitCode {
+    let words: Vec<String> = std::env::args().skip(1).collect();
+    let args = CLI.parse(&ABLATIONS, &words);
+    let study: String = args.get("--study").unwrap_or_else(|| "all".into());
+    let threads = args.get("--threads").unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
+    });
+    CLI.finish(match study.as_str() {
+        "seeker-fraction" => emit(&seeker_fraction_study(threads)),
+        "wait-length" => emit(&wait_length_study(threads)),
+        _ => emit(&seeker_fraction_study(threads)).and_then(|()| emit(&wait_length_study(threads))),
+    })
 }
 
 fn run_once(k: usize, config: SyncConfig) -> (u64, u32) {
@@ -49,8 +75,7 @@ fn run_once(k: usize, config: SyncConfig) -> (u64, u32) {
     (out.rounds, proto.max_probe_iterations())
 }
 
-fn seeker_fraction_study(threads: usize) {
-    println!("## Ablation: seeker-pool cap (star graph, k = 96)\n");
+fn seeker_fraction_study(threads: usize) -> String {
     let k = 96;
     let caps = vec![Some(k / 12), Some(k / 6), Some(k / 3), Some(k / 2), None];
     let (rows, _) = parallel_map(caps, threads, |_, &cap| {
@@ -65,15 +90,14 @@ fn seeker_fraction_study(threads: usize) {
             iters.to_string(),
         ]
     });
-    println!(
-        "{}",
+    format!(
+        "## Ablation: seeker-pool cap (star graph, k = {k})\n\n{}\n\
+         The paper reserves ceil(k/3) seekers: enough to keep probe iterations O(1).\n\n",
         markdown_table(&["seeker cap", "rounds", "max probe iterations"], &rows)
-    );
-    println!("The paper reserves ceil(k/3) seekers: enough to keep probe iterations O(1).\n");
+    )
 }
 
-fn wait_length_study(threads: usize) {
-    println!("## Ablation: neighbor wait length (random tree, k = 96)\n");
+fn wait_length_study(threads: usize) -> String {
     let k = 96;
     let waits: Vec<u32> = vec![0, 1, 2, 4, 6, 8];
     let (rows, _) = parallel_map(waits, threads, |_, &wait| {
@@ -92,8 +116,11 @@ fn wait_length_study(threads: usize) {
         check_dispersion(&world).expect("must disperse");
         vec![wait.to_string(), out.rounds.to_string()]
     });
-    println!("{}", markdown_table(&["wait rounds", "rounds"], &rows));
-    println!("The 6-round wait is the price of soundness when tree nodes may be empty");
-    println!("(covered by oscillating settlers, Lemma 2); with every node settled it is");
-    println!("pure constant-factor overhead - see DESIGN.md section 3.\n");
+    format!(
+        "## Ablation: neighbor wait length (random tree, k = {k})\n\n{}\n\
+         The 6-round wait is the price of soundness when tree nodes may be empty\n\
+         (covered by oscillating settlers, Lemma 2); with every node settled it is\n\
+         pure constant-factor overhead - see DESIGN.md section 3.\n\n",
+        markdown_table(&["wait rounds", "rounds"], &rows)
+    )
 }

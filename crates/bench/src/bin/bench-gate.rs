@@ -20,6 +20,7 @@
 //! (almost) free" acceptance bound.
 
 use disp_bench::gate;
+use disp_campaign::cli::{emit, Args, Cli, Command, Flag, Kind::*};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -33,58 +34,44 @@ USAGE:
   bench-gate timeline [--samples N]                   (flight-recorder overhead bound)
 ";
 
+const SAMPLES: Flag = Flag::new("--samples", Positive);
+
+/// The flags each subcommand reads.
+const CLI: Cli = Cli {
+    name: "bench-gate",
+    usage: USAGE,
+    commands: &[
+        Command::new("record", &[Flag::new("--out", Text), SAMPLES]),
+        Command::new("check", &[Flag::new("--baseline", Text), SAMPLES]),
+        Command::new("scaling", &[Flag::new("--threads", Text)]),
+        Command::new("timeline", &[SAMPLES]),
+    ],
+};
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut path = PathBuf::from("BENCH_baseline.json");
-    let mut samples = 5usize;
-    let mut threads = vec![1usize, 2, 4];
-    let mut it = args.iter().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" | "--baseline" => match it.next() {
-                Some(v) => path = PathBuf::from(v),
-                None => return fail(&format!("{arg} requires a value")),
-            },
-            "--samples" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => samples = v,
-                None => return fail("--samples expects a positive integer"),
-            },
-            "--threads" => {
-                let parsed: Option<Vec<usize>> = it
-                    .next()
-                    .map(|v| v.split(',').map(|t| t.parse().ok()).collect())
-                    .unwrap_or(None);
-                match parsed {
-                    Some(v) if !v.is_empty() && v.iter().all(|&t| t > 0) => threads = v,
-                    _ => {
-                        return fail(
-                            "--threads expects a comma-separated list of positive integers",
-                        )
-                    }
-                }
-            }
-            other => return fail(&format!("unknown flag '{other}'\n\n{USAGE}")),
-        }
-    }
-    match args.first().map(String::as_str) {
-        Some("record") => {
+    let words: Vec<String> = std::env::args().skip(1).collect();
+    let args = CLI.parse_subcommand(&words);
+    CLI.finish(run(&args))
+}
+
+fn run(args: &Args) -> Result<(), String> {
+    let samples = args.get("--samples").unwrap_or(5);
+    // `record --out` writes the baseline `check --baseline` reads.
+    let path: PathBuf = (args.get("--out").or_else(|| args.get("--baseline")))
+        .unwrap_or_else(|| "BENCH_baseline.json".into());
+    match args.command.name {
+        "record" => {
             let doc = gate::record(samples);
-            if let Err(e) = std::fs::write(&path, doc + "\n") {
-                return fail(&format!("write {}: {e}", path.display()));
-            }
+            std::fs::write(&path, doc + "\n")
+                .map_err(|e| format!("write {}: {e}", path.display()))?;
             eprintln!("wrote {}", path.display());
-            ExitCode::SUCCESS
+            Ok(())
         }
-        Some("check") => {
-            let baseline = match std::fs::read_to_string(&path) {
-                Ok(s) => s,
-                Err(e) => return fail(&format!("read {}: {e}", path.display())),
-            };
-            let rows = match gate::check(&baseline, samples) {
-                Ok(rows) => rows,
-                Err(e) => return fail(&e),
-            };
-            let mut regressed = false;
+        "check" => {
+            let baseline = std::fs::read_to_string(&path)
+                .map_err(|e| format!("read {}: {e}", path.display()))?;
+            let rows = gate::check(&baseline, samples)?;
+            let mut out = String::new();
             for row in &rows {
                 let allocs = match row.allocs {
                     Some((base, measured, ratio)) => {
@@ -92,40 +79,44 @@ fn main() -> ExitCode {
                     }
                     None => String::new(),
                 };
-                println!(
-                    "{:<34} baseline {:>9.3} ms, measured {:>9.3} ms, ratio {:.2}{allocs}{}",
+                out.push_str(&format!(
+                    "{:<34} baseline {:>9.3} ms, measured {:>9.3} ms, ratio {:.2}{allocs}{}\n",
                     row.id,
                     row.baseline_ns / 1e6,
                     row.measured_ns / 1e6,
                     row.ratio,
                     if row.regressed { "  ← REGRESSED" } else { "" }
-                );
-                regressed |= row.regressed;
+                ));
             }
-            if regressed {
-                eprintln!("bench-gate: hot-path regression above the tolerance");
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
+            emit(&out)?;
+            if rows.iter().any(|row| row.regressed) {
+                return Err("hot-path regression above the tolerance".into());
             }
+            Ok(())
         }
-        Some("scaling") => {
-            let rows = match gate::scaling(&threads) {
-                Ok(rows) => rows,
-                Err(e) => return fail(&e),
+        "scaling" => {
+            let threads: Vec<usize> = match args.get::<String>("--threads") {
+                Some(list) => list
+                    .split(',')
+                    .map(|t| t.parse().ok().filter(|&n| n > 0))
+                    .collect::<Option<_>>()
+                    .ok_or("--threads expects a comma-separated list of positive integers")?,
+                None => vec![1, 2, 4],
             };
-            println!(
-                "micro campaign ({} identical sorted-record runs):",
+            let rows = gate::scaling(&threads)?;
+            let mut out = format!(
+                "micro campaign ({} identical sorted-record runs):\n",
                 rows.len()
             );
             for row in &rows {
-                println!(
-                    "  threads {:>2}: {:>9.3} ms  speedup ×{:.2}",
+                out.push_str(&format!(
+                    "  threads {:>2}: {:>9.3} ms  speedup ×{:.2}\n",
                     row.threads,
                     row.wall_ns as f64 / 1e6,
                     row.speedup
-                );
+                ));
             }
+            emit(&out)?;
             let cores = std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1);
@@ -133,7 +124,7 @@ fn main() -> ExitCode {
                 eprintln!(
                     "bench-gate: single-core host — byte-identity verified, speedup gate skipped"
                 );
-                return ExitCode::SUCCESS;
+                return Ok(());
             }
             // On a multi-core box at least one multi-threaded run must be
             // no slower than threads=1; a lenient bound so CI noise on
@@ -144,43 +135,29 @@ fn main() -> ExitCode {
                 .map(|r| r.speedup)
                 .fold(f64::NEG_INFINITY, f64::max);
             if best.is_finite() && best < 1.0 {
-                eprintln!(
-                    "bench-gate: {cores}-core host but best multi-thread speedup is ×{best:.2}"
-                );
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
+                return Err(format!(
+                    "{cores}-core host but best multi-thread speedup is ×{best:.2}"
+                ));
             }
+            Ok(())
         }
-        Some("timeline") => {
+        _ => {
             let (plain_ns, recorded_ns, ratio) = gate::timeline_overhead(samples);
-            println!(
+            emit(&format!(
                 "scale/line100k/probe-dfs: plain {:.3} ms, recorded {:.3} ms, ratio {:.3} \
-                 (bound {:.2})",
+                 (bound {:.2})\n",
                 plain_ns / 1e6,
                 recorded_ns / 1e6,
                 ratio,
                 gate::TIMELINE_FACTOR,
-            );
+            ))?;
             if ratio > gate::TIMELINE_FACTOR {
-                eprintln!(
-                    "bench-gate: flight-recorder overhead ×{ratio:.3} exceeds the \
-                     ×{:.2} bound",
+                return Err(format!(
+                    "flight-recorder overhead ×{ratio:.3} exceeds the ×{:.2} bound",
                     gate::TIMELINE_FACTOR
-                );
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
+                ));
             }
-        }
-        _ => {
-            print!("{USAGE}");
-            ExitCode::FAILURE
+            Ok(())
         }
     }
-}
-
-fn fail(message: &str) -> ExitCode {
-    eprintln!("bench-gate: {message}");
-    ExitCode::FAILURE
 }

@@ -69,28 +69,3 @@ pub mod alloc_counter {
         }
     }
 }
-
-/// Minimal argument helpers for the harness binaries (they accept a
-/// handful of `--flag value` pairs; anything richer lives in the
-/// `disp-campaign` CLI).
-pub mod cli {
-    /// The value following `--name`, if present.
-    pub fn flag_value(args: &[String], name: &str) -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    }
-
-    /// `--threads N` if given and parseable, else the machine's available
-    /// parallelism.
-    pub fn threads(args: &[String]) -> usize {
-        flag_value(args, "--threads")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(4)
-            })
-    }
-}

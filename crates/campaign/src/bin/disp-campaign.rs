@@ -1,12 +1,17 @@
-//! The campaign CLI: run, resume and report experiment campaigns.
+//! The campaign CLI: run, resume and report experiment campaigns, and
+//! observe one trial.
 //!
 //! ```text
 //! disp-campaign run    [--campaign table1|figures|placements|scale|fault-worlds|mini]
 //!                      [--scenario LABEL]... [--reps N]
-//!                      [--quick|--full] [--threads N] [--seed S]
-//!                      [--section NAME]... [--out DIR] [--force]
-//! disp-campaign resume --out DIR [--threads N]
-//! disp-campaign report --out DIR [--csv DIR]
+//!                      [--quick|--full] [--threads N] [--batch N] [--seed S]
+//!                      [--section NAME]... [--out DIR] [--force] [--events]
+//!                      [--timeline] [--csv DIR | --format text|json]
+//! disp-campaign resume --out DIR [--threads N] [--batch N] [--events]
+//!                      [--timeline] [--csv DIR | --format text|json]
+//! disp-campaign report --out DIR [--csv DIR | --format text|json] [--timeline]
+//! disp-campaign trace  --scenario LABEL [--seed S] [--cap N] [--out FILE]
+//! disp-campaign timeline --scenario LABEL [--seed S] [--budget N] [--out FILE]
 //! disp-campaign scenarios
 //! ```
 //!
@@ -18,8 +23,11 @@
 //! so a killed run can be continued with `resume` — the manifest stores the
 //! full grid as canonical labels, so ad-hoc campaigns resume exactly like
 //! named ones. Results are byte-identical for any `--threads` value with
-//! the same `--seed`.
+//! the same `--seed`. `trace` and `timeline` run one trial with the event
+//! trace or the flight recorder observing it. Each subcommand's flags are
+//! the table in [`CLI`]; any other flag is refused before work starts.
 
+use disp_campaign::cli::{emit, Args, Cli, Command, Flag, Kind::*};
 use disp_campaign::grid::{CampaignSpec, Mode};
 use disp_campaign::report::{
     campaign_report_json, render_section_csv, render_section_markdown, section_measurements,
@@ -32,51 +40,74 @@ use disp_campaign::telemetry::{
 };
 use disp_core::scenario::{grammar_help, Registry, ScenarioSpec};
 use disp_sim::{TimelineRecorder, Trace, WorldPool, DEFAULT_TIMELINE_BUDGET, DEFAULT_TRACE_CAP};
-use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let words: Vec<String> = std::env::args().skip(1).collect();
+    let args = CLI.parse_subcommand(&words);
     let registry = Registry::builtin();
-    // `<subcommand> --help` asks for the usage, wherever the flag sits.
-    let wants_help = args.iter().skip(1).any(|a| a == "--help" || a == "-h");
-    let result = match args.first().map(String::as_str) {
-        Some("run" | "resume" | "report" | "trace" | "timeline" | "scenarios") if wants_help => {
-            emit(USAGE)
-        }
-        Some("run") => cmd_run(&args[1..], &registry),
-        Some("resume") => cmd_resume(&args[1..], &registry),
-        Some("report") => cmd_report(&args[1..]),
-        Some("trace") => cmd_observe(&args[1..], &registry, false),
-        Some("timeline") => cmd_observe(&args[1..], &registry, true),
+    CLI.finish(match args.command.name {
+        "run" => cmd_run(&args, &registry),
+        "resume" => cmd_resume(&args, &registry),
+        "report" => cmd_report(&args),
+        "trace" | "timeline" => cmd_observe(&args, &registry),
         // One source of truth with the server's GET /scenarios endpoint.
-        Some("scenarios") => emit(&grammar_help(&registry)),
-        Some("--help" | "-h" | "help") | None => emit(USAGE),
-        Some(other) => Err(format!("unknown subcommand '{other}'\n\n{USAGE}")),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("disp-campaign: {message}");
-            ExitCode::FAILURE
-        }
-    }
+        _ => emit(&grammar_help(&registry)),
+    })
 }
 
-/// Write `text` to stdout: the one writer of everything this CLI prints
-/// there. A reader that closed the pipe early (`… | head`) chose to stop,
-/// so a broken pipe ends the process quietly with exit 0; any other write
-/// error fails the command.
-fn emit(text: &str) -> Result<(), String> {
-    let mut stdout = std::io::stdout().lock();
-    let written = stdout.write_all(text.as_bytes());
-    match written.and_then(|()| stdout.flush()) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
-        Err(e) => Err(format!("write to stdout: {e}")),
-    }
-}
+const SCENARIO: Flag = Flag::new("--scenario", Text);
+const SEED: Flag = Flag::new("--seed", Unsigned);
+const OUT: Flag = Flag::new("--out", Text);
+const THREADS: Flag = Flag::new("--threads", Positive);
+const BATCH: Flag = Flag::new("--batch", Positive);
+const CSV: Flag = Flag::new("--csv", Text);
+const FORMAT: Flag = Flag::new("--format", OneOf(&["text", "json"]));
+const EVENTS: Flag = Flag::new("--events", Switch);
+const TIMELINE: Flag = Flag::new("--timeline", Switch);
+
+/// The flags each subcommand reads.
+const CLI: Cli = Cli {
+    name: "disp-campaign",
+    usage: USAGE,
+    commands: &[
+        Command::new(
+            "run",
+            &[
+                Flag::new("--campaign", Text),
+                SCENARIO.repeated(),
+                Flag::new("--reps", Positive),
+                Flag::new("--quick", Switch),
+                Flag::new("--full", Switch),
+                THREADS,
+                BATCH,
+                SEED,
+                Flag::new("--section", Text).repeated(),
+                OUT,
+                Flag::new("--force", Switch),
+                CSV,
+                FORMAT,
+                EVENTS,
+                TIMELINE,
+            ],
+        ),
+        Command::new(
+            "resume",
+            &[OUT, THREADS, BATCH, CSV, FORMAT, EVENTS, TIMELINE],
+        ),
+        Command::new("report", &[OUT, CSV, FORMAT, TIMELINE]),
+        Command::new(
+            "trace",
+            &[SCENARIO, SEED, Flag::new("--cap", Positive), OUT],
+        ),
+        Command::new(
+            "timeline",
+            &[SCENARIO, SEED, Flag::new("--budget", Positive), OUT],
+        ),
+        Command::new("scenarios", &[]),
+    ],
+};
 
 const USAGE: &str = "\
 disp-campaign — parallel, deterministic experiment campaigns
@@ -86,9 +117,9 @@ USAGE:
                        [--scenario LABEL]... [--reps N]
                        [--quick|--full] [--threads N] [--batch N] [--seed S]
                        [--section NAME]... [--out DIR] [--force] [--events]
-                       [--timeline]
+                       [--timeline] [--csv DIR | --format text|json]
   disp-campaign resume --out DIR [--threads N] [--batch N] [--events]
-                       [--timeline]
+                       [--timeline] [--csv DIR | --format text|json]
   disp-campaign report --out DIR [--csv DIR | --format text|json] [--timeline]
   disp-campaign trace  --scenario LABEL [--seed S] [--cap N] [--out FILE]
   disp-campaign timeline --scenario LABEL [--seed S] [--budget N] [--out FILE]
@@ -139,163 +170,66 @@ SIGTERM stop a run gracefully: in-flight trials finish and checkpoint, and
 the exact resume command is printed before exiting.
 ";
 
-struct Flags {
-    campaign: Option<String>,
-    scenarios: Vec<String>,
-    reps: Option<usize>,
-    mode: Mode,
-    threads: usize,
-    batch: usize,
-    seed: u64,
-    sections: Vec<String>,
-    out: Option<PathBuf>,
-    force: bool,
-    csv: Option<PathBuf>,
-    format: Format,
-    events: bool,
-    cap: Option<usize>,
-    timeline: bool,
-    budget: Option<usize>,
-    /// Every flag given, in order (commands that read only a few of them
-    /// reject the rest).
-    given: Vec<String>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
+/// How `run`, `resume` and `report` print the campaign.
+enum View {
+    Markdown,
     Json,
+    Csv(PathBuf),
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
-    let mut flags = Flags {
-        campaign: None,
-        scenarios: Vec::new(),
-        reps: None,
-        mode: Mode::Quick,
-        threads: std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4),
-        batch: 1,
-        seed: 1,
-        sections: Vec::new(),
-        out: None,
-        force: false,
-        csv: None,
-        format: Format::Text,
-        events: false,
-        cap: None,
-        timeline: false,
-        budget: None,
-        given: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--campaign" => flags.campaign = Some(value("--campaign")?),
-            "--scenario" => flags.scenarios.push(value("--scenario")?),
-            "--reps" => {
-                flags.reps = Some(
-                    value("--reps")?
-                        .parse()
-                        .map_err(|_| "--reps expects a positive integer".to_string())?,
-                )
-            }
-            "--quick" => flags.mode = Mode::Quick,
-            "--full" => flags.mode = Mode::Full,
-            "--threads" => {
-                flags.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads expects a positive integer".to_string())?
-            }
-            "--batch" => {
-                let batch: usize = value("--batch")?
-                    .parse()
-                    .map_err(|_| "--batch expects a positive integer".to_string())?;
-                if batch == 0 {
-                    return Err("--batch expects a positive integer".into());
-                }
-                flags.batch = batch;
-            }
-            "--seed" => {
-                flags.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an unsigned integer".to_string())?
-            }
-            "--section" => flags.sections.push(value("--section")?),
-            "--out" => flags.out = Some(PathBuf::from(value("--out")?)),
-            "--csv" => flags.csv = Some(PathBuf::from(value("--csv")?)),
-            "--format" => {
-                flags.format = match value("--format")?.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    other => return Err(format!("--format expects text|json, got '{other}'")),
-                }
-            }
-            "--force" => flags.force = true,
-            "--events" => flags.events = true,
-            "--timeline" => flags.timeline = true,
-            "--budget" => {
-                let budget: usize = value("--budget")?
-                    .parse()
-                    .map_err(|_| "--budget expects a positive integer".to_string())?;
-                if budget == 0 {
-                    return Err("--budget expects a positive integer".into());
-                }
-                flags.budget = Some(budget);
-            }
-            "--cap" => {
-                let cap: usize = value("--cap")?
-                    .parse()
-                    .map_err(|_| "--cap expects a positive integer".to_string())?;
-                if cap == 0 {
-                    return Err("--cap expects a positive integer".into());
-                }
-                flags.cap = Some(cap);
-            }
-            other => return Err(format!("unknown flag '{other}'\n\n{USAGE}")),
-        }
-        flags.given.push(arg.clone());
+fn view(args: &Args) -> Result<View, String> {
+    match (args.get("--csv"), args.get::<String>("--format")) {
+        (Some(_), Some(_)) => Err("--csv and --format are mutually exclusive".into()),
+        (Some(dir), None) => Ok(View::Csv(dir)),
+        (None, Some(format)) if format == "json" => Ok(View::Json),
+        (None, _) => Ok(View::Markdown),
     }
-    if flags.csv.is_some() && flags.format != Format::Text {
-        return Err("--csv and --format are mutually exclusive".into());
-    }
-    Ok(flags)
 }
 
-fn build_spec(flags: &Flags, registry: &Registry) -> Result<CampaignSpec, String> {
-    // Conflicting selectors are errors, not silent precedence: a named
-    // campaign carries its own grid and rep counts.
-    if !flags.scenarios.is_empty() && flags.campaign.is_some() {
+fn build_spec(args: &Args, registry: &Registry) -> Result<CampaignSpec, String> {
+    let (scenarios, seed) = (args.all("--scenario"), args.get("--seed").unwrap_or(1));
+    let (quick, full) = (args.has("--quick"), args.has("--full"));
+    // Conflicting or idle flags are errors, not silent precedence: a named
+    // campaign carries its own grid and rep counts, and an ad-hoc grid has
+    // no mode.
+    if quick && full {
+        return Err("--quick and --full are mutually exclusive".into());
+    }
+    if args.has("--force") && !args.has("--out") {
+        return Err("--force requires --out DIR (without it there is nothing to overwrite)".into());
+    }
+    if !scenarios.is_empty() && args.has("--campaign") {
         return Err("--campaign and --scenario are mutually exclusive".into());
     }
-    if flags.scenarios.is_empty() && flags.reps.is_some() {
+    if !scenarios.is_empty() && (quick || full) {
+        return Err(
+            "--quick and --full only apply to named campaigns (a --scenario grid has no mode)"
+                .into(),
+        );
+    }
+    if scenarios.is_empty() && args.has("--reps") {
         return Err("--reps only applies to --scenario grids (named campaigns fix their own repetition counts)".into());
     }
-    let spec = if flags.scenarios.is_empty() {
-        let name = flags.campaign.as_deref().unwrap_or("table1");
-        CampaignSpec::by_name(name, flags.mode, flags.seed)
+    let spec = if scenarios.is_empty() {
+        let name: String = args.get("--campaign").unwrap_or_else(|| "table1".into());
+        let mode = if full { Mode::Full } else { Mode::Quick };
+        CampaignSpec::by_name(&name, mode, seed)
             .ok_or_else(|| format!("unknown campaign '{name}'"))?
     } else {
-        let scenarios = flags
-            .scenarios
+        let scenarios = scenarios
             .iter()
             .map(|label| ScenarioSpec::parse(label, registry).map_err(|e| e.to_string()))
             .collect::<Result<Vec<_>, String>>()?;
-        CampaignSpec::custom(scenarios, flags.reps.unwrap_or(1), flags.seed)
+        CampaignSpec::custom(scenarios, args.get("--reps").unwrap_or(1), seed)
     };
-    if flags.sections.is_empty() {
+    let sections = args.all("--section");
+    if sections.is_empty() {
         return Ok(spec);
     }
-    let names: Vec<&str> = flags.sections.iter().map(String::as_str).collect();
+    let names: Vec<&str> = sections.iter().map(String::as_str).collect();
     let filtered = spec.with_sections(&names);
     if filtered.sections.is_empty() {
-        return Err(format!("no section matches {:?}", flags.sections));
+        return Err(format!("no section matches {sections:?}"));
     }
     Ok(filtered)
 }
@@ -320,15 +254,14 @@ fn print_summary(spec: &CampaignSpec, summary: &RunSummary, threads: usize) {
 /// On interrupt: the checkpoint (if any) is already flushed per line by the
 /// appender, so the only job left is telling the user exactly how to
 /// continue.
-fn interrupt_error(flags: &Flags, summary: &RunSummary) -> String {
+fn interrupt_error(args: &Args, threads: usize, summary: &RunSummary) -> String {
     let completed = summary.skipped + summary.executed;
-    match &flags.out {
+    match args.get::<PathBuf>("--out") {
         Some(dir) => format!(
             "interrupted after {completed}/{} trials; checkpoint flushed — resume with:\n  \
-             disp-campaign resume --out {} --threads {}",
+             disp-campaign resume --out {} --threads {threads}",
             summary.total,
             dir.display(),
-            flags.threads,
         ),
         None => format!(
             "interrupted after {completed}/{} trials; no --out was given, so the partial \
@@ -340,8 +273,8 @@ fn interrupt_error(flags: &Flags, summary: &RunSummary) -> String {
 
 /// Start the events.jsonl sidecar collector when `--events` was given.
 /// Returns the hub to finish (flush + join) after the run.
-fn start_events(flags: &Flags, store: Option<&CampaignStore>) -> Result<Option<Telemetry>, String> {
-    if !flags.events {
+fn start_events(args: &Args, store: Option<&CampaignStore>) -> Result<Option<Telemetry>, String> {
+    if !args.has("--events") {
         return Ok(None);
     }
     let store = store.ok_or("--events requires --out DIR (the sidecar lives next to the store)")?;
@@ -365,10 +298,10 @@ fn finish_events(telemetry: Option<Telemetry>, store: Option<&CampaignStore>) {
 /// Start the timelines.jsonl sidecar when `--timeline` was given on
 /// run/resume.
 fn start_timelines(
-    flags: &Flags,
+    args: &Args,
     store: Option<&CampaignStore>,
 ) -> Result<Option<TimelineSidecar>, String> {
-    if !flags.timeline {
+    if !args.has("--timeline") {
         return Ok(None);
     }
     let store =
@@ -376,43 +309,46 @@ fn start_timelines(
     Ok(Some(TimelineSidecar::create(&store.timelines_path())?))
 }
 
-fn cmd_run(args: &[String], registry: &Registry) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    let spec = build_spec(&flags, registry)?;
-    let store = match &flags.out {
-        Some(dir) => Some(CampaignStore::create(dir, &spec, flags.force)?),
+fn cmd_run(args: &Args, registry: &Registry) -> Result<(), String> {
+    let view = view(args)?;
+    let spec = build_spec(args, registry)?;
+    let store = match args.get::<PathBuf>("--out") {
+        Some(dir) => Some(CampaignStore::create(&dir, &spec, args.has("--force"))?),
         None => None,
     };
-    execute(&flags, &spec, store.as_ref(), registry)
+    execute(args, &view, &spec, store.as_ref(), registry)
 }
 
-fn cmd_resume(args: &[String], registry: &Registry) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    let dir = flags
-        .out
-        .as_ref()
+fn cmd_resume(args: &Args, registry: &Registry) -> Result<(), String> {
+    let view = view(args)?;
+    let dir: PathBuf = args
+        .get("--out")
         .ok_or("resume requires --out DIR (the directory of the killed run)")?;
-    let (store, manifest) = CampaignStore::open(dir)?;
+    let (store, manifest) = CampaignStore::open(&dir)?;
     let spec = manifest.rebuild_spec()?;
-    execute(&flags, &spec, Some(&store), registry)
+    execute(args, &view, &spec, Some(&store), registry)
 }
 
 /// The shared tail of `run` and `resume`: the grid through the trial
 /// pipeline, checkpointed into `store` when there is one, with the
 /// `--events`/`--timeline` sidecars and Ctrl-C draining.
 fn execute(
-    flags: &Flags,
+    args: &Args,
+    view: &View,
     spec: &CampaignSpec,
     store: Option<&CampaignStore>,
     registry: &Registry,
 ) -> Result<(), String> {
-    let telemetry = start_events(flags, store)?;
-    let timelines = start_timelines(flags, store)?;
+    let threads = args.get("--threads").unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
+    });
+    let telemetry = start_events(args, store)?;
+    let timelines = start_timelines(args, store)?;
     let checkpoint = store.map(CampaignStore::checkpoint).transpose()?;
     let handle = telemetry.as_ref().map(Telemetry::handle);
     let opts = RunOptions {
-        threads: flags.threads,
-        batch: flags.batch,
+        threads,
+        batch: args.get("--batch").unwrap_or(1),
         cancel: Some(signal::install()),
         telemetry: handle.as_ref(),
         timelines: timelines.as_ref(),
@@ -420,11 +356,11 @@ fn execute(
     let checkpoint = checkpoint.as_ref().map(|c| c as &dyn TrialStore);
     let (records, summary) = run_trials(spec.trials(), registry, checkpoint, &opts)?;
     finish_events(telemetry, store);
-    print_summary(spec, &summary, flags.threads);
+    print_summary(spec, &summary, threads);
     if summary.cancelled {
-        return Err(interrupt_error(flags, &summary));
+        return Err(interrupt_error(args, threads, &summary));
     }
-    render(flags, spec, records)
+    render(view, spec, records)
 }
 
 /// `trace` / `timeline`: run one trial of one scenario with the event
@@ -433,33 +369,19 @@ fn execute(
 /// disp-serve's `GET /trace` and `GET /timeline`, so the two are
 /// byte-identical for the same scenario + seed. A run that hits its limit
 /// writes the partial log or timeline, then fails.
-fn cmd_observe(args: &[String], registry: &Registry, timeline: bool) -> Result<(), String> {
-    let (command, bound) = if timeline {
-        ("timeline", "--budget")
-    } else {
-        ("trace", "--cap")
-    };
-    let flags = parse_flags(args)?;
-    let takes = ["--scenario", "--seed", bound, "--out"];
-    if let Some(flag) = flags.given.iter().find(|f| !takes.contains(&f.as_str())) {
-        return Err(format!(
-            "{command} does not take {flag} (it takes --scenario LABEL, --seed S, {bound} N \
-             and --out FILE)"
-        ));
-    }
-    let label = match flags.scenarios.as_slice() {
-        [label] => label,
-        [] => return Err(format!("{command} requires --scenario LABEL")),
-        _ => {
-            return Err(format!(
-                "{command} runs exactly one scenario (one --scenario flag)"
-            ))
-        }
-    };
-    let spec = ScenarioSpec::parse(label, registry).map_err(|e| e.to_string())?;
-    let (label, seed, mut pool) = (spec.label(), flags.seed, WorldPool::new());
-    let (result, jsonl, summary) = if timeline {
-        let budget = flags.budget.unwrap_or(DEFAULT_TIMELINE_BUDGET);
+fn cmd_observe(args: &Args, registry: &Registry) -> Result<(), String> {
+    let command = args.command.name;
+    let label: String = args
+        .get("--scenario")
+        .ok_or_else(|| format!("{command} requires --scenario LABEL"))?;
+    let spec = ScenarioSpec::parse(&label, registry).map_err(|e| e.to_string())?;
+    let (label, seed, mut pool) = (
+        spec.label(),
+        args.get("--seed").unwrap_or(1),
+        WorldPool::new(),
+    );
+    let (result, jsonl, summary) = if command == "timeline" {
+        let budget = args.get("--budget").unwrap_or(DEFAULT_TIMELINE_BUDGET);
         let mut recorder = TimelineRecorder::with_budget(budget);
         let result = spec.run_observed(registry, seed, &mut pool, &mut recorder);
         let timeline = recorder.finish();
@@ -470,7 +392,7 @@ fn cmd_observe(args: &[String], registry: &Registry, timeline: bool) -> Result<(
         );
         (result, timeline_to_jsonl(&timeline, &label, seed), summary)
     } else {
-        let mut trace = Trace::with_cap(flags.cap.unwrap_or(DEFAULT_TRACE_CAP));
+        let mut trace = Trace::with_cap(args.get("--cap").unwrap_or(DEFAULT_TRACE_CAP));
         let result = spec.run_observed(registry, seed, &mut pool, &mut trace);
         let summary = format!(
             "traced {label} (seed {seed}): {} event(s){}",
@@ -479,9 +401,9 @@ fn cmd_observe(args: &[String], registry: &Registry, timeline: bool) -> Result<(
         );
         (result, trace_to_jsonl(&trace), summary)
     };
-    match &flags.out {
+    match args.get::<PathBuf>("--out") {
         Some(path) => {
-            std::fs::write(path, &jsonl).map_err(|e| format!("write {}: {e}", path.display()))?;
+            std::fs::write(&path, &jsonl).map_err(|e| format!("write {}: {e}", path.display()))?;
             eprintln!("{summary} → {}", path.display());
         }
         None => emit(&jsonl)?,
@@ -552,14 +474,19 @@ fn render_timelines(store: &CampaignStore) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_report(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    let dir = flags
-        .out
-        .as_ref()
+fn cmd_report(args: &Args) -> Result<(), String> {
+    let view = view(args)?;
+    let dir: PathBuf = args
+        .get("--out")
         .ok_or("report requires --out DIR (a campaign directory)")?;
-    let (store, manifest) = CampaignStore::open(dir)?;
-    if flags.timeline {
+    let timeline = args.has("--timeline");
+    if timeline && (args.has("--csv") || args.has("--format")) {
+        return Err(
+            "report --timeline draws settling curves and reads neither --csv nor --format".into(),
+        );
+    }
+    let (store, manifest) = CampaignStore::open(&dir)?;
+    if timeline {
         return render_timelines(&store);
     }
     let spec = manifest.rebuild_spec()?;
@@ -577,34 +504,38 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             manifest.total_trials
         );
     }
-    render(&flags, &spec, ingest.records)
+    render(&view, &spec, ingest.records)
 }
 
 fn render(
-    flags: &Flags,
+    view: &View,
     spec: &CampaignSpec,
     records: Vec<disp_analysis::TrialRecord>,
 ) -> Result<(), String> {
     let sections = section_measurements(spec, records);
-    if let Some(csv_dir) = &flags.csv {
-        std::fs::create_dir_all(csv_dir)
-            .map_err(|e| format!("create {}: {e}", csv_dir.display()))?;
-        for (section, ms) in &sections {
-            let path = csv_dir.join(format!("{}.csv", section.name));
-            std::fs::write(&path, render_section_csv(ms))
-                .map_err(|e| format!("write {}: {e}", path.display()))?;
-            emit(&format!("wrote {} ({} rows)\n", path.display(), ms.len()))?;
+    match view {
+        View::Csv(csv_dir) => {
+            std::fs::create_dir_all(csv_dir)
+                .map_err(|e| format!("create {}: {e}", csv_dir.display()))?;
+            for (section, ms) in &sections {
+                let path = csv_dir.join(format!("{}.csv", section.name));
+                std::fs::write(&path, render_section_csv(ms))
+                    .map_err(|e| format!("write {}: {e}", path.display()))?;
+                emit(&format!("wrote {} ({} rows)\n", path.display(), ms.len()))?;
+            }
+            Ok(())
         }
-        return Ok(());
+        View::Json => {
+            let doc = campaign_report_json(spec, &sections).to_string_compact();
+            emit(&format!("{doc}\n"))
+        }
+        View::Markdown => {
+            let (name, mode) = (&spec.name, spec.mode.label());
+            emit(&format!("# Campaign {name} ({mode} mode)\n\n"))?;
+            for (section, ms) in &sections {
+                emit(&format!("{}\n", render_section_markdown(section, ms)))?;
+            }
+            Ok(())
+        }
     }
-    if flags.format == Format::Json {
-        let doc = campaign_report_json(spec, &sections).to_string_compact();
-        return emit(&format!("{doc}\n"));
-    }
-    let (name, mode) = (&spec.name, spec.mode.label());
-    emit(&format!("# Campaign {name} ({mode} mode)\n\n"))?;
-    for (section, ms) in &sections {
-        emit(&format!("{}\n", render_section_markdown(section, ms)))?;
-    }
-    Ok(())
 }

@@ -35,6 +35,8 @@
 //! * [`telemetry`] — live per-trial events (bounded channel → pluggable
 //!   sink; timing is non-content and lands in a sidecar, never in results).
 //! * [`report`] — per-section tables, scaling fits, CSV series.
+//! * [`cli`] — the command line of every workspace binary: per-command
+//!   flag tables, one parser and the one stdout writer.
 //!
 //! ## Example
 //!
@@ -57,6 +59,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod engine;
 pub mod grid;
 pub mod report;

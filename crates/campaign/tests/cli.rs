@@ -216,3 +216,96 @@ fn timeline_headers_carry_exact_seeds_through_the_sidecar_and_the_report() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+mod cli_table;
+
+use cli_table::{assert_refused, check_table, Row};
+
+const CAMPAIGN: &str = env!("CARGO_BIN_EXE_disp-campaign");
+const LABEL: &str = "star/k8/rooted/sync/probe-dfs";
+
+#[test]
+fn every_subcommand_reads_exactly_the_flags_of_its_table() {
+    let flags = [
+        ("--campaign", Some("mini")),
+        ("--scenario", Some(LABEL)),
+        ("--reps", Some("2")),
+        ("--quick", None),
+        ("--full", None),
+        ("--threads", Some("2")),
+        ("--batch", Some("2")),
+        ("--seed", Some("3")),
+        ("--section", Some("mini-sync")),
+        ("--out", Some("/nonexistent/campaign")),
+        ("--force", None),
+        ("--csv", Some("/nonexistent/csv")),
+        ("--format", Some("json")),
+        ("--events", None),
+        ("--timeline", None),
+        ("--cap", Some("3")),
+        ("--budget", Some("3")),
+    ];
+    let positive = ["--reps", "--threads", "--batch", "--cap", "--budget"];
+    let rows: [Row; 6] = [
+        (
+            &["run"],
+            "run",
+            "--campaign --scenario* --reps --quick --full --threads --batch --seed --section* \
+             --out --force --csv --format --events --timeline",
+        ),
+        (
+            &["resume"],
+            "resume",
+            "--out --threads --batch --csv --format --events --timeline",
+        ),
+        (&["report"], "report", "--out --csv --format --timeline"),
+        (&["trace"], "trace", "--scenario --seed --cap --out"),
+        (
+            &["timeline"],
+            "timeline",
+            "--scenario --seed --budget --out",
+        ),
+        (&["scenarios"], "scenarios", ""),
+    ];
+    check_table(CAMPAIGN, &flags, &positive, &rows);
+}
+
+#[test]
+fn run_and_report_refuse_the_flags_their_mode_would_ignore() {
+    for (args, message) in [
+        (&["run", "--scenario", LABEL, "--quick"][..], "--quick"),
+        (&["run", "--scenario", LABEL, "--full"], "--full"),
+        (
+            &["run", "--campaign", "mini", "--quick", "--full"],
+            "--quick and --full",
+        ),
+        (
+            &["run", "--campaign", "mini", "--force"],
+            "--force requires --out",
+        ),
+        (
+            &[
+                "report",
+                "--out",
+                "/nonexistent/c",
+                "--timeline",
+                "--csv",
+                "d",
+            ],
+            "--csv",
+        ),
+        (
+            &[
+                "report",
+                "--out",
+                "/nonexistent/c",
+                "--timeline",
+                "--format",
+                "json",
+            ],
+            "--format",
+        ),
+    ] {
+        assert_refused(CAMPAIGN, args, message);
+    }
+}

@@ -211,6 +211,8 @@ pub struct TrialCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    /// Unparseable log lines skipped on open.
+    skipped: u64,
 }
 
 impl TrialCache {
@@ -229,6 +231,7 @@ impl TrialCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            skipped: 0,
         }
     }
 
@@ -261,6 +264,7 @@ impl TrialCache {
         let mut lines = 0u64;
         let mut dead = 0u64;
         let mut evictions = 0u64;
+        let mut skipped = 0u64;
         if path.exists() {
             let file = File::open(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
             for line in BufReader::new(file).lines() {
@@ -270,8 +274,9 @@ impl TrialCache {
                     continue;
                 }
                 // Malformed lines (torn tails) are skipped, like the
-                // campaign store's ingest.
+                // campaign store's ingest, and counted.
                 let Ok(rec) = TrialRecord::from_json_line(trimmed) else {
+                    skipped += 1;
                     continue;
                 };
                 lines += 1;
@@ -307,6 +312,7 @@ impl TrialCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(evictions),
+            skipped,
         })
     }
 
@@ -454,6 +460,12 @@ impl TrialCache {
     /// evictions when the log exceeds the budget).
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
+    }
+
+    /// Unparseable `cache.jsonl` lines skipped when the cache was opened:
+    /// a torn tail, or a line corrupted in the middle of the log.
+    pub fn skipped_lines(&self) -> u64 {
+        self.skipped
     }
 
     /// Parseable lines currently in the on-disk log (0 for in-memory).
@@ -669,6 +681,28 @@ mod tests {
         cache.insert(&third);
         let reloaded = TrialCache::open(&dir).unwrap();
         assert_eq!(reloaded.len(), 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn corrupt_lines_are_skipped_and_counted_on_open() {
+        let dir = tmp_dir("skipped");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let (a, b) = (run_one(8, 2, 7, 0), run_one(12, 2, 7, 1));
+        let log = format!(
+            "{}\n{{\"scenario\":{{\"family\":\n{}\n",
+            a.to_json_line(),
+            b.to_json_line()
+        );
+        std::fs::write(dir.join("cache.jsonl"), log).unwrap();
+        let cache = TrialCache::open(&dir).unwrap();
+        for rec in [&a, &b] {
+            let hit = cache.lookup(&rec.point.point_id(), rec.rep, rec.seed, 2);
+            assert_eq!(hit.map(|r| r.to_json_line()), Some(rec.to_json_line()));
+        }
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.skipped_lines(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -4,9 +4,13 @@
 //! disp-load bench  --addr HOST:PORT [--connections N] [--requests N]
 //!                  [--scenario LABEL]... [--grid default|micro] [--min-rps N]
 //!                  [--reps N] [--seed S] [--format text|json]
-//! disp-load once   --addr HOST:PORT --scenario LABEL... [--reps N] [--seed S]
-//! disp-load events --addr HOST:PORT [--scenario LABEL]... [--reps N] [--seed S]
-//! disp-load watch  --addr HOST:PORT [--scenario LABEL]... [--run ID]
+//!                  [--target serve|coordinator]
+//! disp-load once   --addr HOST:PORT [--scenario LABEL]... [--grid default|micro]
+//!                  [--reps N] [--seed S]
+//! disp-load events --addr HOST:PORT [--scenario LABEL]... [--grid default|micro]
+//!                  [--reps N] [--seed S]
+//! disp-load watch  --addr HOST:PORT [--scenario LABEL]... [--grid default|micro]
+//!                  [--reps N] [--seed S] | --run ID
 //! disp-load get    --addr HOST:PORT --path PATH
 //! ```
 //!
@@ -18,7 +22,8 @@
 //!   swaps the builtin grid for a wide grid of many small trials (the
 //!   server-side analogue of the bench gate's micro workload, pushing the
 //!   executor's per-worker world pools), and `--min-rps` turns the
-//!   measured warm-cache throughput into a pass/fail floor.
+//!   measured warm-cache throughput into a pass/fail floor. `--target
+//!   coordinator` adds the per-worker spread of the warm-up grid.
 //! * `once` submits one grid, waits for completion and streams the JSONL
 //!   results to stdout (the CI smoke diffs this against an offline
 //!   `disp-campaign run` of the same grid).
@@ -36,6 +41,7 @@
 //! * `get` fetches one path and prints the body (so CI needs no curl).
 
 use disp_analysis::json::Json;
+use disp_campaign::cli::{emit, Args, Cli, Command, Flag, Kind::*};
 use disp_serve::Client;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -50,13 +56,16 @@ USAGE:
                    [--scenario LABEL]... [--grid default|micro] [--min-rps N]
                    [--reps N] [--seed S] [--format text|json]
                    [--target serve|coordinator]
-  disp-load once   --addr HOST:PORT --scenario LABEL... [--reps N] [--seed S]
-  disp-load events --addr HOST:PORT [--scenario LABEL]... [--reps N] [--seed S]
-  disp-load watch  --addr HOST:PORT [--scenario LABEL]... [--reps N] [--seed S]
-                   [--run ID]
+  disp-load once   --addr HOST:PORT [--scenario LABEL]... [--grid default|micro]
+                   [--reps N] [--seed S]
+  disp-load events --addr HOST:PORT [--scenario LABEL]... [--grid default|micro]
+                   [--reps N] [--seed S]
+  disp-load watch  --addr HOST:PORT [--scenario LABEL]... [--grid default|micro]
+                   [--reps N] [--seed S] | --run ID
   disp-load get    --addr HOST:PORT --path PATH
 
-bench defaults: 4 connections, 1000 requests, a small builtin grid.
+Without --scenario the grid is a small builtin one; --reps defaults to 2
+and --seed to 7. bench defaults: 4 connections, 1000 requests.
 The mixed workload is, per 8 requests: 1 submit, 3 status polls,
 3 results fetches, 1 metrics scrape. --grid micro replaces the builtin
 grid with many small trials across families and schedules; --min-rps N
@@ -69,200 +78,134 @@ events submits a grid, subscribes to the run's live event stream and
 verifies it: one completed/cached event per grid trial, a clean close,
 and no overflow frame (a subscriber that fell behind exits non-zero).
 
-watch submits a grid (or attaches to a running job with --run ID) and
-polls GET /runs/:id/timeline, re-rendering a sparkline of completed
-trials until the job settles.
+watch submits a grid (or attaches to a running job with --run ID, which
+submits nothing) and polls GET /runs/:id/timeline, re-rendering a
+sparkline of completed trials until the job settles.
 ";
 
-struct Flags {
-    addr: String,
-    connections: usize,
-    requests: usize,
-    scenarios: Vec<String>,
-    reps: usize,
-    seed: u64,
-    path: String,
-    json: bool,
-    coordinator: bool,
-    micro: bool,
-    min_rps: f64,
-    run: String,
-}
+const ADDR: Flag = Flag::new("--addr", Text);
+const SCENARIO: Flag = Flag::new("--scenario", Text).repeated();
+const GRID: Flag = Flag::new("--grid", OneOf(&["default", "micro"]));
+const REPS: Flag = Flag::new("--reps", Positive);
+const SEED: Flag = Flag::new("--seed", Unsigned);
+
+/// The flags each subcommand reads.
+const CLI: Cli = Cli {
+    name: "disp-load",
+    usage: USAGE,
+    commands: &[
+        Command::new(
+            "bench",
+            &[
+                ADDR,
+                Flag::new("--connections", Positive),
+                Flag::new("--requests", Positive),
+                SCENARIO,
+                GRID,
+                Flag::new("--min-rps", Number),
+                REPS,
+                SEED,
+                Flag::new("--format", OneOf(&["text", "json"])),
+                Flag::new("--target", OneOf(&["serve", "coordinator"])),
+            ],
+        ),
+        Command::new("once", &[ADDR, SCENARIO, GRID, REPS, SEED]),
+        Command::new("events", &[ADDR, SCENARIO, GRID, REPS, SEED]),
+        Command::new(
+            "watch",
+            &[ADDR, SCENARIO, GRID, REPS, SEED, Flag::new("--run", Text)],
+        ),
+        Command::new("get", &[ADDR, Flag::new("--path", Text)]),
+    ],
+};
+
+/// The grid without `--scenario`: SYNC + ASYNC, two algorithms.
+const DEFAULT_GRID: [&str; 2] = [
+    "star/k12/rooted/sync/probe-dfs",
+    "rtree/k12/rooted/async-rand0.7/ks-dfs",
+];
 
 /// The `--grid micro` grid: many small trials across graph families,
 /// schedules and both algorithms — the serve-path analogue of the bench
 /// gate's micro workload. Every trial is tiny, so the executor's cost is
 /// dominated by per-trial setup, which is exactly what the per-worker
 /// world pools are for.
-fn micro_grid() -> Vec<String> {
-    [
-        "line/k256/rooted/sync/probe-dfs",
-        "line/k192/rooted/sync/probe-dfs",
-        "line/k128/rooted/sync/ks-dfs",
-        "ring/k256/rooted/sync/probe-dfs",
-        "ring/k128/rooted/sync/ks-dfs",
-        "star/k64/rooted/sync/probe-dfs",
-        "star/k64/rooted/sync/ks-dfs",
-        "rtree/k128/rooted/sync/probe-dfs",
-        "rtree/k64/rooted/async-rand0.7/ks-dfs",
-        "line/k128/rooted/async-lag4/probe-dfs",
-        "star/k32/rooted/async-rand0.7/probe-dfs",
-        "ring/k64/rooted/async-lag4/ks-dfs",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect()
-}
-
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
-    let mut flags = Flags {
-        addr: String::new(),
-        connections: 4,
-        requests: 1000,
-        scenarios: Vec::new(),
-        reps: 2,
-        seed: 7,
-        path: "/healthz".into(),
-        json: false,
-        coordinator: false,
-        micro: false,
-        min_rps: 0.0,
-        run: String::new(),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--addr" => flags.addr = value("--addr")?,
-            "--connections" => {
-                flags.connections = value("--connections")?
-                    .parse()
-                    .map_err(|_| "--connections expects a positive integer".to_string())?
-            }
-            "--requests" => {
-                flags.requests = value("--requests")?
-                    .parse()
-                    .map_err(|_| "--requests expects a positive integer".to_string())?
-            }
-            "--scenario" => flags.scenarios.push(value("--scenario")?),
-            "--reps" => {
-                flags.reps = value("--reps")?
-                    .parse()
-                    .map_err(|_| "--reps expects a positive integer".to_string())?
-            }
-            "--seed" => {
-                flags.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an unsigned integer".to_string())?
-            }
-            "--path" => flags.path = value("--path")?,
-            "--run" => flags.run = value("--run")?,
-            "--grid" => {
-                flags.micro = match value("--grid")?.as_str() {
-                    "micro" => true,
-                    "default" => false,
-                    other => return Err(format!("--grid expects default|micro, got '{other}'")),
-                }
-            }
-            "--min-rps" => {
-                flags.min_rps = value("--min-rps")?
-                    .parse()
-                    .map_err(|_| "--min-rps expects a number".to_string())?
-            }
-            "--target" => {
-                flags.coordinator = match value("--target")?.as_str() {
-                    "coordinator" => true,
-                    "serve" => false,
-                    other => {
-                        return Err(format!("--target expects serve|coordinator, got '{other}'"))
-                    }
-                }
-            }
-            "--format" => {
-                flags.json = match value("--format")?.as_str() {
-                    "json" => true,
-                    "text" => false,
-                    other => return Err(format!("--format expects text|json, got '{other}'")),
-                }
-            }
-            other => return Err(format!("unknown flag '{other}'\n\n{USAGE}")),
-        }
-    }
-    if flags.addr.is_empty() {
-        return Err("--addr HOST:PORT is required".into());
-    }
-    if flags.scenarios.is_empty() {
-        flags.scenarios = if flags.micro {
-            micro_grid()
-        } else {
-            // A small mixed grid: SYNC + ASYNC, two algorithms.
-            vec![
-                "star/k12/rooted/sync/probe-dfs".into(),
-                "rtree/k12/rooted/async-rand0.7/ks-dfs".into(),
-            ]
-        };
-    } else if flags.micro {
-        return Err("--grid micro and explicit --scenario are mutually exclusive".into());
-    }
-    Ok(flags)
-}
+const MICRO_GRID: [&str; 12] = [
+    "line/k256/rooted/sync/probe-dfs",
+    "line/k192/rooted/sync/probe-dfs",
+    "line/k128/rooted/sync/ks-dfs",
+    "ring/k256/rooted/sync/probe-dfs",
+    "ring/k128/rooted/sync/ks-dfs",
+    "star/k64/rooted/sync/probe-dfs",
+    "star/k64/rooted/sync/ks-dfs",
+    "rtree/k128/rooted/sync/probe-dfs",
+    "rtree/k64/rooted/async-rand0.7/ks-dfs",
+    "line/k128/rooted/async-lag4/probe-dfs",
+    "star/k32/rooted/async-rand0.7/probe-dfs",
+    "ring/k64/rooted/async-lag4/ks-dfs",
+];
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("once") => cmd_once(&args[1..]),
-        Some("events") => cmd_events(&args[1..]),
-        Some("watch") => cmd_watch(&args[1..]),
-        Some("get") => cmd_get(&args[1..]),
-        Some("--help" | "-h" | "help") | None => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown subcommand '{other}'\n\n{USAGE}")),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("disp-load: {message}");
-            ExitCode::FAILURE
-        }
+    let words: Vec<String> = std::env::args().skip(1).collect();
+    let args = CLI.parse_subcommand(&words);
+    CLI.finish(run(&args))
+}
+
+fn run(args: &Args) -> Result<(), String> {
+    let addr: String = args.get("--addr").ok_or("--addr HOST:PORT is required")?;
+    let mut client = Client::new(&addr);
+    match args.command.name {
+        "bench" => cmd_bench(args, &addr, &submission_body(args)?),
+        "once" => cmd_once(&mut client, &submission_body(args)?),
+        "events" => cmd_events(&mut client, &submission_body(args)?),
+        "watch" => cmd_watch(args, &mut client),
+        _ => cmd_get(args, &mut client),
     }
 }
 
-fn submission_body(flags: &Flags) -> Json {
-    Json::Obj(vec![
+/// The `POST /runs` body of the grid the flags name.
+fn submission_body(args: &Args) -> Result<Json, String> {
+    let mut scenarios = args.all("--scenario");
+    let micro = args
+        .get::<String>("--grid")
+        .is_some_and(|grid| grid == "micro");
+    if scenarios.is_empty() {
+        let grid: &[&str] = if micro { &MICRO_GRID } else { &DEFAULT_GRID };
+        scenarios = grid.iter().map(|label| label.to_string()).collect();
+    } else if micro {
+        return Err("--grid micro and explicit --scenario are mutually exclusive".into());
+    }
+    Ok(Json::Obj(vec![
         (
             "scenarios".into(),
-            Json::Arr(
-                flags
-                    .scenarios
-                    .iter()
-                    .map(|l| Json::Str(l.clone()))
-                    .collect(),
-            ),
+            Json::Arr(scenarios.into_iter().map(Json::Str).collect()),
         ),
-        ("reps".into(), Json::Num(flags.reps as f64)),
-        ("seed".into(), Json::from_u64_lossless(flags.seed)),
-    ])
+        (
+            "reps".into(),
+            Json::Num(args.get("--reps").unwrap_or(2usize) as f64),
+        ),
+        (
+            "seed".into(),
+            Json::from_u64_lossless(args.get("--seed").unwrap_or(7)),
+        ),
+    ]))
 }
 
-/// Submit one grid and wait until it is done; returns the job id.
-fn submit_and_wait(client: &mut Client, flags: &Flags) -> Result<String, String> {
-    let resp = client.post_json("/runs", &submission_body(flags))?;
+/// Submit one grid: the new run's id and the whole reply.
+fn submit(client: &mut Client, body: &Json) -> Result<(String, Json), String> {
+    let resp = client.post_json("/runs", body)?;
     if resp.status != 201 {
         return Err(format!("submit failed ({}): {}", resp.status, resp.text()));
     }
-    let id = resp
-        .json()?
-        .get("id")
-        .and_then(Json::as_str)
-        .ok_or("submit response carries no id")?
-        .to_string();
+    let reply = resp.json()?;
+    let id = reply.get("id").and_then(Json::as_str);
+    let id = id.ok_or("submit response carries no id")?.to_string();
+    Ok((id, reply))
+}
+
+/// Submit one grid and wait until it is done; returns the job id.
+fn submit_and_wait(client: &mut Client, body: &Json) -> Result<String, String> {
+    let (id, _) = submit(client, body)?;
     let deadline = Instant::now() + Duration::from_secs(300);
     loop {
         let status = client.get(&format!("/runs/{id}"))?;
@@ -285,16 +228,13 @@ fn submit_and_wait(client: &mut Client, flags: &Flags) -> Result<String, String>
     }
 }
 
-fn cmd_once(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    let mut client = Client::new(&flags.addr);
-    let id = submit_and_wait(&mut client, &flags)?;
+fn cmd_once(client: &mut Client, body: &Json) -> Result<(), String> {
+    let id = submit_and_wait(client, body)?;
     let results = client.get(&format!("/runs/{id}/results"))?;
     if results.status != 200 {
         return Err(format!("results failed ({})", results.status));
     }
-    print!("{}", results.text());
-    Ok(())
+    emit(&results.text())
 }
 
 /// Submit a grid and verify its live event stream end to end: subscribe to
@@ -303,19 +243,8 @@ fn cmd_once(args: &[String]) -> Result<(), String> {
 /// one completed/cached event. A truncated chunked body (unclean close)
 /// surfaces as a transport error from the client, so reaching the checks
 /// at all proves the stream ended cleanly.
-fn cmd_events(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    let mut client = Client::new(&flags.addr);
-    let resp = client.post_json("/runs", &submission_body(&flags))?;
-    if resp.status != 201 {
-        return Err(format!("submit failed ({}): {}", resp.status, resp.text()));
-    }
-    let submitted = resp.json()?;
-    let id = submitted
-        .get("id")
-        .and_then(Json::as_str)
-        .ok_or("submit response carries no id")?
-        .to_string();
+fn cmd_events(client: &mut Client, body: &Json) -> Result<(), String> {
+    let (id, submitted) = submit(client, body)?;
     let total = submitted
         .get("total")
         .and_then(Json::as_u64)
@@ -368,31 +297,26 @@ fn cmd_events(args: &[String]) -> Result<(), String> {
             "expected {total} trial events, saw {completed} completed + {cached} cached",
         ));
     }
-    println!(
-        "events ok: {total} trials → {completed} completed, {cached} cached, \
-         clean close"
-    );
-    Ok(())
+    emit(&format!(
+        "events ok: {total} trials → {completed} completed, {cached} cached, clean close\n"
+    ))
 }
 
 /// The live dashboard: poll `GET /runs/:id/timeline` and re-render an
 /// ASCII sparkline of completed trials until the job settles. Without
 /// `--run ID` it submits the flag grid first and watches that.
-fn cmd_watch(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    let mut client = Client::new(&flags.addr);
-    let id = if flags.run.is_empty() {
-        let resp = client.post_json("/runs", &submission_body(&flags))?;
-        if resp.status != 201 {
-            return Err(format!("submit failed ({}): {}", resp.status, resp.text()));
+fn cmd_watch(args: &Args, client: &mut Client) -> Result<(), String> {
+    let id = match args.get::<String>("--run") {
+        Some(id) => {
+            let grid = ["--scenario", "--grid", "--reps", "--seed"];
+            if let Some(flag) = grid.into_iter().find(|flag| args.has(flag)) {
+                return Err(format!(
+                    "watch --run attaches to a run and submits nothing, so it does not take {flag}"
+                ));
+            }
+            id
         }
-        resp.json()?
-            .get("id")
-            .and_then(Json::as_str)
-            .ok_or("submit response carries no id")?
-            .to_string()
-    } else {
-        flags.run.clone()
+        None => submit(client, &submission_body(args)?)?.0,
     };
     let deadline = Instant::now() + Duration::from_secs(300);
     let mut last = String::new();
@@ -428,7 +352,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
         let bar = disp_analysis::sparkline_scaled(&series, total as f64, 60);
         let line = format!("[{bar}] {done}/{total} {state}");
         if line != last {
-            println!("{line}");
+            emit(&format!("{line}\n"))?;
             last = line;
         }
         match state.as_str() {
@@ -444,13 +368,12 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_get(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
-    let mut client = Client::new(&flags.addr);
-    let resp = client.get(&flags.path)?;
-    print!("{}", resp.text());
+fn cmd_get(args: &Args, client: &mut Client) -> Result<(), String> {
+    let path: String = args.get("--path").unwrap_or_else(|| "/healthz".into());
+    let resp = client.get(&path)?;
+    emit(&resp.text())?;
     if resp.status >= 400 {
-        return Err(format!("GET {} → {}", flags.path, resp.status));
+        return Err(format!("GET {path} → {}", resp.status));
     }
     Ok(())
 }
@@ -491,35 +414,41 @@ fn healthz_summary(client: &mut Client) -> Result<String, String> {
     ))
 }
 
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+fn cmd_bench(args: &Args, addr: &str, body: &Json) -> Result<(), String> {
+    let json = args.get::<String>("--format").is_some_and(|f| f == "json");
+    let coordinator = args
+        .get::<String>("--target")
+        .is_some_and(|t| t == "coordinator");
+    let connections: usize = args.get("--connections").unwrap_or(4);
+    let requests: usize = args.get("--requests").unwrap_or(1000);
+    let min_rps: f64 = args.get("--min-rps").unwrap_or(0.0);
 
     // Warm-up: one full submission so the cache is hot and there is a
     // completed job id to poll/fetch during the measured phase.
-    let mut warm = Client::new(&flags.addr);
+    let mut warm = Client::new(addr);
     let health = healthz_summary(&mut warm)?;
-    if !flags.json {
-        println!("disp-load: server {health}");
+    if !json {
+        emit(&format!("disp-load: server {health}\n"))?;
     }
     let warm_start = Instant::now();
-    let warm_id = submit_and_wait(&mut warm, &flags)?;
+    let warm_id = submit_and_wait(&mut warm, body)?;
     let warm_wall = warm_start.elapsed();
     drop(warm);
 
     let issued = AtomicUsize::new(0);
     let errors = AtomicU64::new(0);
     let kind_counts: [AtomicU64; 4] = Default::default(); // submit, status, results, metrics
-    let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::with_capacity(flags.requests));
+    let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::with_capacity(requests));
 
     let bench_start = Instant::now();
     std::thread::scope(|scope| {
-        for _ in 0..flags.connections.max(1) {
+        for _ in 0..connections {
             scope.spawn(|| {
-                let mut client = Client::new(&flags.addr);
+                let mut client = Client::new(addr);
                 let mut local: Vec<u64> = Vec::new();
                 loop {
                     let i = issued.fetch_add(1, Ordering::Relaxed);
-                    if i >= flags.requests {
+                    if i >= requests {
                         break;
                     }
                     // Mixed workload, 8-request cycle: 1 submit (a pure
@@ -533,7 +462,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                     };
                     let start = Instant::now();
                     let result = match kind {
-                        0 => client.post_json("/runs", &submission_body(&flags)),
+                        0 => client.post_json("/runs", body),
                         1 => client.get(&format!("/runs/{warm_id}")),
                         2 => client.get(&format!("/runs/{warm_id}/results")),
                         _ => client.get("/metrics"),
@@ -572,8 +501,8 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     let throughput = total as f64 / wall.as_secs_f64();
     // --target coordinator: scrape the per-worker trial gauges so the
     // report shows how the cluster spread the warm-up grid.
-    let workers: Vec<(String, u64)> = if flags.coordinator {
-        let mut client = Client::new(&flags.addr);
+    let workers: Vec<(String, u64)> = if coordinator {
+        let mut client = Client::new(addr);
         let resp = client.get("/metrics")?;
         if resp.status != 200 {
             return Err(format!("/metrics → {}", resp.status));
@@ -582,11 +511,11 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     } else {
         Vec::new()
     };
-    if flags.json {
-        let doc = Json::Obj(vec![
+    if json {
+        let mut fields = vec![
             ("server".into(), Json::Str(health.clone())),
             ("requests".into(), Json::Num(total as f64)),
-            ("connections".into(), Json::Num(flags.connections as f64)),
+            ("connections".into(), Json::Num(connections as f64)),
             ("errors".into(), Json::Num(errors as f64)),
             ("elapsed_s".into(), Json::Num(wall.as_secs_f64())),
             ("req_per_s".into(), Json::Num(throughput)),
@@ -608,34 +537,20 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                         .collect(),
                 ),
             ),
-        ]);
-        let doc = if flags.coordinator {
-            let Json::Obj(mut fields) = doc else {
-                unreachable!()
-            };
-            fields.push((
-                "workers".into(),
-                Json::Obj(
-                    workers
-                        .iter()
-                        .map(|(name, trials)| (name.clone(), Json::Num(*trials as f64)))
-                        .collect(),
-                ),
-            ));
-            Json::Obj(fields)
-        } else {
-            doc
-        };
-        println!("{}", doc.to_string_compact());
+        ];
+        if coordinator {
+            let trials = workers
+                .iter()
+                .map(|(name, n)| (name.clone(), Json::Num(*n as f64)));
+            fields.push(("workers".into(), Json::Obj(trials.collect())));
+        }
+        emit(&format!("{}\n", Json::Obj(fields).to_string_compact()))?;
     } else {
-        println!(
+        let mut out = format!(
             "disp-load: warm-up run {warm_id} completed in {warm_wall:.2?}; measured {total} \
-             requests over {} connections in {wall:.2?}",
-            flags.connections,
-        );
-        println!(
-            "disp-load: {throughput:.1} req/s  p50 {:.2}ms  p99 {:.2}ms  (submit {}, status {}, \
-             results {}, metrics {}; {errors} errors)",
+             requests over {connections} connections in {wall:.2?}\n\
+             disp-load: {throughput:.1} req/s  p50 {:.2}ms  p99 {:.2}ms  (submit {}, status {}, \
+             results {}, metrics {}; {errors} errors)\n",
             pct(0.50),
             pct(0.99),
             kind_counts[0].load(Ordering::Relaxed),
@@ -643,14 +558,13 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             kind_counts[2].load(Ordering::Relaxed),
             kind_counts[3].load(Ordering::Relaxed),
         );
-        if flags.coordinator {
-            if workers.is_empty() {
-                println!("disp-load: no worker has completed a trial on this coordinator yet");
-            }
-            for (name, trials) in &workers {
-                println!("disp-load: worker {name}: {trials} trials");
-            }
+        if coordinator && workers.is_empty() {
+            out.push_str("disp-load: no worker has completed a trial on this coordinator yet\n");
         }
+        for (name, trials) in &workers {
+            out.push_str(&format!("disp-load: worker {name}: {trials} trials\n"));
+        }
+        emit(&out)?;
     }
     if errors > 0 {
         return Err(format!(
@@ -661,11 +575,10 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     // The measured phase runs against a warm cache (the warm-up executed
     // the whole grid), so a floor here is a warm-cache throughput
     // non-regression gate, not a hardware benchmark.
-    if flags.min_rps > 0.0 && throughput < flags.min_rps {
+    if min_rps > 0.0 && throughput < min_rps {
         return Err(format!(
             "warm-cache throughput regressed: {throughput:.1} req/s is below the \
-             --min-rps {} floor",
-            flags.min_rps
+             --min-rps {min_rps} floor"
         ));
     }
     Ok(())

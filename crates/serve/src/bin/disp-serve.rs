@@ -21,9 +21,10 @@
 //! restarted server (or worker) serves the same grids from disk without
 //! recomputation.
 
+use disp_campaign::cli::{emit, Args, Cli, Command, Flag, Kind::*};
 use disp_campaign::signal;
 use disp_cluster::WorkerShared;
-use disp_serve::cache::compact_file;
+use disp_serve::cache::{compact_file, CacheBudget};
 use disp_serve::cluster::WorkerProcessConfig;
 use disp_serve::{run_worker, CoordinatorConfig, ServeConfig, Server};
 use std::path::PathBuf;
@@ -51,95 +52,102 @@ DIR/cache.jsonl in place, dropping superseded lines. See README 'serve
 quick-start' and 'running a cluster' for the endpoints.
 ";
 
+const ADDR: Flag = Flag::new("--addr", Text);
+const HTTP_THREADS: Flag = Flag::new("--http-threads", Positive);
+const JOB_THREADS: Flag = Flag::new("--job-threads", Positive);
+const CACHE_DIR: Flag = Flag::new("--cache-dir", Text);
+const MAX_ENTRIES: Flag = Flag::new("--cache-max-entries", Positive);
+const MAX_BYTES: Flag = Flag::new("--cache-max-bytes", Positive);
+const ROLE: Flag = Flag::new("--role", OneOf(&["serve", "coordinator", "worker"]));
+
+const SERVE: Command = Command::new(
+    "--role serve",
+    &[
+        ADDR,
+        HTTP_THREADS,
+        JOB_THREADS,
+        CACHE_DIR,
+        MAX_ENTRIES,
+        MAX_BYTES,
+        ROLE,
+    ],
+);
+const COORDINATOR: Command = Command::new(
+    "--role coordinator",
+    &[
+        ADDR,
+        HTTP_THREADS,
+        JOB_THREADS,
+        CACHE_DIR,
+        MAX_ENTRIES,
+        MAX_BYTES,
+        ROLE,
+        Flag::new("--batch-size", Positive),
+        Flag::new("--lease-ttl-secs", Positive),
+    ],
+);
+const WORKER: Command = Command::new(
+    "--role worker",
+    &[
+        ROLE,
+        Flag::new("--coordinator", Text),
+        Flag::new("--worker-id", Text),
+        JOB_THREADS,
+        CACHE_DIR,
+    ],
+);
+const COMPACT: Command = Command::new("compact", &[CACHE_DIR]);
+
+/// The flags each role, and `compact`, reads.
+const CLI: Cli = Cli {
+    name: "disp-serve",
+    usage: USAGE,
+    commands: &[SERVE, COORDINATOR, WORKER, COMPACT],
+};
+
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("disp-serve: {message}");
-            ExitCode::FAILURE
-        }
+    let words: Vec<String> = std::env::args().skip(1).collect();
+    if words.first().map(String::as_str) == Some("compact") {
+        return CLI.finish(cmd_compact(&CLI.parse(&COMPACT, &words[1..])));
     }
+    // The role picks the table the other flags are read against.
+    let role = words.windows(2).find(|w| w[0] == "--role");
+    let command = match role.map(|w| w[1].as_str()) {
+        Some("coordinator") => &COORDINATOR,
+        Some("worker") => &WORKER,
+        _ => &SERVE,
+    };
+    CLI.finish(run(&CLI.parse(command, &words)))
 }
 
-fn run() -> Result<(), String> {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("compact") {
-        args.remove(0);
-        return cmd_compact(&args);
+fn run(args: &Args) -> Result<(), String> {
+    let (defaults, cluster) = (ServeConfig::default(), CoordinatorConfig::default());
+    let budget = defaults.cache_budget;
+    let config = ServeConfig {
+        http_threads: args.get("--http-threads").unwrap_or(defaults.http_threads),
+        job_threads: args.get("--job-threads").unwrap_or(defaults.job_threads),
+        cache_dir: args.get("--cache-dir"),
+        cache_budget: CacheBudget {
+            max_entries: args
+                .get("--cache-max-entries")
+                .unwrap_or(budget.max_entries),
+            max_bytes: args.get("--cache-max-bytes").unwrap_or(budget.max_bytes),
+            ..budget
+        },
+        coordinator: (args.command.name == COORDINATOR.name).then(|| CoordinatorConfig {
+            batch_size: args.get("--batch-size").unwrap_or(cluster.batch_size),
+            lease_ttl: args
+                .get("--lease-ttl-secs")
+                .map_or(cluster.lease_ttl, Duration::from_secs),
+        }),
+    };
+    if args.command.name == WORKER.name {
+        return run_worker_role(args, &config);
     }
-
-    let mut addr = "127.0.0.1:8080".to_string();
-    let mut config = ServeConfig::default();
-    let mut role = "serve".to_string();
-    let mut coordinator_addr = String::new();
-    let mut worker_id = format!("w-{}", std::process::id());
-    let mut cluster = CoordinatorConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
-        match arg.as_str() {
-            "--addr" => addr = value("--addr")?,
-            "--http-threads" => {
-                config.http_threads = value("--http-threads")?
-                    .parse()
-                    .map_err(|_| "--http-threads expects a positive integer".to_string())?
-            }
-            "--job-threads" => {
-                config.job_threads = value("--job-threads")?
-                    .parse()
-                    .map_err(|_| "--job-threads expects a positive integer".to_string())?
-            }
-            "--cache-dir" => config.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
-            "--cache-max-entries" => {
-                config.cache_budget.max_entries = value("--cache-max-entries")?
-                    .parse()
-                    .map_err(|_| "--cache-max-entries expects a positive integer".to_string())?
-            }
-            "--cache-max-bytes" => {
-                config.cache_budget.max_bytes = value("--cache-max-bytes")?
-                    .parse()
-                    .map_err(|_| "--cache-max-bytes expects a positive integer".to_string())?
-            }
-            "--role" => {
-                role = value("--role")?;
-                if !matches!(role.as_str(), "serve" | "coordinator" | "worker") {
-                    return Err(format!(
-                        "--role expects serve|coordinator|worker, got '{role}'"
-                    ));
-                }
-            }
-            "--coordinator" => coordinator_addr = value("--coordinator")?,
-            "--worker-id" => worker_id = value("--worker-id")?,
-            "--batch-size" => {
-                cluster.batch_size = value("--batch-size")?
-                    .parse()
-                    .map_err(|_| "--batch-size expects a positive integer".to_string())?
-            }
-            "--lease-ttl-secs" => {
-                cluster.lease_ttl = Duration::from_secs(
-                    value("--lease-ttl-secs")?
-                        .parse()
-                        .map_err(|_| "--lease-ttl-secs expects a positive integer".to_string())?,
-                )
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return Ok(());
-            }
-            other => return Err(format!("unknown flag '{other}'\n\n{USAGE}")),
-        }
-    }
-
-    if role == "worker" {
-        return run_worker_role(&coordinator_addr, &worker_id, &config);
-    }
-    if role == "coordinator" {
-        config.coordinator = Some(cluster);
-    }
+    let role = args.command.name.trim_start_matches("--role ");
+    let addr: String = args
+        .get("--addr")
+        .unwrap_or_else(|| "127.0.0.1:8080".into());
 
     let latch = signal::install();
     let server = Server::start(&addr, config.clone())?;
@@ -168,10 +176,13 @@ fn run() -> Result<(), String> {
 
 /// `--role worker`: dial the coordinator and pull batches until SIGTERM
 /// or a coordinator drain, then print the lifetime summary.
-fn run_worker_role(coordinator: &str, id: &str, config: &ServeConfig) -> Result<(), String> {
-    if coordinator.is_empty() {
-        return Err("--role worker requires --coordinator HOST:PORT".into());
-    }
+fn run_worker_role(args: &Args, config: &ServeConfig) -> Result<(), String> {
+    let coordinator: String = args
+        .get("--coordinator")
+        .ok_or("--role worker requires --coordinator HOST:PORT")?;
+    let id: String = args
+        .get("--worker-id")
+        .unwrap_or_else(|| format!("w-{}", std::process::id()));
     let latch = signal::install();
     let shared = WorkerShared::new();
     // Relay the process signal latch into the worker's stop flag so the
@@ -186,7 +197,7 @@ fn run_worker_role(coordinator: &str, id: &str, config: &ServeConfig) -> Result<
         })
     };
     let cfg = WorkerProcessConfig {
-        id: id.to_string(),
+        id: id.clone(),
         threads: config.job_threads,
         cache_dir: config.cache_dir.clone(),
         poll: Duration::from_millis(200),
@@ -199,7 +210,7 @@ fn run_worker_role(coordinator: &str, id: &str, config: &ServeConfig) -> Result<
             None => "in-memory".to_string(),
         },
     );
-    let result = run_worker(coordinator, &cfg, &shared);
+    let result = run_worker(&coordinator, &cfg, &shared);
     shared.request_stop();
     let _ = relay.join();
     let summary = result?;
@@ -212,34 +223,18 @@ fn run_worker_role(coordinator: &str, id: &str, config: &ServeConfig) -> Result<
 }
 
 /// `compact --cache-dir DIR`: offline compaction of `DIR/cache.jsonl`.
-fn cmd_compact(args: &[String]) -> Result<(), String> {
-    let mut dir: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--cache-dir" => {
-                dir = Some(PathBuf::from(
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| "--cache-dir requires a value".to_string())?,
-                ))
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return Ok(());
-            }
-            other => return Err(format!("unknown flag '{other}'\n\n{USAGE}")),
-        }
-    }
-    let dir = dir.ok_or("compact requires --cache-dir DIR")?;
-    let stats = compact_file(&dir.join("cache.jsonl"))?;
-    println!(
-        "disp-serve: compacted {}: {} lines / {} bytes → {} lines / {} bytes",
-        dir.join("cache.jsonl").display(),
+fn cmd_compact(args: &Args) -> Result<(), String> {
+    let dir: PathBuf = args
+        .get("--cache-dir")
+        .ok_or("compact requires --cache-dir DIR")?;
+    let log = dir.join("cache.jsonl");
+    let stats = compact_file(&log)?;
+    emit(&format!(
+        "disp-serve: compacted {}: {} lines / {} bytes → {} lines / {} bytes\n",
+        log.display(),
         stats.lines_in,
         stats.bytes_in,
         stats.lines_kept,
         stats.bytes_out,
-    );
-    Ok(())
+    ))
 }

@@ -159,10 +159,15 @@ enum Body {
 
 impl Body {
     /// The one body-framing rule: `Transfer-Encoding: chunked`, else
-    /// `Content-Length` (absent = empty). Both at once is a
-    /// smuggling-shaped ambiguity and any other coding is unsupported; both
-    /// are refused rather than guessed at.
+    /// `Content-Length` (absent = empty). Both at once, or either twice,
+    /// is a smuggling-shaped ambiguity and any other coding is
+    /// unsupported; all are refused rather than guessed at.
     fn framing(headers: &[(String, String)], start: usize, max: usize) -> Result<Body, String> {
+        for name in ["transfer-encoding", "content-length"] {
+            if headers.iter().filter(|(k, _)| k == name).count() > 1 {
+                return Err(format!("more than one {name} header"));
+            }
+        }
         match (
             header(headers, "transfer-encoding"),
             header(headers, "content-length"),

@@ -181,6 +181,7 @@ impl Metrics {
              disp_cache_entries {}\n\
              disp_cache_bytes {}\n\
              disp_cache_evictions_total {}\n\
+             disp_cache_skipped_lines_total {}\n\
              disp_queue_depth {}\n\
              disp_http_workers_busy {}\n\
              disp_http_workers {}\n",
@@ -199,6 +200,7 @@ impl Metrics {
             cache.len(),
             cache.bytes(),
             cache.evictions(),
+            cache.skipped_lines(),
             gauges.queue_depth,
             gauges.http_workers_busy,
             gauges.http_workers,
@@ -304,6 +306,10 @@ mod tests {
         assert_eq!(parse_metric(&text, "disp_cache_hits_total"), Some(0));
         assert_eq!(parse_metric(&text, "disp_cache_bytes"), Some(0));
         assert_eq!(parse_metric(&text, "disp_cache_evictions_total"), Some(0));
+        assert_eq!(
+            parse_metric(&text, "disp_cache_skipped_lines_total"),
+            Some(0)
+        );
         assert_eq!(parse_metric(&text, "disp_queue_depth"), Some(3));
         assert_eq!(parse_metric(&text, "disp_http_workers_busy"), Some(1));
         assert_eq!(parse_metric(&text, "disp_http_workers"), Some(4));
@@ -375,7 +381,7 @@ mod tests {
         // per-worker lines under a default board) + 3 histograms ×
         // (buckets + +Inf + sum + count).
         let expected =
-            27 + (HTTP_LATENCY_BUCKETS_US.len() + 3) + 2 * (TRIAL_DURATION_BUCKETS_US.len() + 3);
+            28 + (HTTP_LATENCY_BUCKETS_US.len() + 3) + 2 * (TRIAL_DURATION_BUCKETS_US.len() + 3);
         assert_eq!(lines, expected);
     }
 

@@ -6,8 +6,9 @@
 //! `Content-Length` or by the shared chunk writer (plus hand-framed chunk
 //! streams with extensions), and every one is read as two reads cut at
 //! every split point. Broken framing — chunk sizes near `usize::MAX`,
-//! signed, empty or non-hex sizes, missing CRLFs, trailers, ambiguous or
-//! unknown body framing — and random byte soup go through the same path.
+//! signed, empty or non-hex sizes, missing CRLFs, trailers, ambiguous,
+//! repeated or unknown body framing — and random byte soup go through the
+//! same path.
 //! The invariant: nothing panics, malformed input is a typed error, and
 //! valid input decodes to the original bytes for every split.
 
@@ -230,6 +231,14 @@ fn broken_framing_is_a_typed_error_at_every_split() {
         "HTTP/1.1 200 OK\r\ncontent-length: 99999999999999999999999\r\n\r\n",
         "POST / HTTP/1.1\r\ncontent-length: \r\n\r\n",
         "GET / HTTP/1.1\r\nno colon here\r\n\r\n",
+        // A framing header twice, whatever the values: a second length
+        // would turn body bytes into the next request.
+        "GET /healthz HTTP/1.1\r\ncontent-length: 0\r\ncontent-length: 38\r\n\r\n\
+         GET /scenarios HTTP/1.1\r\nhost: cix\r\n\r\n",
+        "HTTP/1.1 200 OK\r\ncontent-length: 5\r\ncontent-length: 5\r\n\r\nhello",
+        "POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\ntransfer-encoding: chunked\r\n\r\n\
+         5\r\nhello\r\n0\r\n\r\n",
+        "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\ntransfer-encoding: gzip\r\n\r\n0\r\n\r\n",
     ] {
         assert_rejected(bad_head.as_bytes(), bad_head);
         cases += 1;
