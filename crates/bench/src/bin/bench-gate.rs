@@ -10,9 +10,10 @@
 //! `record` measures the gated hot paths (see `disp_bench::gate`) and writes
 //! the baseline document; `check` re-measures and exits non-zero when any
 //! workload is more than the baseline's tolerance (25%) slower. `scaling`
-//! runs the batched micro campaign at each thread count, prints the
+//! runs the batched micro campaign once untimed, then times each thread
+//! count as its best of three interleaved rounds, prints the
 //! wall-clock/speedup table, and always asserts that sorted trial records
-//! are byte-identical across thread counts; the speedup gate itself is
+//! are byte-identical across every run; the speedup gate itself is
 //! skipped on a single-core box (determinism still proves out there).
 //! `timeline` measures the `scale/line100k` trial with and without the
 //! flight recorder in the same run and fails when the recorded variant
@@ -105,8 +106,10 @@ fn run(args: &Args) -> Result<(), String> {
             };
             let rows = gate::scaling(&threads)?;
             let mut out = format!(
-                "micro campaign ({} identical sorted-record runs):\n",
-                rows.len()
+                "micro campaign ({} identical sorted-record runs: one warm-up, then the best \
+                 of {} interleaved rounds per count):\n",
+                1 + rows.len() * gate::SCALING_ROUNDS,
+                gate::SCALING_ROUNDS
             );
             for row in &rows {
                 out.push_str(&format!(

@@ -436,15 +436,24 @@ fn apply_dyn_ring_coupling(rows: &mut [GateRow]) {
 pub struct ScalingRow {
     /// Worker thread count handed to the batched campaign engine.
     pub threads: usize,
-    /// Wall clock for the full [`MICRO_TRIALS`]-trial campaign.
+    /// Wall clock for the full [`MICRO_TRIALS`]-trial campaign: the
+    /// minimum over [`SCALING_ROUNDS`] runs.
     pub wall_ns: u64,
     /// Wall clock of the first (reference) row divided by this row's.
     pub speedup: f64,
 }
 
+/// Timed runs per thread count in `bench-gate scaling`, taken in
+/// interleaved rounds (every count once per round) after one untimed
+/// warm-up run, so no count is timed only cold or only in one phase of a
+/// neighbour's load.
+pub const SCALING_ROUNDS: usize = 3;
+
 /// Run the micro campaign at each of `thread_counts` through the batched
-/// engine and return the wall-clock/speedup table. Every run's *sorted*
-/// trial-record JSON lines must be byte-identical to the first run's —
+/// engine and return the wall-clock/speedup table. One untimed warm-up run
+/// at the first count comes first; each count's wall clock is then its
+/// fastest of [`SCALING_ROUNDS`] interleaved rounds. Every run's *sorted*
+/// trial-record JSON lines must be byte-identical to the warm-up run's —
 /// that determinism check holds unconditionally and an `Err` is returned
 /// on any divergence. Whether to also gate on the speedups is the
 /// caller's decision: a single-core box cannot demonstrate speedup but
@@ -452,9 +461,8 @@ pub struct ScalingRow {
 pub fn scaling(thread_counts: &[usize]) -> Result<Vec<ScalingRow>, String> {
     let registry = Registry::builtin();
     let spec = micro_campaign_spec();
-    let mut reference: Option<Vec<String>> = None;
-    let mut rows: Vec<ScalingRow> = Vec::new();
-    for &threads in thread_counts {
+    let first = *thread_counts.first().ok_or("no thread counts to time")?;
+    let run = |threads: usize| -> Result<(u64, Vec<String>), String> {
         let start = Instant::now();
         let (records, _) = run_campaign_batched(
             &spec,
@@ -471,25 +479,31 @@ pub fn scaling(thread_counts: &[usize]) -> Result<Vec<ScalingRow>, String> {
             .map(disp_analysis::TrialRecord::to_json_line)
             .collect();
         lines.sort();
-        match &reference {
-            None => reference = Some(lines),
-            Some(expected) if *expected != lines => {
+        Ok((wall_ns, lines))
+    };
+    let (_, reference) = run(first)?;
+    let mut best = vec![u64::MAX; thread_counts.len()];
+    for _ in 0..SCALING_ROUNDS {
+        for (&threads, best) in thread_counts.iter().zip(&mut best) {
+            let (wall_ns, lines) = run(threads)?;
+            if lines != reference {
                 return Err(format!(
-                    "trial records at threads={threads} differ from threads={}: \
+                    "trial records at threads={threads} differ from threads={first}: \
                      the batched engine must be byte-identical across thread counts",
-                    thread_counts[0]
                 ));
             }
-            Some(_) => {}
+            *best = (*best).min(wall_ns);
         }
-        let base_ns = rows.first().map_or(wall_ns, |r| r.wall_ns);
-        rows.push(ScalingRow {
+    }
+    Ok(thread_counts
+        .iter()
+        .zip(&best)
+        .map(|(&threads, &wall_ns)| ScalingRow {
             threads,
             wall_ns,
-            speedup: base_ns as f64 / wall_ns as f64,
-        });
-    }
-    Ok(rows)
+            speedup: best[0] as f64 / wall_ns as f64,
+        })
+        .collect())
 }
 
 #[cfg(test)]

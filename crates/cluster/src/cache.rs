@@ -285,8 +285,9 @@ impl TrialCache {
                     dead += 1;
                     continue;
                 }
-                let bytes = rec.to_json_line().len();
-                evictions += mem.insert(key, rec, bytes, &budget);
+                // Weighed by the line as read: `insert` wrote it as the
+                // record's JSON line, so the lengths agree.
+                evictions += mem.insert(key, rec, trimmed.len(), &budget);
             }
         }
         if lines >= budget.compact_min_lines && dead * 2 > lines {
@@ -685,6 +686,22 @@ mod tests {
     }
 
     #[test]
+    fn a_reopened_cache_weighs_its_records_as_the_cache_that_wrote_them() {
+        let dir = tmp_dir("reopen-bytes");
+        std::fs::remove_dir_all(&dir).ok();
+        let written = {
+            let cache = TrialCache::open(&dir).unwrap();
+            for (k, rep) in [(8, 0), (12, 1), (16, 0), (24, 1)] {
+                cache.insert(&run_one(k, 2, 7, rep));
+            }
+            cache.bytes()
+        };
+        assert!(written > 0);
+        assert_eq!(TrialCache::open(&dir).unwrap().bytes(), written);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn corrupt_lines_are_skipped_and_counted_on_open() {
         let dir = tmp_dir("skipped");
         std::fs::remove_dir_all(&dir).ok();
@@ -871,6 +888,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let a = run_one(8, 2, 7, 0);
         let b = run_one(12, 2, 7, 1);
+        let fresh: Vec<TrialRecord> = (0..20).map(|i| run_one(8 + i, 2, 99, 0)).collect();
+        let appended: Vec<String> = fresh.iter().map(TrialRecord::to_json_line).collect();
         let path = dir.join("cache.jsonl");
         let mut text = String::new();
         for _ in 0..50 {
@@ -888,30 +907,47 @@ mod tests {
                 let mut snapshots = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let text = std::fs::read_to_string(&path).unwrap();
-                    // Every snapshot must be a whole log: all lines parse
-                    // (the writer flushes per insert and compaction
-                    // publishes by rename, so no torn state is visible).
-                    for line in text.lines() {
+                    // Every snapshot must be a whole log: compaction
+                    // publishes by rename, so every newline-terminated line
+                    // parses. An append is not atomic against this read,
+                    // though (it can cross a page boundary), so the last
+                    // line may be a prefix of one the loop below appends —
+                    // the torn tail a load tolerates — and nothing else.
+                    let (whole, tail) = text.split_at(text.rfind('\n').map_or(0, |nl| nl + 1));
+                    for line in whole.lines() {
                         TrialRecord::from_json_line(line).unwrap();
                     }
+                    assert!(
+                        tail.is_empty() || appended.iter().any(|line| line.starts_with(tail)),
+                        "torn last line is not part of an append: {tail:?}"
+                    );
                     snapshots += 1;
                 }
                 snapshots
             })
         };
-        for round in 0..20 {
+        for (round, fresh) in fresh.iter().enumerate() {
             let stats = cache.compact().unwrap();
             if round == 0 {
                 assert_eq!(stats.lines_kept, 2);
             }
             // Interleave appends so compaction runs against a log that is
             // also being written.
-            let fresh = run_one(8 + round, 2, 99, 0);
-            cache.insert(&fresh);
+            cache.insert(fresh);
         }
         stop.store(true, Ordering::Relaxed);
         let snapshots = reader.join().unwrap();
         assert!(snapshots > 0, "reader never sampled the file");
+        let reopened = TrialCache::open(&dir).unwrap();
+        for rec in [&a, &b].into_iter().chain(&fresh) {
+            assert!(
+                reopened
+                    .peek(&rec.point.point_id(), rec.rep, rec.seed, 2)
+                    .is_some(),
+                "{} missing after reopen",
+                rec.point.point_id()
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

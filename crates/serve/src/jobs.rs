@@ -21,6 +21,17 @@
 //! from a previous process's cache file. HTTP concurrency, job interleaving
 //! and cache state therefore change *latency only*, never a byte of any
 //! response body.
+//!
+//! ## What a settled job keeps
+//!
+//! A settled job stays addressable until retention evicts it, so it keeps
+//! only what its endpoints can still send, each in one buffer of its exact
+//! size: the `/results` body (one string, built once at assembly), the
+//! event log (ready SSE frames back to back, plus their end offsets), and
+//! — after its first status read — the `/runs/:id` document itself, which
+//! replaces the per-point statistics it was rendered from. The retention
+//! byte budget weighs each settled job by its results body plus its event
+//! frames.
 
 use crate::cache::TrialCache;
 use crate::metrics::Metrics;
@@ -74,22 +85,77 @@ impl JobState {
 /// policy, DESIGN.md §10).
 pub const EVENT_WINDOW: usize = 4096;
 
-/// The per-job event ring: monotone sequence numbers over a bounded buffer
-/// of rendered JSON lines, closed exactly once when the job settles.
+/// The per-job event log: the last [`EVENT_WINDOW`] events as ready SSE
+/// frames (`data: {json}\n\n`) back to back in one buffer, with monotone
+/// sequence numbers, closed exactly once when the job settles.
 #[derive(Debug, Default)]
 struct EventLog {
     /// Sequence number the *next* event will get; the oldest retained
-    /// event has seq `next_seq - buf.len()`.
+    /// event has seq `next_seq - ends.len()`.
     next_seq: u64,
-    buf: VecDeque<(u64, String)>,
+    /// The frames, oldest first. The first `dead` bytes belong to frames
+    /// that fell out of the window; they are cut off once they outweigh
+    /// the live ones, so pushes stay amortized O(1).
+    frames: String,
+    dead: usize,
+    /// End offset in `frames` of each retained frame, oldest first.
+    ends: VecDeque<usize>,
     closed: bool,
+}
+
+impl EventLog {
+    fn push(&mut self, json: &str) {
+        self.frames.push_str("data: ");
+        self.frames.push_str(json);
+        self.frames.push_str("\n\n");
+        self.ends.push_back(self.frames.len());
+        self.next_seq += 1;
+        if self.ends.len() > EVENT_WINDOW {
+            self.dead = self.ends.pop_front().expect("window is non-empty");
+            if self.dead > self.frames.len() - self.dead {
+                self.cut_dead();
+            }
+        }
+    }
+
+    /// Drop the bytes of frames that left the window.
+    fn cut_dead(&mut self) {
+        let dead = std::mem::take(&mut self.dead);
+        self.frames.drain(..dead);
+        for end in &mut self.ends {
+            *end -= dead;
+        }
+    }
+
+    /// The frames from seq `from` through the newest (empty when `from`
+    /// is past the newest).
+    fn frames_from(&self, from: u64) -> &str {
+        let oldest = self.next_seq - self.ends.len() as u64;
+        match from.checked_sub(oldest).map(|i| i as usize) {
+            Some(0) => &self.frames[self.dead..],
+            Some(i) if i <= self.ends.len() => &self.frames[self.ends[i - 1]..],
+            _ => "",
+        }
+    }
+
+    /// Close the log and keep only its live frames, in buffers of their
+    /// exact size: a settled log never grows again.
+    fn close(&mut self) {
+        self.closed = true;
+        self.cut_dead();
+        self.frames.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
 }
 
 /// What [`Job::events_after`] hands an event-stream subscriber.
 #[derive(Debug, Clone)]
 pub struct EventBatch {
-    /// `(seq, json-line)` pairs in order; resume from `last seq + 1`.
-    pub events: Vec<(u64, String)>,
+    /// Ready SSE frames (`data: {json}\n\n`) of the events from the
+    /// cursor (or from the oldest retained one) through the newest.
+    pub frames: String,
+    /// The cursor to resume from: one past the last event in `frames`.
+    pub next: u64,
     /// Events lost between the subscriber's cursor and the retained
     /// window (0 unless the subscriber fell behind [`EVENT_WINDOW`]).
     pub dropped: u64,
@@ -154,11 +220,14 @@ impl ProgressLog {
         }
     }
 
+    /// Record the final sample; the log never grows after it, so its
+    /// buffer is cut to size.
     fn record_final(&mut self, sample: ProgressSample) {
         match self.samples.last() {
             Some(last) if last.done == sample.done => {}
             _ => self.samples.push(sample),
         }
+        self.samples.shrink_to_fit();
     }
 
     fn decimation_level(&self) -> u32 {
@@ -194,18 +263,21 @@ pub struct Job {
     executed: AtomicUsize,
     /// Cooperative cancellation latch.
     cancel: AtomicBool,
-    /// Result JSONL lines in grid order (set exactly once, on `Done`).
-    results: Mutex<Option<Arc<Vec<String>>>>,
-    /// Total bytes of the result lines (feeds the byte-budget eviction).
-    results_bytes: AtomicUsize,
+    /// The `/results` body — result JSONL lines in grid order, each ending
+    /// in a newline (set exactly once, on `Done`).
+    results: Mutex<Option<Arc<str>>>,
     /// Memoized `?format=summary` document — built once on first request,
     /// not re-parsed from the lines per poll.
     summary: Mutex<Option<Arc<String>>>,
-    /// Bounded lifecycle + per-trial event ring for the SSE endpoint.
+    /// Memoized `GET /runs/:id` document of a settled job (see
+    /// [`Job::status_or_build`]).
+    status: Mutex<Option<Arc<str>>>,
+    /// Bounded lifecycle + per-trial event log for the SSE endpoint.
     events: Mutex<EventLog>,
     /// Wakes event-stream subscribers on every push and on close.
     events_cv: Condvar,
-    /// Streaming per-point statistics (label → stats), fed by telemetry.
+    /// Streaming per-point statistics (label → stats), fed by telemetry;
+    /// dropped once the settled job's status document is memoized.
     point_stats: Mutex<HashMap<String, PointStats>>,
     /// Decimated completion-over-time samples (`GET /runs/:id/timeline`).
     progress: Mutex<ProgressLog>,
@@ -246,8 +318,8 @@ impl Job {
             executed: AtomicUsize::new(0),
             cancel: AtomicBool::new(false),
             results: Mutex::new(None),
-            results_bytes: AtomicUsize::new(0),
             summary: Mutex::new(None),
+            status: Mutex::new(None),
             events: Mutex::new(EventLog::default()),
             events_cv: Condvar::new(),
             point_stats: Mutex::new(HashMap::new()),
@@ -278,14 +350,18 @@ impl Job {
         }
     }
 
-    /// The finished result lines (grid order), if the job is `Done`.
-    pub fn results(&self) -> Option<Arc<Vec<String>>> {
+    /// The finished results body (JSONL lines in grid order, each ending
+    /// in a newline), if the job is `Done`.
+    pub fn results(&self) -> Option<Arc<str>> {
         self.results.lock().unwrap().clone()
     }
 
-    /// Total bytes held by the finished result lines (0 until `Done`).
-    pub fn results_bytes(&self) -> usize {
-        self.results_bytes.load(Ordering::SeqCst)
+    /// Bytes the retention budget weighs this job by: its results body
+    /// plus its retained event frames.
+    pub fn retained_bytes(&self) -> usize {
+        let results = self.results.lock().unwrap().as_ref().map_or(0, |r| r.len());
+        let log = self.events.lock().unwrap();
+        results + log.frames.len() - log.dead
     }
 
     /// The memoized summary document, building it with `build` on the
@@ -302,26 +378,49 @@ impl Job {
         doc
     }
 
-    /// Append one rendered event line to the (bounded) event ring and wake
+    /// The `GET /runs/:id` document, rendered by `build`. A live job's
+    /// document changes between polls, so it is built on every call. A
+    /// settled job's is final: it is built once and kept, and the
+    /// per-point statistics it was built from are dropped.
+    pub fn status_or_build(&self, build: impl FnOnce() -> String) -> Arc<str> {
+        let mut slot = self.status.lock().unwrap();
+        if let Some(doc) = &*slot {
+            return Arc::clone(doc);
+        }
+        // Decided before building, so a job that settles mid-build is not
+        // memoized with a live document.
+        let settled = self.settled();
+        let doc: Arc<str> = build().into();
+        if settled {
+            *slot = Some(Arc::clone(&doc));
+            *self.point_stats.lock().unwrap() = HashMap::new();
+        }
+        doc
+    }
+
+    /// Whether the executor has settled the job and its counters are
+    /// final. A cluster upload's counters can land just after the board
+    /// reports the job done, so a `Done` job also waits for `done == total`.
+    pub(crate) fn settled(&self) -> bool {
+        let closed = self.events.lock().unwrap().closed;
+        closed && (self.state() != JobState::Done || self.done.load(Ordering::SeqCst) == self.total)
+    }
+
+    /// Append one rendered event to the (bounded) event log and wake
     /// subscribers. No-op after close.
-    fn push_event(&self, line: String) {
+    fn push_event(&self, json: &str) {
         let mut log = self.events.lock().unwrap();
         if log.closed {
             return;
         }
-        let seq = log.next_seq;
-        log.next_seq += 1;
-        log.buf.push_back((seq, line));
-        while log.buf.len() > EVENT_WINDOW {
-            log.buf.pop_front();
-        }
+        log.push(json);
         drop(log);
         self.events_cv.notify_all();
     }
 
     /// Push a `job_state` lifecycle event (queued/running/done/…).
     fn push_state_event(&self, state: &JobState) {
-        self.push_event(format!(
+        self.push_event(&format!(
             "{{\"event\":\"job_state\",\"id\":{:?},\"state\":{:?}}}",
             self.id,
             state.label()
@@ -331,11 +430,11 @@ impl Job {
     /// Close the event log: subscribers drain what is buffered and then
     /// see a clean end-of-stream.
     fn close_events(&self) {
-        self.events.lock().unwrap().closed = true;
+        self.events.lock().unwrap().close();
         self.events_cv.notify_all();
     }
 
-    /// Absorb one telemetry event: append it to the event ring and, for
+    /// Absorb one telemetry event: append it to the event log and, for
     /// completed/cached trials, fold the outcome into the per-point
     /// streaming statistics.
     pub fn record_trial_event(&self, event: &TrialEvent) {
@@ -359,7 +458,7 @@ impl Job {
             }
             TrialEvent::Started { .. } | TrialEvent::Overflow { .. } => {}
         }
-        self.push_event(event.to_json_line());
+        self.push_event(&event.to_json_line());
     }
 
     /// Account one settled grid slot, live: `executed` trials ran fresh
@@ -436,27 +535,23 @@ impl Job {
         out
     }
 
-    /// Events after `cursor`, blocking up to `wait` for news when caught
-    /// up. A subscriber that fell behind the retained window gets the
-    /// buffered tail plus a nonzero `dropped` count to report.
+    /// Events from seq `cursor` on, as one copy of their frames, blocking
+    /// up to `wait` for news when caught up. A subscriber that fell behind
+    /// the retained window gets the buffered tail plus a nonzero `dropped`
+    /// count to report.
     pub fn events_after(&self, cursor: u64, wait: Duration) -> EventBatch {
         let mut log = self.events.lock().unwrap();
         loop {
-            let oldest = log.next_seq - log.buf.len() as u64;
+            let oldest = log.next_seq - log.ends.len() as u64;
             let (dropped, from) = if cursor < oldest {
                 (oldest - cursor, oldest)
             } else {
                 (0, cursor)
             };
-            let events: Vec<(u64, String)> = log
-                .buf
-                .iter()
-                .filter(|(seq, _)| *seq >= from)
-                .cloned()
-                .collect();
-            if !events.is_empty() || dropped > 0 || log.closed {
+            if from < log.next_seq || dropped > 0 || log.closed {
                 return EventBatch {
-                    events,
+                    frames: log.frames_from(from).to_string(),
+                    next: from.max(log.next_seq),
                     dropped,
                     closed: log.closed,
                 };
@@ -465,7 +560,8 @@ impl Job {
             log = guard;
             if timeout.timed_out() {
                 return EventBatch {
-                    events: Vec::new(),
+                    frames: String::new(),
+                    next: cursor,
                     dropped: 0,
                     closed: log.closed,
                 };
@@ -473,7 +569,8 @@ impl Job {
         }
     }
 
-    /// Snapshot of the per-point streaming statistics, sorted by label.
+    /// Snapshot of the per-point streaming statistics, sorted by label
+    /// (empty once a settled job's status document is memoized).
     pub fn point_stats(&self) -> Vec<(String, PointStats)> {
         let stats = self.point_stats.lock().unwrap();
         let mut out: Vec<(String, PointStats)> =
@@ -541,22 +638,23 @@ pub enum ExecBackend {
     },
 }
 
-/// Bounds on how many settled jobs (and how many bytes of their result
-/// lines) stay addressable before the oldest are evicted.
+/// Bounds on how many settled jobs (and how many bytes of their results
+/// bodies and event frames) stay addressable before the oldest are
+/// evicted.
 #[derive(Debug, Clone, Copy)]
 pub struct Retention {
     /// Maximum number of settled jobs retained.
     pub jobs: usize,
-    /// Maximum aggregate result-line bytes retained (the newest settled job
-    /// is always kept, even if it alone exceeds this).
-    pub result_bytes: usize,
+    /// Maximum aggregate [`Job::retained_bytes`] of the retained jobs (the
+    /// newest settled job is always kept, even if it alone exceeds this).
+    pub bytes: usize,
 }
 
 impl Default for Retention {
     fn default() -> Retention {
         Retention {
             jobs: 512,
-            result_bytes: 256 * 1024 * 1024,
+            bytes: 256 * 1024 * 1024,
         }
     }
 }
@@ -567,6 +665,8 @@ pub struct JobManager {
     jobs: Arc<Mutex<HashMap<String, Arc<Job>>>>,
     queue: Mutex<Option<Sender<Arc<Job>>>>,
     queue_depth: Arc<AtomicUsize>,
+    /// Settled jobs retained and their aggregate retained bytes.
+    retained: Arc<Mutex<(usize, usize)>>,
     next_id: AtomicU64,
     executor: Mutex<Option<JoinHandle<()>>>,
 }
@@ -576,9 +676,9 @@ impl JobManager {
     /// `job_threads` engine workers, reading and populating `cache`.
     ///
     /// A long-running server must not retain every job forever (each `Done`
-    /// job holds its full result-line vector): once a job settles, it joins
-    /// an eviction queue, and only the most recent settled jobs within the
-    /// `retention` budgets — a job count *and* an aggregate result-byte
+    /// job holds its full results body and event log): once a job settles,
+    /// it joins an eviction queue, and only the most recent settled jobs
+    /// within the `retention` budgets — a job count *and* an aggregate byte
     /// bound, since a handful of near-cap grids can outweigh hundreds of
     /// small ones — stay addressable; older ids answer 404. Their *trials*
     /// remain in the cache, so re-submitting an evicted grid is still a
@@ -594,14 +694,16 @@ impl JobManager {
         let depth = Arc::clone(&queue_depth);
         let jobs: Arc<Mutex<HashMap<String, Arc<Job>>>> = Arc::new(Mutex::new(HashMap::new()));
         let jobs_for_executor = Arc::clone(&jobs);
+        let retained: Arc<Mutex<(usize, usize)>> = Arc::default();
+        let retained_for_executor = Arc::clone(&retained);
         let executor = std::thread::spawn(move || {
             // Grids were validated at submit time against the builtin
             // registry, so building it here (cheap) keeps the executor free
             // of shared-lifetime plumbing.
             let registry = Registry::builtin();
-            // Settled jobs in settle order with their result-byte weight,
-            // for eviction.
-            let mut settled: std::collections::VecDeque<(String, usize)> = Default::default();
+            // Settled jobs in settle order with their retained bytes, for
+            // eviction.
+            let mut settled: VecDeque<(String, usize)> = VecDeque::new();
             let mut settled_bytes = 0usize;
             while let Ok(job) = rx.recv() {
                 depth.fetch_sub(1, Ordering::SeqCst);
@@ -646,11 +748,11 @@ impl JobManager {
                 // every `GET /runs/:id/events` subscriber.
                 job.push_state_event(&job.state());
                 job.close_events();
-                let weight = job.results_bytes();
+                let weight = job.retained_bytes();
                 settled.push_back((job.id.clone(), weight));
                 settled_bytes += weight;
                 while settled.len() > retention.jobs.max(1)
-                    || (settled.len() > 1 && settled_bytes > retention.result_bytes)
+                    || (settled.len() > 1 && settled_bytes > retention.bytes)
                 {
                     if let Some((old, old_bytes)) = settled.pop_front() {
                         settled_bytes -= old_bytes;
@@ -658,12 +760,14 @@ impl JobManager {
                         Metrics::inc(&metrics.jobs_evicted);
                     }
                 }
+                *retained_for_executor.lock().unwrap() = (settled.len(), settled_bytes);
             }
         });
         JobManager {
             jobs,
             queue: Mutex::new(Some(tx)),
             queue_depth,
+            retained,
             next_id: AtomicU64::new(1),
             executor: Mutex::new(Some(executor)),
         }
@@ -701,6 +805,12 @@ impl JobManager {
     /// Jobs waiting for the executor (the `/metrics` gauge).
     pub fn queue_depth(&self) -> usize {
         self.queue_depth.load(Ordering::SeqCst)
+    }
+
+    /// Settled jobs retained and the bytes the retention budget counts for
+    /// them (the `/metrics` gauges).
+    pub fn retained(&self) -> (usize, usize) {
+        *self.retained.lock().unwrap()
     }
 
     /// Graceful drain: refuse new jobs, cancel queued and running ones, and
@@ -818,14 +928,13 @@ fn execute_job(
     for _ in 0..plan.repeats() {
         job.note_trial(false);
     }
-    let assembled: Vec<String> = plan
-        .assemble(fresh)?
-        .iter()
-        .map(TrialRecord::to_json_line)
-        .collect();
-    let bytes: usize = assembled.iter().map(String::len).sum();
-    job.results_bytes.store(bytes, Ordering::SeqCst);
-    *job.results.lock().unwrap() = Some(Arc::new(assembled));
+    let mut body = String::new();
+    for record in plan.assemble(fresh)? {
+        body.push_str(&record.to_json_line());
+        body.push('\n');
+    }
+    // `Arc<str>` copies the body into one allocation of its exact size.
+    *job.results.lock().unwrap() = Some(body.into());
     Ok(true)
 }
 
@@ -896,6 +1005,12 @@ mod tests {
         CampaignSpec::custom(scenarios, reps, seed)
     }
 
+    /// What an offline run of `spec` gives, as a results body.
+    fn offline_body(spec: &CampaignSpec) -> String {
+        let (offline, _) = run_campaign(spec, None, 1, &Registry::builtin()).unwrap();
+        offline.iter().map(|r| r.to_json_line() + "\n").collect()
+    }
+
     fn wait_done(job: &Job) -> JobSnapshot {
         for _ in 0..600 {
             let snap = job.snapshot();
@@ -924,9 +1039,8 @@ mod tests {
         assert_eq!(snap.done, snap.total);
         assert_eq!(snap.executed, snap.total, "cold cache executes everything");
 
-        let (offline, _) = run_campaign(&grid(7, 2), None, 1, &Registry::builtin()).unwrap();
-        let offline_lines: Vec<String> = offline.iter().map(TrialRecord::to_json_line).collect();
-        assert_eq!(*job.results().unwrap(), offline_lines);
+        let offline = offline_body(&grid(7, 2));
+        assert_eq!(*job.results().unwrap(), offline);
 
         // Identical resubmission: zero executed trials, identical bytes.
         let again = manager.submit(grid(7, 2)).unwrap();
@@ -934,7 +1048,7 @@ mod tests {
         assert_eq!(snap2.state, JobState::Done);
         assert_eq!(snap2.executed, 0);
         assert_eq!(snap2.cache_hits, snap2.total);
-        assert_eq!(*again.results().unwrap(), offline_lines);
+        assert_eq!(*again.results().unwrap(), offline);
         assert_eq!(
             metrics.trials_executed.load(Ordering::SeqCst),
             snap.total as u64
@@ -963,9 +1077,7 @@ mod tests {
         assert_eq!(snap.executed, snap.total - first.total);
         // And the served lines advertise the *new* grid's repetition count,
         // exactly as a fresh offline run would.
-        let (offline, _) = run_campaign(&grid(7, 3), None, 1, &Registry::builtin()).unwrap();
-        let offline_lines: Vec<String> = offline.iter().map(TrialRecord::to_json_line).collect();
-        assert_eq!(*wider.results().unwrap(), offline_lines);
+        assert_eq!(*wider.results().unwrap(), offline_body(&grid(7, 3)));
         manager.shutdown();
     }
 
@@ -1020,11 +1132,11 @@ mod tests {
         assert_eq!(metrics.trials_executed.load(Ordering::SeqCst), 1);
         // Output still mirrors the offline run of the same (duplicated)
         // grid, which also emits one line per grid slot.
-        let (offline, _) = run_campaign(&spec, None, 1, &Registry::builtin()).unwrap();
-        let offline_lines: Vec<String> = offline.iter().map(TrialRecord::to_json_line).collect();
-        assert_eq!(*job.results().unwrap(), offline_lines);
-        assert_eq!(offline_lines.len(), 2);
-        assert_eq!(offline_lines[0], offline_lines[1]);
+        let offline = offline_body(&spec);
+        assert_eq!(*job.results().unwrap(), offline);
+        let lines: Vec<&str> = offline.lines().collect();
+        assert_eq!(lines.len(), 2);
+        assert_eq!(lines[0], lines[1]);
         manager.shutdown();
     }
 
@@ -1038,7 +1150,7 @@ mod tests {
             ExecBackend::Local { threads: 2 },
             Retention {
                 jobs: 2,
-                result_bytes: usize::MAX,
+                bytes: usize::MAX,
             },
         );
         let jobs: Vec<_> = (0..4)
@@ -1077,12 +1189,12 @@ mod tests {
             ExecBackend::Local { threads: 2 },
             Retention {
                 jobs: 100,
-                result_bytes: 1,
+                bytes: 1,
             },
         );
         let a = manager.submit(grid(7, 1)).unwrap();
         wait_done(&a);
-        assert!(a.results_bytes() > 1);
+        assert!(a.retained_bytes() > 1);
         let b = manager.submit(grid(8, 1)).unwrap();
         wait_done(&b);
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
@@ -1096,6 +1208,77 @@ mod tests {
         // The newest settled job always survives, even over budget.
         assert!(manager.get(&b.id).is_some());
         manager.shutdown();
+    }
+
+    #[test]
+    fn the_byte_budget_counts_event_frames_as_well_as_results() {
+        // A budget that holds both jobs' results bodies, but not their
+        // event frames as well: the older job must go.
+        let (a_spec, b_spec) = (grid(7, 1), grid(8, 1));
+        let budget = offline_body(&a_spec).len() + offline_body(&b_spec).len();
+        let manager = JobManager::start(
+            Arc::new(TrialCache::in_memory()),
+            Arc::new(Metrics::default()),
+            ExecBackend::Local { threads: 2 },
+            Retention {
+                jobs: 100,
+                bytes: budget,
+            },
+        );
+        let a = manager.submit(a_spec).unwrap();
+        wait_done(&a);
+        let b = manager.submit(b_spec).unwrap();
+        wait_done(&b);
+        assert!(a.retained_bytes() > a.results().unwrap().len());
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while manager.get(&a.id).is_some() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "event frames were not weighed against the budget"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        assert!(manager.get(&b.id).is_some());
+        manager.shutdown();
+    }
+
+    #[test]
+    fn the_event_log_keeps_the_window_and_replays_it_from_any_cursor() {
+        let job = Job::new("r1".into(), grid(1, 1));
+        let total = 3 * EVENT_WINDOW as u64 + 700;
+        for i in 0..total {
+            job.push_event(&format!("{{\"i\":{i}}}"));
+        }
+        let frame = |i: u64| format!("data: {{\"i\":{i}}}\n\n");
+        let oldest = total - EVENT_WINDOW as u64;
+        let tail = |from: u64| (from..total).map(frame).collect::<String>();
+        // A cursor behind the window gets the whole window and the count
+        // of what it missed.
+        let batch = job.events_after(3, Duration::ZERO);
+        assert_eq!(batch.dropped, oldest - 3);
+        assert_eq!(batch.frames, tail(oldest));
+        assert_eq!(batch.next, total);
+        for cursor in [oldest, oldest + 1, total - 1] {
+            let batch = job.events_after(cursor, Duration::ZERO);
+            assert_eq!((batch.dropped, batch.next), (0, total));
+            assert_eq!(batch.frames, tail(cursor));
+        }
+        // Caught up: nothing after the wait, cursor unchanged.
+        let batch = job.events_after(total, Duration::from_millis(1));
+        assert_eq!(
+            (batch.frames.as_str(), batch.next, batch.closed),
+            ("", total, false)
+        );
+        // Closing keeps exactly the window's bytes and replays them.
+        job.close_events();
+        let log = job.events.lock().unwrap();
+        assert_eq!(log.frames, tail(oldest));
+        assert_eq!(log.frames.capacity(), log.frames.len());
+        drop(log);
+        let batch = job.events_after(0, Duration::ZERO);
+        assert_eq!(batch.frames, tail(oldest));
+        assert!(batch.closed);
+        assert_eq!(job.retained_bytes(), tail(oldest).len());
     }
 
     #[test]

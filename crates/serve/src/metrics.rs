@@ -146,6 +146,11 @@ impl Default for Metrics {
 pub struct Gauges {
     /// Jobs waiting for the executor.
     pub queue_depth: usize,
+    /// Settled jobs still addressable under the retention budgets.
+    pub jobs_retained: usize,
+    /// Bytes the retention byte budget counts for them: results bodies
+    /// plus event frames.
+    pub jobs_retained_bytes: usize,
     /// HTTP workers currently serving a connection.
     pub http_workers_busy: usize,
     /// Size of the HTTP worker pool.
@@ -183,6 +188,8 @@ impl Metrics {
              disp_cache_evictions_total {}\n\
              disp_cache_skipped_lines_total {}\n\
              disp_queue_depth {}\n\
+             disp_jobs_retained {}\n\
+             disp_jobs_retained_bytes {}\n\
              disp_http_workers_busy {}\n\
              disp_http_workers {}\n",
             get(&self.http_requests),
@@ -202,6 +209,8 @@ impl Metrics {
             cache.evictions(),
             cache.skipped_lines(),
             gauges.queue_depth,
+            gauges.jobs_retained,
+            gauges.jobs_retained_bytes,
             gauges.http_workers_busy,
             gauges.http_workers,
         );
@@ -282,6 +291,8 @@ mod tests {
             &cache,
             Gauges {
                 queue_depth: 3,
+                jobs_retained: 5,
+                jobs_retained_bytes: 640_000,
                 http_workers_busy: 1,
                 http_workers: 4,
                 cluster: Some(BoardStats {
@@ -311,6 +322,11 @@ mod tests {
             Some(0)
         );
         assert_eq!(parse_metric(&text, "disp_queue_depth"), Some(3));
+        assert_eq!(parse_metric(&text, "disp_jobs_retained"), Some(5));
+        assert_eq!(
+            parse_metric(&text, "disp_jobs_retained_bytes"),
+            Some(640_000)
+        );
         assert_eq!(parse_metric(&text, "disp_http_workers_busy"), Some(1));
         assert_eq!(parse_metric(&text, "disp_http_workers"), Some(4));
         assert_eq!(parse_metric(&text, "disp_cluster_workers"), Some(2));
@@ -381,7 +397,7 @@ mod tests {
         // per-worker lines under a default board) + 3 histograms ×
         // (buckets + +Inf + sum + count).
         let expected =
-            28 + (HTTP_LATENCY_BUCKETS_US.len() + 3) + 2 * (TRIAL_DURATION_BUCKETS_US.len() + 3);
+            30 + (HTTP_LATENCY_BUCKETS_US.len() + 3) + 2 * (TRIAL_DURATION_BUCKETS_US.len() + 3);
         assert_eq!(lines, expected);
     }
 

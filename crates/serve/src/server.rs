@@ -44,7 +44,6 @@ use disp_campaign::telemetry::{timeline_to_jsonl, trace_to_jsonl};
 use disp_cluster::ClusterBoard;
 use disp_core::scenario::{grammar_help, Registry, ScenarioSpec};
 use disp_sim::{TimelineRecorder, Trace, WorldPool, DEFAULT_TIMELINE_BUDGET, DEFAULT_TRACE_CAP};
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -441,8 +440,11 @@ fn route(
             Reply::json(200, body)
         }
         ("GET", ["metrics"]) => {
+            let (jobs_retained, jobs_retained_bytes) = state.manager.retained();
             let gauges = Gauges {
                 queue_depth: state.manager.queue_depth(),
+                jobs_retained,
+                jobs_retained_bytes,
                 http_workers_busy: state.workers_busy.load(Ordering::SeqCst),
                 http_workers: state.http_workers,
                 cluster: state.cluster.as_ref().map(|board| board.stats()),
@@ -474,7 +476,7 @@ fn route(
         }
         ("GET", ["runs", id]) => {
             let job = job(id)?;
-            Reply::json(200, job_status_json(&job).to_string_compact())
+            Reply::json(200, status_document(&job).as_bytes())
         }
         ("GET", ["runs", id, "events"]) => {
             let job = job(id)?;
@@ -483,49 +485,60 @@ fn route(
         ("GET", ["runs", id, "timeline"]) => Reply::Jsonl(job(id)?.progress_jsonl()),
         ("GET", ["runs", id, "results"]) => {
             let job = job(id)?;
-            let Some(lines) = job.results() else {
+            let Some(body) = job.results() else {
                 let msg = format!("run is {}, results not available", job.state().label());
                 return Err(Reply::error(409, &msg));
             };
             if req.query_param("format") == Some("summary") {
                 // Memoized on the job: big summaries parse every line, and
                 // dashboards poll this endpoint.
-                let doc = job.summary_or_build(|| summary_json(&job.spec, &lines));
+                let doc = job.summary_or_build(|| summary_json(&job.spec, &body));
                 Reply::json(200, doc.as_str())
             } else {
-                Reply::Streamed(stream_results(stream, &lines, keep_alive))
+                Reply::Streamed(stream_results(stream, &body, keep_alive))
             }
         }
         ("DELETE", ["runs", id]) => {
             let job = job(id)?;
             job.request_cancel();
-            Reply::json(200, job_status_json(&job).to_string_compact())
+            Reply::json(200, status_document(&job).as_bytes())
         }
         (_, ["runs"]) | (_, ["runs", ..]) => Reply::error(405, "method not allowed"),
         _ => Reply::error(404, "no such endpoint"),
     })
 }
 
-/// Stream finished JSONL lines as a chunked response, batching lines into
-/// ~32 KiB chunks so million-trial results do not degenerate into a
-/// syscall per line.
-fn stream_results(
-    stream: &mut TcpStream,
-    lines: &[String],
-    keep_alive: bool,
-) -> std::io::Result<()> {
+/// Smallest chunk `/runs/:id/results` writes before its last one.
+const RESULTS_CHUNK: usize = 32 * 1024;
+
+/// Stream a finished results body as a chunked response, in slices of
+/// whole lines of at least [`RESULTS_CHUNK`] bytes each, so million-trial
+/// results do not degenerate into a syscall per line.
+fn stream_results(stream: &mut TcpStream, body: &str, keep_alive: bool) -> std::io::Result<()> {
     write_chunked_head(stream, 200, "application/jsonl", keep_alive)?;
-    let mut batch = Vec::with_capacity(64 * 1024);
-    for line in lines {
-        batch.extend_from_slice(line.as_bytes());
-        batch.push(b'\n');
-        if batch.len() >= 32 * 1024 {
-            write_chunk(stream, &batch)?;
-            batch.clear();
-        }
+    for chunk in results_chunks(body) {
+        write_chunk(stream, chunk.as_bytes())?;
     }
-    write_chunk(stream, &batch)?;
     finish_chunks(stream)
+}
+
+/// `body` cut at the first line end at or past each [`RESULTS_CHUNK`]
+/// bytes, the last slice holding the rest.
+fn results_chunks(body: &str) -> impl Iterator<Item = &str> {
+    let mut rest = body;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let cut = rest
+            .as_bytes()
+            .get(RESULTS_CHUNK - 1..)
+            .and_then(|tail| tail.iter().position(|&b| b == b'\n'))
+            .map_or(rest.len(), |nl| RESULTS_CHUNK + nl);
+        let (chunk, tail) = rest.split_at(cut);
+        rest = tail;
+        Some(chunk)
+    })
 }
 
 /// Stream a job's event log as Server-Sent Events over chunked transfer.
@@ -546,7 +559,6 @@ fn stream_events(
     loop {
         let batch = job.events_after(cursor, 2 * READ_TICK);
         if batch.dropped > 0 {
-            cursor += batch.dropped;
             state
                 .metrics
                 .events_dropped
@@ -557,17 +569,9 @@ fn stream_events(
             );
             write_chunk(stream, marker.as_bytes())?;
         }
-        let mut frame = String::new();
-        for (seq, line) in &batch.events {
-            frame.push_str("data: ");
-            frame.push_str(line);
-            frame.push_str("\n\n");
-            cursor = seq + 1;
-        }
-        if !frame.is_empty() {
-            write_chunk(stream, frame.as_bytes())?;
-        }
-        if (batch.closed && batch.events.is_empty()) || shutdown.load(Ordering::SeqCst) {
+        write_chunk(stream, batch.frames.as_bytes())?;
+        cursor = batch.next;
+        if (batch.closed && batch.frames.is_empty()) || shutdown.load(Ordering::SeqCst) {
             return finish_chunks(stream);
         }
     }
@@ -638,22 +642,27 @@ fn observe(req: &Request, state: &AppState, timeline: bool) -> Result<Reply, Rep
     Ok(Reply::Jsonl(body))
 }
 
-/// Build the JSON summary document for a finished job — the same encoder
-/// (`campaign_report_json`) behind `disp-campaign report --format json`.
-fn summary_json(spec: &CampaignSpec, lines: &[String]) -> String {
-    let joined = lines.join("\n");
-    let records = jsonl::read_trials(BufReader::new(joined.as_bytes()))
+/// Build the JSON summary document for a finished job's results body —
+/// the same encoder (`campaign_report_json`) behind `disp-campaign report
+/// --format json`.
+fn summary_json(spec: &CampaignSpec, body: &str) -> String {
+    let records = jsonl::read_trials(body.as_bytes())
         .map(|ingest| ingest.records)
         .unwrap_or_default();
     let sections = section_measurements(spec, records);
     campaign_report_json(spec, &sections).to_string_compact()
 }
 
-/// The status document for `GET /runs/:id` and `DELETE /runs/:id`:
-/// snapshot counters plus live per-point streaming statistics (count,
-/// mean/stddev/min/max/p50/p99 of moves and time) and the throughput
-/// clock. Counts are monotone across polls of a running job — `done` only
-/// grows, and each point's `count` only grows.
+/// The status document for `GET /runs/:id` and `DELETE /runs/:id`,
+/// rendered per read while the job is live and once when it has settled.
+fn status_document(job: &Job) -> Arc<str> {
+    job.status_or_build(|| job_status_json(job).to_string_compact())
+}
+
+/// Render the status document: snapshot counters plus live per-point
+/// streaming statistics (count, mean/stddev/min/max/p50/p99 of moves and
+/// time) and the throughput clock. Counts are monotone across polls of a
+/// running job — `done` only grows, and each point's `count` only grows.
 fn job_status_json(job: &Job) -> Json {
     let snap = job.snapshot();
     let mut fields = match snapshot_json(&snap) {
@@ -781,6 +790,75 @@ pub fn parse_submission(body: &[u8]) -> Result<CampaignSpec, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
+
+    #[test]
+    fn a_settled_jobs_status_is_memoized_with_the_bytes_of_a_live_render() {
+        let server = Server::start(
+            "127.0.0.1:0",
+            ServeConfig {
+                http_threads: 2,
+                job_threads: 2,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let spec = parse_submission(
+            br#"{"scenarios":["star/k8/rooted/sync/probe-dfs","rtree/k8/rooted/async-rand0.7/ks-dfs"],"reps":3,"seed":5}"#,
+        )
+        .unwrap();
+        let job = server.state().manager.submit(spec).unwrap();
+        while !job.settled() {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let live = job_status_json(&job).to_string_compact();
+        assert_eq!(job.point_stats().len(), 2);
+        let mut client = Client::new(&server.addr().to_string());
+        let path = format!("/runs/{}", job.id);
+        let first = client.get(&path).unwrap().text();
+        // The first read memoized the document and dropped its sources.
+        assert!(job.point_stats().is_empty());
+        let second = client.get(&path).unwrap().text();
+        assert_eq!(first, live);
+        assert_eq!(second, live);
+        let deleted = client.request("DELETE", &path, None).unwrap().text();
+        assert_eq!(deleted, live);
+        server.shutdown();
+    }
+
+    #[test]
+    fn results_are_cut_at_the_first_line_end_past_each_32_kib() {
+        // The cuts the results stream has always made: whole lines,
+        // written out once a batch reaches 32 KiB.
+        fn batched(lines: &[String]) -> Vec<String> {
+            let mut chunks = Vec::new();
+            let mut batch = String::new();
+            for line in lines {
+                batch.push_str(line);
+                batch.push('\n');
+                if batch.len() >= RESULTS_CHUNK {
+                    chunks.push(std::mem::take(&mut batch));
+                }
+            }
+            chunks.extend(Some(batch).filter(|b| !b.is_empty()));
+            chunks
+        }
+        let varied =
+            |n: usize| -> Vec<String> { (0..n).map(|i| "x".repeat(1 + i * 7919 % 1500)).collect() };
+        let exact = |n: usize| vec!["y".repeat(RESULTS_CHUNK - 1); n];
+        for lines in [
+            Vec::new(),
+            varied(1),
+            varied(40),
+            varied(1000),
+            exact(3),
+            vec!["z".repeat(3 * RESULTS_CHUNK), "w".into()],
+        ] {
+            let body: String = lines.iter().map(|l| format!("{l}\n")).collect();
+            let cut: Vec<&str> = results_chunks(&body).collect();
+            assert_eq!(cut, batched(&lines), "{} lines", lines.len());
+        }
+    }
 
     #[test]
     fn submissions_parse_and_validate() {

@@ -235,3 +235,62 @@ fn metrics_histograms_observe_requests_trials_and_queue_waits() {
 
     server.shutdown();
 }
+
+/// A settled job's event log replays byte for byte what a live subscriber
+/// read, and `/metrics` counts the job as retained, weighing it by its
+/// results body plus its event frames.
+#[test]
+fn a_late_replay_equals_the_live_stream_and_the_retained_gauges_count_the_job() {
+    let (server, addr) = boot();
+    let mut client = Client::new(&addr);
+    // A longer job ahead of it keeps the second one live while its
+    // subscriber connects (the executor runs jobs in order).
+    let ahead = Json::Obj(vec![
+        (
+            "scenarios".into(),
+            Json::Arr(vec![Json::Str("line/k48/rooted/sync/ks-dfs".into())]),
+        ),
+        ("reps".into(), Json::Num(40.0)),
+        ("seed".into(), Json::Num(5.0)),
+    ]);
+    let resp = client.post_json("/runs", &ahead).unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.text());
+    let ahead_id = resp
+        .json()
+        .unwrap()
+        .get("id")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_string();
+    let (id, _) = submit(&mut client, 41);
+    let live = Client::new(&addr)
+        .get(&format!("/runs/{id}/events"))
+        .unwrap()
+        .text();
+    let replay = client.get(&format!("/runs/{id}/events")).unwrap().text();
+    assert_eq!(kind_count(&sse_events(&live), "job_state"), 3);
+    assert_eq!(replay, live);
+
+    // Both jobs have settled; each weighs its results body plus its
+    // event frames.
+    let bytes: usize = [&ahead_id, &id]
+        .iter()
+        .flat_map(|run| ["results", "events"].map(|what| format!("/runs/{run}/{what}")))
+        .map(|path| client.get(&path).unwrap().text().len())
+        .sum();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        let body = client.get("/metrics").unwrap().text();
+        let get = |name: &str| parse_metric(&body, name);
+        if get("disp_jobs_retained") == Some(2) {
+            assert_eq!(get("disp_jobs_retained_bytes"), Some(bytes as u64));
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "retained gauges never counted both jobs"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    server.shutdown();
+}
