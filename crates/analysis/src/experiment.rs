@@ -9,11 +9,12 @@
 //! the streamed JSONL checkpoints of the `disp-campaign` engine (see
 //! [`crate::jsonl`]) aggregate exactly like records held in memory.
 
-use crate::json::Json;
-use crate::scenario_json::{scenario_from_json, scenario_to_json};
+use crate::json::{ObjectWriter, Reader};
+use crate::scenario_json::{read_scenario, write_scenario};
 use crate::stats::Summary;
-use disp_core::scenario::{Registry, ScenarioSpec};
+use disp_core::scenario::{Registry, ScenarioSpec, LABEL_CAPACITY};
 use disp_sim::{Observer, Outcome};
+use std::fmt::Write as _;
 
 /// One point of a sweep: a scenario measured over several repetitions.
 #[derive(Debug, Clone)]
@@ -90,6 +91,14 @@ impl ExperimentPoint {
         self.scenario.label()
     }
 
+    /// The checkpoint identity of repetition `rep` of this point: the
+    /// canonical label and `#r<rep>`, written in one buffer.
+    pub fn trial_id(&self, rep: usize) -> String {
+        let mut id = String::with_capacity(LABEL_CAPACITY);
+        let _ = write!(id, "{}#r{rep}", self.scenario);
+        id
+    }
+
     /// Run one repetition under `seed` and record the result.
     ///
     /// The seed determines everything random about the trial: the graph
@@ -149,91 +158,114 @@ impl ExperimentPoint {
             dispersed,
         }
     }
-
-    /// Serialize to a JSON object (the scenario in its structured canonical
-    /// form plus the repetition count).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("scenario".into(), scenario_to_json(&self.scenario)),
-            ("repetitions".into(), Json::Num(self.repetitions as f64)),
-        ])
-    }
-
-    /// Inverse of [`ExperimentPoint::to_json`].
-    pub fn from_json(v: &Json) -> Result<ExperimentPoint, String> {
-        let scenario = scenario_from_json(v.get("scenario").ok_or("point: missing scenario")?)?;
-        Ok(ExperimentPoint {
-            scenario,
-            repetitions: v
-                .get("repetitions")
-                .and_then(Json::as_u64)
-                .ok_or("point: missing repetitions")? as usize,
-        })
-    }
 }
+
+/// Bytes reserved for one record line: the longest lines of the built-in
+/// grids (a scenario with occupancy, params or faults, and seven-digit
+/// counters) stay under it, so a line is written without regrowing.
+const LINE_CAPACITY: usize = 448;
 
 impl TrialRecord {
     /// The checkpoint identity of this trial within its campaign.
     pub fn trial_id(&self) -> String {
-        format!("{}#r{}", self.point.point_id(), self.rep)
+        self.point.trial_id(self.rep)
     }
 
-    /// Serialize as one compact JSONL line (no trailing newline).
+    /// Serialize as one compact JSONL line (no trailing newline), written
+    /// in one pass: the scenario in its structured canonical form, the
+    /// repetition count and index, the seed in lossless hex, the outcome's
+    /// flat fields and the dispersion verdict, in that order.
     pub fn to_json_line(&self) -> String {
-        Json::Obj(vec![
-            ("scenario".into(), scenario_to_json(&self.point.scenario)),
-            (
-                "repetitions".into(),
-                Json::Num(self.point.repetitions as f64),
-            ),
-            ("rep".into(), Json::Num(self.rep as f64)),
-            ("seed".into(), Json::from_u64_lossless(self.seed)),
-            (
-                "outcome".into(),
-                Json::Obj(
-                    self.outcome
-                        .flat_fields()
-                        .iter()
-                        .map(|&(k, v)| (k.to_string(), Json::Num(v as f64)))
-                        .collect(),
-                ),
-            ),
-            ("dispersed".into(), Json::Bool(self.dispersed)),
-        ])
-        .to_string_compact()
+        let mut line = String::with_capacity(LINE_CAPACITY);
+        let mut w = ObjectWriter::new(&mut line);
+        let mut scenario = w.object("scenario");
+        write_scenario(&self.point.scenario, &mut scenario);
+        scenario.end();
+        w.u64("repetitions", self.point.repetitions as u64);
+        w.u64("rep", self.rep as u64);
+        w.u64_lossless("seed", self.seed);
+        let mut outcome = w.object("outcome");
+        for (name, value) in self.outcome.flat_fields() {
+            outcome.u64(name, value);
+        }
+        outcome.end();
+        w.bool("dispersed", self.dispersed);
+        w.end();
+        line
     }
 
-    /// Parse a line produced by [`TrialRecord::to_json_line`].
+    /// Parse a line produced by [`TrialRecord::to_json_line`], in one pass
+    /// over the text. Keys may come in any order and with any whitespace;
+    /// unknown keys are checked and skipped; of duplicate keys the first
+    /// wins. `seed` may be lossless hex or a plain integer, and a scenario
+    /// `occupancy` a canonical string or a number.
     pub fn from_json_line(line: &str) -> Result<TrialRecord, String> {
-        let v = Json::parse(line)?;
-        let scenario = v.get("scenario").ok_or("trial: missing scenario")?;
-        let point = ExperimentPoint {
-            scenario: scenario_from_json(scenario)?,
-            repetitions: v
-                .get("repetitions")
-                .and_then(Json::as_u64)
-                .ok_or("trial: missing repetitions")? as usize,
-        };
-        let outcome_obj = v.get("outcome").ok_or("trial: missing outcome")?;
-        let outcome = Outcome::from_named(|name| outcome_obj.get(name).and_then(Json::as_u64))
-            .ok_or("trial: incomplete outcome")?;
+        let mut r = Reader::new(line);
+        r.begin_object(0)?;
+        let mut scenario = None;
+        let mut repetitions = None;
+        let mut rep = None;
+        let mut seed = None;
+        let mut outcome = None;
+        let mut dispersed = None;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "scenario" if scenario.is_none() => scenario = Some(read_scenario(&mut r, 1)?),
+                "repetitions" if repetitions.is_none() => {
+                    let value = r.scalar(1)?.as_u64();
+                    repetitions = Some(value.ok_or("trial: missing repetitions")?);
+                }
+                "rep" if rep.is_none() => {
+                    rep = Some(r.scalar(1)?.as_u64().ok_or("trial: missing rep")?);
+                }
+                "seed" if seed.is_none() => {
+                    let value = r.scalar(1)?.as_u64_lossless();
+                    seed = Some(value.ok_or("trial: missing seed")?);
+                }
+                "outcome" if outcome.is_none() => outcome = Some(read_outcome(&mut r)?),
+                "dispersed" if dispersed.is_none() => {
+                    let value = r.scalar(1)?.as_bool();
+                    dispersed = Some(value.ok_or("trial: missing dispersed")?);
+                }
+                _ => r.skip(1)?,
+            }
+        }
+        r.finish()?;
         Ok(TrialRecord {
-            point,
-            rep: v
-                .get("rep")
-                .and_then(Json::as_u64)
-                .ok_or("trial: missing rep")? as usize,
-            seed: v
-                .get("seed")
-                .and_then(Json::as_u64_lossless)
-                .ok_or("trial: missing seed")?,
-            outcome,
-            dispersed: v
-                .get("dispersed")
-                .and_then(Json::as_bool)
-                .ok_or("trial: missing dispersed")?,
+            point: ExperimentPoint {
+                scenario: scenario.ok_or("trial: missing scenario")?,
+                repetitions: repetitions.ok_or("trial: missing repetitions")? as usize,
+            },
+            rep: rep.ok_or("trial: missing rep")? as usize,
+            seed: seed.ok_or("trial: missing seed")?,
+            outcome: outcome.ok_or("trial: missing outcome")?,
+            dispersed: dispersed.ok_or("trial: missing dispersed")?,
         })
     }
+}
+
+/// The `outcome` value of a record line: an object holding every name of
+/// [`Outcome::FIELDS`] as a non-negative integer (the first of duplicates
+/// counts; other keys are skipped).
+fn read_outcome(r: &mut Reader) -> Result<Outcome, String> {
+    let incomplete = || "trial: incomplete outcome".to_string();
+    if r.peek() != Some(b'{') {
+        r.scalar(1)?;
+        return Err(incomplete());
+    }
+    r.begin_object(1)?;
+    let mut fields: [Option<Option<u64>>; 12] = [None; 12];
+    while let Some(key) = r.next_key()? {
+        match Outcome::FIELDS.iter().position(|&name| name == key) {
+            Some(i) if fields[i].is_none() => fields[i] = Some(r.scalar(2)?.as_u64()),
+            _ => r.skip(2)?,
+        }
+    }
+    let mut values = [0; 12];
+    for (value, field) in values.iter_mut().zip(fields) {
+        *value = field.flatten().ok_or_else(incomplete)?;
+    }
+    Ok(Outcome::from_fields(values))
 }
 
 impl Measurement {

@@ -4,10 +4,13 @@
 //! reproduction. The [`experiment`] module defines experiment points
 //! (a canonical `ScenarioSpec` × repetitions), runs individual seeded
 //! trials and aggregates their records (sweeps run through the
-//! `disp-campaign` engine), [`scenario_json`] is the structured JSON codec for scenarios (labels are
-//! the other canonical form), [`jsonl`] streams and merges the trial
-//! records the `disp-campaign` engine checkpoints to disk, [`json`] is the
-//! minimal dependency-free JSON layer underneath, [`online`] provides
+//! `disp-campaign` engine) and holds the one-pass codec of the JSONL
+//! record line, [`scenario_json`] is the structured JSON codec for
+//! scenarios (labels are the other canonical form), [`jsonl`] streams and
+//! merges the trial records the `disp-campaign` engine checkpoints to
+//! disk, [`json`] is the minimal dependency-free JSON layer underneath (a
+//! value tree, and the one-pass writer and pull reader the record lines
+//! use), [`online`] provides
 //! constant-space streaming statistics (Welford + P² quantiles) for live
 //! campaign observation, [`fit`] estimates log–log
 //! scaling exponents so the harness can check the *shape* of the paper's
@@ -35,6 +38,6 @@ pub use online::{OnlineStats, P2Quantile, Welford};
 pub use report::{
     csv_table, markdown_table, measurement_header, measurement_row, measurement_to_json,
 };
-pub use scenario_json::{scenario_from_json, scenario_to_json};
+pub use scenario_json::{decode_scenario, encode_scenario};
 pub use spark::{sparkline, sparkline_scaled, SPARK_RAMP};
 pub use stats::Summary;

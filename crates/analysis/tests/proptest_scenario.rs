@@ -4,7 +4,7 @@
 //! illegal combinations come back as typed `ScenarioError`s (never a
 //! panic), and schedule labels are a bijection with their values.
 
-use disp_analysis::{scenario_from_json, scenario_to_json};
+use disp_analysis::{decode_scenario, encode_scenario};
 use disp_core::scenario::{
     fmt_f64, parse_f64, Limits, ParamValue, Registry, ScenarioError, ScenarioSpec, Schedule,
 };
@@ -132,14 +132,14 @@ fn specs_round_trip_through_labels_and_json_byte_identically() {
         assert_eq!(from_label, spec, "case {case}: label round-trip");
         assert_eq!(from_label.label(), label, "case {case}: label stability");
 
-        let json = scenario_to_json(&spec).to_string_compact();
-        let parsed = disp_analysis::Json::parse(&json)
+        let json = encode_scenario(&spec);
+        disp_analysis::Json::parse(&json)
             .unwrap_or_else(|e| panic!("case {case}: JSON '{json}' unparseable: {e}"));
-        let from_json = scenario_from_json(&parsed)
+        let from_json = decode_scenario(&json)
             .unwrap_or_else(|e| panic!("case {case}: '{json}' failed to decode: {e}"));
         assert_eq!(from_json, spec, "case {case}: JSON round-trip");
         assert_eq!(
-            scenario_to_json(&from_json).to_string_compact(),
+            encode_scenario(&from_json),
             json,
             "case {case}: JSON stability"
         );

@@ -40,7 +40,7 @@ use disp_core::scenario::{Registry, ScenarioSpec, Schedule};
 use disp_core::ProbeDfs;
 use disp_graph::generators::{self, GraphFamily};
 use disp_graph::NodeId;
-use disp_sim::{RunConfig, SyncRunner, World};
+use disp_sim::{RunConfig, SyncRunner, World, WorldPool};
 use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
@@ -439,29 +439,56 @@ pub struct ScalingRow {
     /// Wall clock for the full [`MICRO_TRIALS`]-trial campaign: the
     /// minimum over [`SCALING_ROUNDS`] runs.
     pub wall_ns: u64,
-    /// Wall clock of the first (reference) row divided by this row's.
+    /// Wall clock of the one-thread row divided by this row's.
     pub speedup: f64,
 }
 
+/// The `bench-gate scaling` report: the thread-count table and the
+/// speedup the host itself allowed two threads in the same run.
+#[derive(Debug, Clone)]
+pub struct Scaling {
+    /// One row per thread count; the first is the one-thread row.
+    pub rows: Vec<ScalingRow>,
+    /// Wall clock of two copies of the campaign's trials run at once, each
+    /// in a plain loop on its own thread outside the engine: the minimum
+    /// over [`SCALING_ROUNDS`] pairs.
+    pub pair_ns: u64,
+    /// The host ceiling: 2 × the one-thread row's wall clock ÷ `pair_ns`,
+    /// at most ×2. The copies share nothing — not even the engine, so no
+    /// lock or schedule of the engine's can lower it — so this is what two
+    /// threads can gain on this host while the run lasts: ×2 on two idle
+    /// cores, ×1 when neighbours hold the second one.
+    pub ceiling: f64,
+}
+
 /// Timed runs per thread count in `bench-gate scaling`, taken in
-/// interleaved rounds (every count once per round) after one untimed
-/// warm-up run, so no count is timed only cold or only in one phase of a
-/// neighbour's load.
+/// interleaved rounds (every count once per round, then the pair of
+/// copies outside the engine) after one untimed warm-up run, so no count
+/// is timed only cold or only in one phase of a neighbour's load.
 pub const SCALING_ROUNDS: usize = 3;
 
-/// Run the micro campaign at each of `thread_counts` through the batched
-/// engine and return the wall-clock/speedup table. One untimed warm-up run
-/// at the first count comes first; each count's wall clock is then its
-/// fastest of [`SCALING_ROUNDS`] interleaved rounds. Every run's *sorted*
-/// trial-record JSON lines must be byte-identical to the warm-up run's —
-/// that determinism check holds unconditionally and an `Err` is returned
-/// on any divergence. Whether to also gate on the speedups is the
-/// caller's decision: a single-core box cannot demonstrate speedup but
-/// can still prove thread-count independence.
-pub fn scaling(thread_counts: &[usize]) -> Result<Vec<ScalingRow>, String> {
+/// The share of the host ceiling the best multi-thread speedup must reach.
+pub const SCALING_SHARE: f64 = 0.8;
+
+/// Below this host ceiling the speed verdict is skipped: the host cannot
+/// show a speedup, so it cannot show a missing one either.
+pub const MIN_CEILING: f64 = 1.1;
+
+/// Run the micro campaign at one thread and at each of `thread_counts`
+/// through the batched engine, plus two copies of its trials at once
+/// outside the engine, and return the wall-clock/speedup table with the
+/// host ceiling. One untimed warm-up run at one thread comes first; each
+/// wall clock is then its fastest of [`SCALING_ROUNDS`] interleaved
+/// rounds. Every run's *sorted* trial-record JSON lines must be
+/// byte-identical to the warm-up run's — that determinism check holds
+/// unconditionally and an `Err` is returned on any divergence. Whether to
+/// also gate on the speedups is [`scaling_verdict`]'s call.
+pub fn scaling(thread_counts: &[usize]) -> Result<Scaling, String> {
     let registry = Registry::builtin();
     let spec = micro_campaign_spec();
-    let first = *thread_counts.first().ok_or("no thread counts to time")?;
+    let counts: Vec<usize> = std::iter::once(1)
+        .chain(thread_counts.iter().copied().filter(|&t| t != 1))
+        .collect();
     let run = |threads: usize| -> Result<(u64, Vec<String>), String> {
         let start = Instant::now();
         let (records, _) = run_campaign_batched(
@@ -481,21 +508,53 @@ pub fn scaling(thread_counts: &[usize]) -> Result<Vec<ScalingRow>, String> {
         lines.sort();
         Ok((wall_ns, lines))
     };
-    let (_, reference) = run(first)?;
-    let mut best = vec![u64::MAX; thread_counts.len()];
+    // One copy of the campaign's trials in a plain loop on its thread,
+    // sharing nothing with the engine or with the other copy.
+    let trials = spec.trials();
+    let copy = || -> Vec<String> {
+        let mut pool = WorldPool::new();
+        let mut lines: Vec<String> = trials
+            .iter()
+            .map(|t| {
+                t.point
+                    .run_trial_pooled(&registry, t.rep, t.seed, &mut pool, &mut ())
+                    .to_json_line()
+            })
+            .collect();
+        lines.sort();
+        lines
+    };
+    let (_, reference) = run(1)?;
+    let same = |lines: &[String], what: &str| {
+        if lines == reference {
+            Ok(())
+        } else {
+            Err(format!(
+                "trial records of {what} differ from threads=1: \
+                 the batched engine must be byte-identical across thread counts",
+            ))
+        }
+    };
+    let mut best = vec![u64::MAX; counts.len()];
+    let mut pair_ns = u64::MAX;
     for _ in 0..SCALING_ROUNDS {
-        for (&threads, best) in thread_counts.iter().zip(&mut best) {
+        for (&threads, best) in counts.iter().zip(&mut best) {
             let (wall_ns, lines) = run(threads)?;
-            if lines != reference {
-                return Err(format!(
-                    "trial records at threads={threads} differ from threads={first}: \
-                     the batched engine must be byte-identical across thread counts",
-                ));
-            }
+            same(&lines, &format!("threads={threads}"))?;
             *best = (*best).min(wall_ns);
         }
+        let start = Instant::now();
+        let (mine, other) = std::thread::scope(|s| {
+            let other = s.spawn(copy);
+            (copy(), other.join())
+        });
+        pair_ns = pair_ns.min(start.elapsed().as_nanos() as u64);
+        let other = other.map_err(|_| "a copy outside the engine panicked".to_string())?;
+        for lines in [mine, other] {
+            same(&lines, "a copy outside the engine")?;
+        }
     }
-    Ok(thread_counts
+    let rows: Vec<ScalingRow> = counts
         .iter()
         .zip(&best)
         .map(|(&threads, &wall_ns)| ScalingRow {
@@ -503,7 +562,54 @@ pub fn scaling(thread_counts: &[usize]) -> Result<Vec<ScalingRow>, String> {
             wall_ns,
             speedup: best[0] as f64 / wall_ns as f64,
         })
-        .collect())
+        .collect();
+    Ok(Scaling {
+        rows,
+        pair_ns,
+        ceiling: (2.0 * best[0] as f64 / pair_ns as f64).min(2.0),
+    })
+}
+
+/// What `bench-gate scaling` concludes about speed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Verdict {
+    /// The best multi-thread speedup reached its share of the ceiling.
+    Pass,
+    /// The host cannot show a speedup; why.
+    Skip(String),
+    /// The engine left the host's parallelism unused; how.
+    Fail(String),
+}
+
+/// Judge a [`Scaling`] report from a host with `cores` CPUs: the best
+/// multi-thread speedup must reach [`SCALING_SHARE`] of the host ceiling
+/// measured in the same run. A single core, or a ceiling under
+/// [`MIN_CEILING`] (neighbours hold the other cores), skips the verdict;
+/// the byte-identity check has already held either way.
+pub fn scaling_verdict(report: &Scaling, cores: usize) -> Verdict {
+    if cores == 1 {
+        return Verdict::Skip("single-core host".into());
+    }
+    if report.ceiling < MIN_CEILING {
+        return Verdict::Skip(format!(
+            "host ceiling ×{:.2} is below ×{MIN_CEILING:.1}: the other cores are busy",
+            report.ceiling
+        ));
+    }
+    let best = report
+        .rows
+        .iter()
+        .filter(|r| r.threads > 1)
+        .map(|r| r.speedup)
+        .fold(f64::NEG_INFINITY, f64::max);
+    if best.is_finite() && best < SCALING_SHARE * report.ceiling {
+        return Verdict::Fail(format!(
+            "best multi-thread speedup ×{best:.2} is below {SCALING_SHARE} × the host \
+             ceiling ×{:.2} measured in the same run",
+            report.ceiling
+        ));
+    }
+    Verdict::Pass
 }
 
 #[cfg(test)]
@@ -536,6 +642,58 @@ mod tests {
         assert!(Workload::MicroBatch.run_once(&registry) > 0);
         assert_eq!(Workload::MicroBatch.trials_per_run(), MICRO_TRIALS as u64);
         assert_eq!(Workload::ScaleLine.trials_per_run(), 1);
+    }
+
+    #[test]
+    fn scaling_times_one_thread_first_and_measures_the_ceiling() {
+        let report = scaling(&[2]).unwrap();
+        let threads: Vec<usize> = report.rows.iter().map(|r| r.threads).collect();
+        assert_eq!(threads, vec![1, 2]);
+        assert_eq!(report.rows[0].speedup, 1.0);
+        assert!(report.pair_ns > 0);
+        assert!(report.ceiling > 0.0 && report.ceiling <= 2.0);
+    }
+
+    #[test]
+    fn the_scaling_verdict_is_against_the_ceiling_measured_in_the_same_run() {
+        let report = |speedup: f64, ceiling: f64| Scaling {
+            rows: vec![
+                ScalingRow {
+                    threads: 1,
+                    wall_ns: 100,
+                    speedup: 1.0,
+                },
+                ScalingRow {
+                    threads: 2,
+                    wall_ns: (100.0 / speedup) as u64,
+                    speedup,
+                },
+            ],
+            pair_ns: (200.0 / ceiling) as u64,
+            ceiling,
+        };
+        // Two idle cores: a serialized engine fails, a scaling one passes.
+        assert!(matches!(
+            scaling_verdict(&report(1.0, 1.9), 2),
+            Verdict::Fail(_)
+        ));
+        assert_eq!(scaling_verdict(&report(1.7, 1.9), 2), Verdict::Pass);
+        // Neighbours hold the second core: no speedup is possible, and
+        // none is asked for.
+        assert!(matches!(
+            scaling_verdict(&report(1.0, 1.05), 2),
+            Verdict::Skip(_)
+        ));
+        // A partly busy host asks for its share of what it allowed.
+        assert_eq!(scaling_verdict(&report(1.0, 1.2), 2), Verdict::Pass);
+        assert!(matches!(
+            scaling_verdict(&report(1.0, 1.4), 2),
+            Verdict::Fail(_)
+        ));
+        assert!(matches!(
+            scaling_verdict(&report(1.0, 1.9), 1),
+            Verdict::Skip(_)
+        ));
     }
 
     #[test]

@@ -119,7 +119,7 @@ impl TrialSpec {
     /// The checkpoint identity of this trial: the scenario's canonical
     /// label plus the repetition index.
     pub fn trial_id(&self) -> String {
-        format!("{}#r{}", self.point.point_id(), self.rep)
+        self.point.trial_id(self.rep)
     }
 }
 

@@ -28,7 +28,7 @@
 //! service's `GET /trace`), since both the CLI and `disp-serve` sit above
 //! this crate.
 
-use disp_analysis::json::Json;
+use disp_analysis::json::{Json, ObjectWriter};
 use disp_analysis::TrialRecord;
 use disp_sim::{Trace, TraceEvent};
 use std::io::Write;
@@ -177,18 +177,21 @@ impl TrialEvent {
         }
     }
 
-    /// Render as a JSON object with an `"event"` discriminator.
-    pub fn to_json(&self) -> Json {
-        let mut fields: Vec<(String, Json)> = vec![("event".into(), Json::Str(self.kind().into()))];
+    /// Compact JSONL line (no trailing newline): a JSON object whose first
+    /// key, `"event"`, is the [`TrialEvent::kind`] tag, written in one pass.
+    pub fn to_json_line(&self) -> String {
+        let mut line = String::with_capacity(EVENT_LINE_CAPACITY);
+        let mut w = ObjectWriter::new(&mut line);
+        w.str("event", self.kind());
         match self {
             TrialEvent::Started {
                 trial_id,
                 label,
                 rep,
             } => {
-                fields.push(("trial_id".into(), Json::Str(trial_id.clone())));
-                fields.push(("label".into(), Json::Str(label.clone())));
-                fields.push(("rep".into(), Json::Num(*rep as f64)));
+                w.str("trial_id", trial_id);
+                w.str("label", label);
+                w.u64("rep", *rep as u64);
             }
             TrialEvent::Completed {
                 trial_id,
@@ -201,16 +204,16 @@ impl TrialEvent {
                 dispersed,
                 worker,
             } => {
-                fields.push(("trial_id".into(), Json::Str(trial_id.clone())));
-                fields.push(("label".into(), Json::Str(label.clone())));
-                fields.push(("rep".into(), Json::Num(*rep as f64)));
-                fields.push(("wall_micros".into(), Json::Num(*wall_micros as f64)));
-                fields.push(("time".into(), Json::Num(*time as f64)));
-                fields.push(("steps".into(), Json::Num(*steps as f64)));
-                fields.push(("total_moves".into(), Json::Num(*total_moves as f64)));
-                fields.push(("dispersed".into(), Json::Bool(*dispersed)));
+                w.str("trial_id", trial_id);
+                w.str("label", label);
+                w.u64("rep", *rep as u64);
+                w.u64("wall_micros", *wall_micros);
+                w.u64("time", *time);
+                w.u64("steps", *steps);
+                w.u64("total_moves", *total_moves);
+                w.bool("dispersed", *dispersed);
                 if let Some(worker) = worker {
-                    fields.push(("worker".into(), Json::Str(worker.clone())));
+                    w.str("worker", worker);
                 }
             }
             TrialEvent::Cached {
@@ -221,25 +224,23 @@ impl TrialEvent {
                 total_moves,
                 dispersed,
             } => {
-                fields.push(("trial_id".into(), Json::Str(trial_id.clone())));
-                fields.push(("label".into(), Json::Str(label.clone())));
-                fields.push(("rep".into(), Json::Num(*rep as f64)));
-                fields.push(("time".into(), Json::Num(*time as f64)));
-                fields.push(("total_moves".into(), Json::Num(*total_moves as f64)));
-                fields.push(("dispersed".into(), Json::Bool(*dispersed)));
+                w.str("trial_id", trial_id);
+                w.str("label", label);
+                w.u64("rep", *rep as u64);
+                w.u64("time", *time);
+                w.u64("total_moves", *total_moves);
+                w.bool("dispersed", *dispersed);
             }
-            TrialEvent::Overflow { dropped } => {
-                fields.push(("dropped".into(), Json::Num(*dropped as f64)));
-            }
+            TrialEvent::Overflow { dropped } => w.u64("dropped", *dropped),
         }
-        Json::Obj(fields)
-    }
-
-    /// Compact JSONL line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
-        self.to_json().to_string_compact()
+        w.end();
+        line
     }
 }
+
+/// Bytes reserved for one event line: a `completed` event of a typical
+/// label, its trial id and a worker name.
+const EVENT_LINE_CAPACITY: usize = 256;
 
 /// Where telemetry events go. Implementations run on the collector thread,
 /// never on engine workers, so they may do I/O freely.
@@ -577,18 +578,62 @@ mod tests {
     #[test]
     fn events_render_with_discriminators() {
         let ev = TrialEvent::started("line/k4/rooted/sync/probe-dfs", 2);
-        let doc = ev.to_json();
+        let doc = Json::parse(&ev.to_json_line()).unwrap();
         assert_eq!(doc.get("event").and_then(Json::as_str), Some("started"));
         assert_eq!(
             doc.get("trial_id").and_then(Json::as_str),
             Some("line/k4/rooted/sync/probe-dfs#r2")
         );
         let over = TrialEvent::Overflow { dropped: 3 };
-        assert_eq!(
-            over.to_json().get("dropped").and_then(Json::as_f64),
-            Some(3.0)
-        );
+        let doc = Json::parse(&over.to_json_line()).unwrap();
+        assert_eq!(doc.get("dropped").and_then(Json::as_f64), Some(3.0));
         assert_eq!(over.kind(), "overflow");
+    }
+
+    #[test]
+    fn event_lines_keep_their_bytes() {
+        // Every variant's line, byte for byte, as the sidecar, the SSE
+        // stream and the job event log have always carried it.
+        let completed = TrialEvent::Completed {
+            trial_id: "ring/k8/rooted/sync/ks-dfs#r1".into(),
+            label: "ring/k8/rooted/sync/ks-dfs".into(),
+            rep: 1,
+            wall_micros: 1234,
+            time: 17,
+            steps: 0,
+            total_moves: 40,
+            dispersed: true,
+            worker: Some("w\"1\n".into()),
+        };
+        let cached = TrialEvent::Cached {
+            trial_id: "a#r0".into(),
+            label: "a".into(),
+            rep: 0,
+            time: 3,
+            total_moves: 9_007_199_254_740_993,
+            dispersed: false,
+        };
+        let lines = [
+            (
+                TrialEvent::started("line/k4/rooted/sync/probe-dfs", 2),
+                r#"{"event":"started","trial_id":"line/k4/rooted/sync/probe-dfs#r2","label":"line/k4/rooted/sync/probe-dfs","rep":2}"#,
+            ),
+            (
+                completed,
+                r#"{"event":"completed","trial_id":"ring/k8/rooted/sync/ks-dfs#r1","label":"ring/k8/rooted/sync/ks-dfs","rep":1,"wall_micros":1234,"time":17,"steps":0,"total_moves":40,"dispersed":true,"worker":"w\"1\n"}"#,
+            ),
+            (
+                cached,
+                r#"{"event":"cached","trial_id":"a#r0","label":"a","rep":0,"time":3,"total_moves":9007199254740992,"dispersed":false}"#,
+            ),
+            (
+                TrialEvent::Overflow { dropped: 7 },
+                r#"{"event":"overflow","dropped":7}"#,
+            ),
+        ];
+        for (event, line) in lines {
+            assert_eq!(event.to_json_line(), line);
+        }
     }
 
     #[test]

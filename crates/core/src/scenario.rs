@@ -63,22 +63,36 @@ use disp_sim::{
     Adversary, AdversaryKind, AgentProtocol, AsyncRunner, CrashPlan, DynamicAdversary, Observer,
     Outcome, Placement, RunConfig, RunError, SyncRunner, World, WorldPool,
 };
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 // ---------------------------------------------------------------------------
 // Canonical floats
 // ---------------------------------------------------------------------------
 
 /// Format a finite `f64` canonically: Rust's shortest round-trip decimal,
-/// forced to contain `.` or `e` so a float is never mistaken for an integer
+/// forced to contain `.` so a float is never mistaken for an integer
 /// (`1.0` stays `"1.0"`, never `"1"`).
 pub fn fmt_f64(v: f64) -> String {
-    debug_assert!(v.is_finite(), "canonical floats are finite");
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        s + ".0"
+    CanonicalF64(v).to_string()
+}
+
+/// Displays a finite `f64` in its canonical form ([`fmt_f64`]), for
+/// writers that append to a buffer instead of allocating the text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CanonicalF64(pub f64);
+
+impl fmt::Display for CanonicalF64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        debug_assert!(self.0.is_finite(), "canonical floats are finite");
+        // `{}` never uses an exponent and prints a `.` exactly when a finite
+        // value has a fractional part. Every other value — integral, or
+        // non-finite in a release build — gets `.0`, so the text always
+        // holds a `.`.
+        write!(f, "{}", self.0)?;
+        if !self.0.is_finite() || self.0.fract() == 0.0 {
+            f.write_str(".0")?;
+        }
+        Ok(())
     }
 }
 
@@ -143,13 +157,7 @@ impl Schedule {
     /// encoded — a schedule label describes the adversary *family*, the run
     /// seed supplies its randomness.
     pub fn label(&self) -> String {
-        match self {
-            Schedule::Sync => "sync".into(),
-            Schedule::AsyncRoundRobin => "async-rr".into(),
-            Schedule::AsyncRandom { prob, .. } => format!("async-rand{}", fmt_f64(*prob)),
-            Schedule::AsyncLagging { max_lag, .. } => format!("async-lag{max_lag}"),
-            Schedule::AsyncTargeted { max_lag } => format!("async-target{max_lag}"),
-        }
+        self.to_string()
     }
 
     /// Inverse of [`Schedule::label`] (seeds come back as 0). Rejects
@@ -209,9 +217,16 @@ impl Schedule {
     }
 }
 
+/// Writes the canonical label ([`Schedule::label`]).
 impl fmt::Display for Schedule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.label())
+        match self {
+            Schedule::Sync => f.write_str("sync"),
+            Schedule::AsyncRoundRobin => f.write_str("async-rr"),
+            Schedule::AsyncRandom { prob, .. } => write!(f, "async-rand{}", CanonicalF64(*prob)),
+            Schedule::AsyncLagging { max_lag, .. } => write!(f, "async-lag{max_lag}"),
+            Schedule::AsyncTargeted { max_lag } => write!(f, "async-target{max_lag}"),
+        }
     }
 }
 
@@ -231,16 +246,7 @@ pub enum ParamValue {
 }
 
 impl ParamValue {
-    /// Canonical text form (the label/JSON wire encoding).
-    pub fn fmt(&self) -> String {
-        match *self {
-            ParamValue::U64(v) => v.to_string(),
-            ParamValue::F64(v) => fmt_f64(v),
-            ParamValue::Bool(v) => v.to_string(),
-        }
-    }
-
-    /// Inverse of [`ParamValue::fmt`]. The three canonical forms are
+    /// Inverse of the `Display` form. The three canonical forms are
     /// disjoint (digits / contains `.`|`e` / `true`|`false`), so the type is
     /// recovered from the text alone.
     pub fn parse(s: &str) -> Option<ParamValue> {
@@ -260,6 +266,18 @@ impl ParamValue {
             ParamValue::U64(_) => "u64",
             ParamValue::F64(_) => "f64",
             ParamValue::Bool(_) => "bool",
+        }
+    }
+}
+
+/// Writes the canonical text form (the label/JSON wire encoding), which
+/// [`ParamValue::parse`] reads back.
+impl fmt::Display for ParamValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ParamValue::U64(v) => write!(f, "{v}"),
+            ParamValue::F64(v) => write!(f, "{}", CanonicalF64(v)),
+            ParamValue::Bool(v) => write!(f, "{v}"),
         }
     }
 }
@@ -911,35 +929,12 @@ impl ScenarioSpec {
 
     /// The canonical label — the identity of this scenario everywhere:
     /// trial ids, manifest fingerprints, CLI arguments, report rows.
+    ///
+    /// Built in one buffer sized for a typical label; `Display` writes the
+    /// same text into any other buffer (`format!("{spec}#r{rep}")`).
     pub fn label(&self) -> String {
-        let mut out = format!("{}/k{}", self.family.label(), self.k);
-        if self.occupancy != 1.0 {
-            out.push_str(&format!("/occ{}", fmt_f64(self.occupancy)));
-        }
-        out.push_str(&format!(
-            "/{}/{}",
-            self.placement.label(),
-            self.schedule.label()
-        ));
-        if let Some(rate) = self.dyn_ring {
-            out.push_str(&format!("/dyn-ring{rate}"));
-        }
-        if self.crashes > 0 {
-            out.push_str(&format!("/crash{}", self.crashes));
-        }
-        out.push_str(&format!("/{}", self.algorithm));
-        for (key, value) in self.params.iter() {
-            out.push_str(&format!("/{key}={}", value.fmt()));
-        }
-        if self.min_distance > 1 {
-            out.push_str(&format!("/dist{}", self.min_distance));
-        }
-        if let Some(r) = self.limits.max_rounds {
-            out.push_str(&format!("/rounds{r}"));
-        }
-        if let Some(s) = self.limits.max_steps {
-            out.push_str(&format!("/steps{s}"));
-        }
+        let mut out = String::with_capacity(LABEL_CAPACITY);
+        let _ = write!(out, "{self}");
         out
     }
 
@@ -1400,9 +1395,38 @@ impl ScenarioSpec {
     }
 }
 
+/// Bytes [`ScenarioSpec::label`] reserves: room for the labels of the
+/// built-in grids plus a trial id's `#rN` suffix.
+pub const LABEL_CAPACITY: usize = 64;
+
+/// Writes the canonical label ([`ScenarioSpec::label`]).
 impl fmt::Display for ScenarioSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.label())
+        write!(f, "{}/k{}", self.family, self.k)?;
+        if self.occupancy != 1.0 {
+            write!(f, "/occ{}", CanonicalF64(self.occupancy))?;
+        }
+        write!(f, "/{}/{}", self.placement, self.schedule)?;
+        if let Some(rate) = self.dyn_ring {
+            write!(f, "/dyn-ring{rate}")?;
+        }
+        if self.crashes > 0 {
+            write!(f, "/crash{}", self.crashes)?;
+        }
+        write!(f, "/{}", self.algorithm)?;
+        for (key, value) in self.params.iter() {
+            write!(f, "/{key}={value}")?;
+        }
+        if self.min_distance > 1 {
+            write!(f, "/dist{}", self.min_distance)?;
+        }
+        if let Some(r) = self.limits.max_rounds {
+            write!(f, "/rounds{r}")?;
+        }
+        if let Some(s) = self.limits.max_steps {
+            write!(f, "/steps{s}")?;
+        }
+        Ok(())
     }
 }
 
@@ -1610,7 +1634,7 @@ mod tests {
             ParamValue::Bool(true),
             ParamValue::Bool(false),
         ] {
-            assert_eq!(ParamValue::parse(&v.fmt()), Some(v));
+            assert_eq!(ParamValue::parse(&v.to_string()), Some(v));
         }
         assert_eq!(ParamValue::parse("007"), None, "non-canonical integer");
         assert_eq!(ParamValue::parse(""), None);

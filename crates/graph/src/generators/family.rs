@@ -227,28 +227,29 @@ impl GraphFamily {
 
     /// Short machine-friendly label (used in CSV headers and bench ids).
     pub fn label(&self) -> String {
-        match *self {
-            GraphFamily::Line => "line".into(),
-            GraphFamily::Ring => "ring".into(),
-            GraphFamily::Star => "star".into(),
-            GraphFamily::Complete => "complete".into(),
-            GraphFamily::BinaryTree => "bintree".into(),
-            GraphFamily::RandomTree => "rtree".into(),
-            GraphFamily::Grid => "grid".into(),
-            GraphFamily::Torus => "torus".into(),
-            GraphFamily::Hypercube => "hypercube".into(),
-            GraphFamily::RandomRegular { degree } => format!("rreg{degree}"),
-            GraphFamily::ErdosRenyi { avg_degree } => format!("er{avg_degree}"),
-            GraphFamily::Barbell => "barbell".into(),
-            GraphFamily::Lollipop => "lollipop".into(),
-            GraphFamily::Caterpillar { legs } => format!("caterpillar{legs}"),
-        }
+        self.to_string()
     }
 }
 
+/// Writes the short label ([`GraphFamily::label`]).
 impl fmt::Display for GraphFamily {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.label())
+        match *self {
+            GraphFamily::Line => f.write_str("line"),
+            GraphFamily::Ring => f.write_str("ring"),
+            GraphFamily::Star => f.write_str("star"),
+            GraphFamily::Complete => f.write_str("complete"),
+            GraphFamily::BinaryTree => f.write_str("bintree"),
+            GraphFamily::RandomTree => f.write_str("rtree"),
+            GraphFamily::Grid => f.write_str("grid"),
+            GraphFamily::Torus => f.write_str("torus"),
+            GraphFamily::Hypercube => f.write_str("hypercube"),
+            GraphFamily::RandomRegular { degree } => write!(f, "rreg{degree}"),
+            GraphFamily::ErdosRenyi { avg_degree } => write!(f, "er{avg_degree}"),
+            GraphFamily::Barbell => f.write_str("barbell"),
+            GraphFamily::Lollipop => f.write_str("lollipop"),
+            GraphFamily::Caterpillar { legs } => write!(f, "caterpillar{legs}"),
+        }
     }
 }
 

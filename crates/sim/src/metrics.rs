@@ -125,44 +125,73 @@ impl Outcome {
         }
     }
 
+    /// The names of [`Outcome::flat_fields`], in order.
+    pub const FIELDS: [&'static str; 12] = [
+        "rounds",
+        "steps",
+        "epochs",
+        "activations",
+        "total_moves",
+        "max_moves_per_agent",
+        "peak_memory_bits",
+        "terminated",
+        "k",
+        "n",
+        "m",
+        "max_degree",
+    ];
+
     /// Flatten into stable `(field, value)` pairs for streaming writers
     /// (JSONL, CSV). `terminated` is encoded as 0/1. The field names are part
     /// of the on-disk campaign format; [`Outcome::from_named`] is the inverse.
     pub fn flat_fields(&self) -> [(&'static str, u64); 12] {
-        [
-            ("rounds", self.rounds),
-            ("steps", self.steps),
-            ("epochs", self.epochs),
-            ("activations", self.activations),
-            ("total_moves", self.total_moves),
-            ("max_moves_per_agent", self.max_moves_per_agent),
-            ("peak_memory_bits", self.peak_memory_bits as u64),
-            ("terminated", self.terminated as u64),
-            ("k", self.k as u64),
-            ("n", self.n as u64),
-            ("m", self.m as u64),
-            ("max_degree", self.max_degree as u64),
-        ]
+        let values = [
+            self.rounds,
+            self.steps,
+            self.epochs,
+            self.activations,
+            self.total_moves,
+            self.max_moves_per_agent,
+            self.peak_memory_bits as u64,
+            self.terminated as u64,
+            self.k as u64,
+            self.n as u64,
+            self.m as u64,
+            self.max_degree as u64,
+        ];
+        std::array::from_fn(|i| (Outcome::FIELDS[i], values[i]))
     }
 
     /// Rebuild an outcome from a field lookup (e.g. a parsed JSON object).
     /// Returns `None` if any field of the [`Outcome::flat_fields`] schema is
     /// missing.
     pub fn from_named(mut get: impl FnMut(&'static str) -> Option<u64>) -> Option<Outcome> {
-        Some(Outcome {
-            rounds: get("rounds")?,
-            steps: get("steps")?,
-            epochs: get("epochs")?,
-            activations: get("activations")?,
-            total_moves: get("total_moves")?,
-            max_moves_per_agent: get("max_moves_per_agent")?,
-            peak_memory_bits: get("peak_memory_bits")? as usize,
-            terminated: get("terminated")? != 0,
-            k: get("k")? as usize,
-            n: get("n")? as usize,
-            m: get("m")? as usize,
-            max_degree: get("max_degree")? as usize,
-        })
+        let mut values = [0; 12];
+        for (value, name) in values.iter_mut().zip(Outcome::FIELDS) {
+            *value = get(name)?;
+        }
+        Some(Outcome::from_fields(values))
+    }
+
+    /// Rebuild an outcome from the values of [`Outcome::flat_fields`], in
+    /// the order of [`Outcome::FIELDS`].
+    pub fn from_fields(values: [u64; 12]) -> Outcome {
+        let [rounds, steps, epochs, activations, total_moves, max_moves_per_agent, peak_memory_bits, terminated, k, n, m, max_degree] =
+            values;
+        Outcome {
+            rounds,
+            steps,
+            epochs,
+            activations,
+            total_moves,
+            max_moves_per_agent,
+            peak_memory_bits: peak_memory_bits as usize,
+            terminated: terminated != 0,
+            k: k as usize,
+            n: n as usize,
+            m: m as usize,
+            max_degree: max_degree as usize,
+        }
     }
 }
 

@@ -39,12 +39,7 @@ impl Placement {
     /// Canonical label (part of the scenario-label grammar): `rooted`,
     /// `scatter`, `cluster<c>`, `spread`.
     pub fn label(&self) -> String {
-        match *self {
-            Placement::Rooted => "rooted".into(),
-            Placement::ScatteredUniform => "scatter".into(),
-            Placement::Clustered { clusters } => format!("cluster{clusters}"),
-            Placement::AdversarialSpread => "spread".into(),
-        }
+        self.to_string()
     }
 
     /// Inverse of [`Placement::label`].
@@ -114,9 +109,15 @@ impl Placement {
     }
 }
 
+/// Writes the canonical label ([`Placement::label`]).
 impl std::fmt::Display for Placement {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.label())
+        match *self {
+            Placement::Rooted => f.write_str("rooted"),
+            Placement::ScatteredUniform => f.write_str("scatter"),
+            Placement::Clustered { clusters } => write!(f, "cluster{clusters}"),
+            Placement::AdversarialSpread => f.write_str("spread"),
+        }
     }
 }
 
