@@ -111,11 +111,17 @@ pub fn read_scenario(r: &mut Reader, depth: usize) -> Result<ScenarioSpec, Strin
                 k = Some(r.scalar(inner)?.as_u64().ok_or("scenario: missing k")? as usize);
             }
             "occupancy" if occupancy.is_none() => {
-                occupancy = Some(match r.scalar(inner)? {
+                let value = match r.scalar(inner)? {
                     Scalar::Str(s) => disp_core::scenario::parse_f64(&s)
                         .ok_or_else(|| format!("scenario: non-canonical occupancy '{s}'"))?,
                     other => other.as_f64().ok_or("scenario: bad occupancy")?,
-                });
+                };
+                // `validate`'s rule, which also keeps non-finite values
+                // out of the canonical label.
+                if !(value > 0.0 && value <= 1.0) {
+                    return Err(format!("scenario: occupancy {value} outside (0, 1]"));
+                }
+                occupancy = Some(value);
             }
             "placement" if placement.is_none() => {
                 let value = r.scalar(inner)?;

@@ -12,7 +12,8 @@
 //! token, keys spelled with `\u` escapes, unknown keys (one a 200-deep
 //! array) and duplicate keys; plus byte soup. The invariant: nothing
 //! panics, both decoders accept or reject alike, and they decode the same
-//! record.
+//! record. Both hold a scenario's occupancy to `validate`'s (0, 1], so an
+//! out-of-range value is an error, never a label.
 
 use disp_analysis::{ExperimentPoint, Json, TrialRecord};
 use disp_core::scenario::{Limits, ParamValue, Params, ScenarioSpec, Schedule};
@@ -66,6 +67,9 @@ fn reference_scenario(v: &Json) -> Result<ScenarioSpec, String> {
         Some(Json::Str(s)) => disp_core::scenario::parse_f64(s).ok_or("non-canonical")?,
         Some(other) => other.as_f64().ok_or("bad occupancy")?,
     };
+    if !(occupancy > 0.0 && occupancy <= 1.0) {
+        return Err("occupancy outside (0, 1]".into());
+    }
     let placement = Placement::from_label(text("placement")?).ok_or("unknown placement")?;
     let schedule = Schedule::from_label(text("schedule")?).ok_or("unknown schedule")?;
     // A key present at its "absent" value is rejected, not normalized.
@@ -452,6 +456,30 @@ fn an_unknown_key_is_held_to_the_nesting_bound() {
             assert_eq!(TrialRecord::from_json_line(&input).is_ok(), ok, "{depth}");
             assert_eq!(reference(&input).is_ok(), ok, "{depth}");
         }
+    }
+}
+
+#[test]
+fn an_occupancy_outside_the_unit_interval_is_an_error() {
+    // `validate`'s rule: a number past f64's range read as infinity, and
+    // -1, 0 and 1.5 as labels no scenario may have; canonical strings too.
+    let line = GOLDEN
+        .lines()
+        .find(|l| l.contains(r#""occupancy":"0.5""#))
+        .expect("a scattered golden record");
+    for value in [
+        "1e400",
+        "-1",
+        "0",
+        "1.5",
+        r#""-1.0""#,
+        r#""0.0""#,
+        r#""1.5""#,
+    ] {
+        let input = line.replace(r#""occupancy":"0.5""#, &format!(r#""occupancy":{value}"#));
+        let decoded = TrialRecord::from_json_line(&input);
+        assert!(decoded.unwrap_err().contains("outside (0, 1]"), "{value}");
+        assert!(reference(&input).is_err(), "{value}");
     }
 }
 

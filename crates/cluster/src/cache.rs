@@ -707,11 +707,17 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let (a, b) = (run_one(8, 2, 7, 0), run_one(12, 2, 7, 1));
-        let log = format!(
+        let mut log = format!(
             "{}\n{{\"scenario\":{{\"family\":\n{}\n",
             a.to_json_line(),
             b.to_json_line()
         );
+        // Occupancies outside `validate`'s (0, 1]: none may become a key.
+        for occupancy in ["1e400", "-1", "0", "1.5"] {
+            let scenario = format!(r#"{{"scenario":{{"occupancy":{occupancy},"#);
+            log.push_str(&a.to_json_line().replacen(r#"{"scenario":{"#, &scenario, 1));
+            log.push('\n');
+        }
         std::fs::write(dir.join("cache.jsonl"), log).unwrap();
         let cache = TrialCache::open(&dir).unwrap();
         for rec in [&a, &b] {
@@ -719,7 +725,7 @@ mod tests {
             assert_eq!(hit.map(|r| r.to_json_line()), Some(rec.to_json_line()));
         }
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.skipped_lines(), 1);
+        assert_eq!(cache.skipped_lines(), 5);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -48,8 +48,8 @@
 //! `aux1`; scatter walkers keep their 64-bit xorshift state split across
 //! `aux0`/`aux1`. A `node → settler` cache replaces the per-activation
 //! co-location scans for "does this node host a settler" (settlers never
-//! move). The `tests/soa_differential.rs` suite pins this rewrite
-//! step-for-step to the retained enum-of-structs reference.
+//! move). The golden corpus (`tests/golden_corpus.rs`) pins this rewrite
+//! step-for-step to the enum-of-structs implementation it replaced.
 
 use disp_graph::Port;
 use disp_sim::{bits, ActivationCtx, AgentId, AgentProtocol, World};

@@ -60,8 +60,8 @@
 //! vector. The rider / idle-guest / returned-prober lists thread through
 //! one shared [`ListArena`] slab (intrusive index-linked lists), so after
 //! construction the protocol performs no further heap allocation beyond
-//! one reusable scratch buffer. The `tests/soa_differential.rs` suite pins
-//! this rewrite step-for-step to the retained enum-of-structs reference.
+//! one reusable scratch buffer. `tests/golden_corpus.rs` pins this rewrite
+//! step-for-step to the enum-of-structs implementation it replaced.
 //!
 //! This protocol assumes a **rooted** initial configuration (all agents on
 //! one node); see `DESIGN.md` for how general configurations are handled.

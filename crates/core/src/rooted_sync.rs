@@ -32,8 +32,8 @@
 //! of per-agent enum variants, and a `node → settler` cache replaces the
 //! per-activation co-location scans for "does this node host a settler"
 //! (settlers never move in this protocol, so the cache is trivially
-//! coherent). The `tests/soa_differential.rs` suite pins this rewrite
-//! step-for-step to the retained enum-of-structs reference.
+//! coherent). The golden corpus (`tests/golden_corpus.rs`) pins this
+//! rewrite step-for-step to the enum-of-structs implementation it replaced.
 
 use disp_graph::Port;
 use disp_sim::{bits, ActivationCtx, AgentId, AgentProtocol, World};

@@ -48,7 +48,7 @@ pub trait AgentProtocol {
     /// The runners' periodic memory sampling uses this fast path when it is
     /// available and falls back to the `O(k)` per-agent scan otherwise. An
     /// override MUST return exactly the value the scan would compute; the
-    /// differential suite cross-checks this against scan-path references.
+    /// golden corpus pins the peak memory the scan-path references computed.
     fn max_memory_bits(&self) -> Option<usize> {
         None
     }

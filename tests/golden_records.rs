@@ -2,10 +2,10 @@
 //! `tests/golden/colocation.trials.jsonl` must decode, and re-encode to
 //! exactly the same bytes.
 //!
-//! CI's co-location smoke reruns the grid and compares the sorted log
-//! with `cmp`; this test pins the other half in tier-1. An encoder that
-//! drifts from the recorded wire format (a key order, a number form, an
-//! omitted default) fails here without running a single trial.
+//! The golden corpus pins what these trials compute, and CI's co-location
+//! smoke reruns them through the engine and store; this test pins the wire
+//! format. An encoder that drifts from the recorded lines (a key order, a
+//! number form, an omitted default) fails here without running a trial.
 
 use dispersion::analysis::TrialRecord;
 
