@@ -323,7 +323,7 @@ mod tests {
     #[test]
     fn run_trial_is_deterministic_in_the_seed() {
         let registry = reg();
-        let p = small_point("probe-dfs", Schedule::AsyncRandom { prob: 0.7, seed: 0 });
+        let p = small_point("probe-dfs", Schedule::AsyncRandom { prob: 0.7 });
         let a = p.run_trial(&registry, 0, 999);
         let b = p.run_trial(&registry, 0, 999);
         let c = p.run_trial(&registry, 0, 1000);
@@ -338,11 +338,8 @@ mod tests {
         for schedule in [
             Schedule::Sync,
             Schedule::AsyncRoundRobin,
-            Schedule::AsyncRandom { prob: 0.7, seed: 0 },
-            Schedule::AsyncLagging {
-                max_lag: 3,
-                seed: 0,
-            },
+            Schedule::AsyncRandom { prob: 0.7 },
+            Schedule::AsyncLagging { max_lag: 3 },
         ] {
             for placement in [Placement::Rooted, Placement::ScatteredUniform] {
                 let mut point = small_point("ks-dfs", schedule);
@@ -365,7 +362,7 @@ mod tests {
         // must not round them (regression test for the lossless encoding).
         let registry = reg();
         let big = u64::MAX - 12345;
-        let rec = small_point("probe-dfs", Schedule::AsyncRandom { prob: 0.7, seed: 0 })
+        let rec = small_point("probe-dfs", Schedule::AsyncRandom { prob: 0.7 })
             .run_trial(&registry, 0, big);
         assert_eq!(rec.seed, big);
         let back = TrialRecord::from_json_line(&rec.to_json_line()).unwrap();
@@ -400,7 +397,7 @@ mod tests {
 
     #[test]
     fn point_id_is_the_canonical_scenario_label() {
-        let p = small_point("probe-dfs", Schedule::AsyncRandom { prob: 0.7, seed: 0 });
+        let p = small_point("probe-dfs", Schedule::AsyncRandom { prob: 0.7 });
         assert_eq!(p.point_id(), "rtree/k16/rooted/async-rand0.7/probe-dfs");
         let spec = ScenarioSpec::from_label(&p.point_id()).unwrap();
         assert_eq!(spec, p.scenario);
@@ -426,7 +423,7 @@ mod tests {
 
     #[test]
     fn async_measurement_reports_epochs() {
-        let p = small_point("probe-dfs", Schedule::AsyncRandom { prob: 0.6, seed: 0 });
+        let p = small_point("probe-dfs", Schedule::AsyncRandom { prob: 0.6 });
         let (m, trials) = measure(&p, &reg());
         assert!(m.all_dispersed);
         assert!(m.time_mean >= 1.0);
@@ -436,7 +433,7 @@ mod tests {
     #[test]
     fn from_trials_aggregates_like_measure() {
         let registry = reg();
-        for schedule in [Schedule::Sync, Schedule::AsyncRandom { prob: 0.6, seed: 0 }] {
+        for schedule in [Schedule::Sync, Schedule::AsyncRandom { prob: 0.6 }] {
             let (m, trials) = measure(&small_point("probe-dfs", schedule), &registry);
             let times: Vec<u64> = trials.iter().map(|t| t.outcome.time()).collect();
             assert_eq!(m.time_mean, (times[0] + times[1]) as f64 / 2.0);

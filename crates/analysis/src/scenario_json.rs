@@ -244,7 +244,7 @@ mod tests {
             ScenarioSpec::new(GraphFamily::RandomTree, 64, "probe-dfs"),
             ScenarioSpec::new(GraphFamily::ErdosRenyi { avg_degree: 6.0 }, 32, "ks-dfs")
                 .with_placement(Placement::Clustered { clusters: 4 })
-                .with_schedule(Schedule::AsyncRandom { prob: 0.7, seed: 0 })
+                .with_schedule(Schedule::AsyncRandom { prob: 0.7 })
                 .with_occupancy(0.5),
             ScenarioSpec::new(GraphFamily::Star, 96, "sync-seeker")
                 .with_param("wait", ParamValue::U64(6))
@@ -281,7 +281,7 @@ mod tests {
         let spec = ScenarioSpec::new(GraphFamily::Ring, 16, "random-walk")
             .with_occupancy(0.5)
             .with_placement(Placement::Clustered { clusters: 4 })
-            .with_schedule(Schedule::AsyncRandom { prob: 0.7, seed: 0 })
+            .with_schedule(Schedule::AsyncRandom { prob: 0.7 })
             .with_dynamic_ring(2)
             .with_crashes(3)
             .with_param("probers", ParamValue::U64(32))

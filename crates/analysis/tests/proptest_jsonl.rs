@@ -130,11 +130,8 @@ fn grid_lines(rng: &mut StdRng) -> Vec<String> {
     let schedules = [
         Schedule::Sync,
         Schedule::AsyncRoundRobin,
-        Schedule::AsyncRandom { prob: 0.7, seed: 0 },
-        Schedule::AsyncLagging {
-            max_lag: 4,
-            seed: 0,
-        },
+        Schedule::AsyncRandom { prob: 0.7 },
+        Schedule::AsyncLagging { max_lag: 4 },
         Schedule::AsyncTargeted { max_lag: 3 },
     ];
     let placements = [

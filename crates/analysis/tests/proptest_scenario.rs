@@ -58,14 +58,12 @@ fn random_schedule(rng: &mut StdRng) -> Schedule {
         1 => Schedule::AsyncRoundRobin,
         2 => Schedule::AsyncRandom {
             prob: random_prob(rng),
-            seed: 0,
         },
         3 => Schedule::AsyncTargeted {
             max_lag: rng.random_range(1..1000u64),
         },
         _ => Schedule::AsyncLagging {
             max_lag: rng.random_range(1..1000u64),
-            seed: 0,
         },
     }
 }

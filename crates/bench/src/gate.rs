@@ -227,10 +227,7 @@ impl Workload {
             }
             Workload::ScaleLineAsync => {
                 let spec = ScenarioSpec::new(GraphFamily::Line, SCALE_K, "probe-dfs")
-                    .with_schedule(Schedule::AsyncLagging {
-                        max_lag: 4,
-                        seed: 0,
-                    });
+                    .with_schedule(Schedule::AsyncLagging { max_lag: 4 });
                 let report = spec.run(registry, 7).expect("scale async line terminates");
                 assert!(report.dispersed);
                 report.outcome.epochs

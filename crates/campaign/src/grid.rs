@@ -181,7 +181,7 @@ impl CampaignSpec {
                         &ks,
                         &["ks-dfs", "probe-dfs"],
                         Placement::Rooted,
-                        Schedule::AsyncRandom { prob: 0.7, seed: 0 },
+                        Schedule::AsyncRandom { prob: 0.7 },
                         reps,
                     ),
                 ),
@@ -218,7 +218,7 @@ impl CampaignSpec {
                         &ks,
                         &["ks-dfs", "probe-dfs"],
                         Placement::Rooted,
-                        Schedule::AsyncRandom { prob: 0.7, seed: 0 },
+                        Schedule::AsyncRandom { prob: 0.7 },
                         reps,
                     ),
                 ),
@@ -230,10 +230,7 @@ impl CampaignSpec {
                         &ks,
                         &["ks-dfs", "probe-dfs"],
                         Placement::Rooted,
-                        Schedule::AsyncLagging {
-                            max_lag: 4,
-                            seed: 0,
-                        },
+                        Schedule::AsyncLagging { max_lag: 4 },
                         reps,
                     ),
                 ),
@@ -256,15 +253,12 @@ impl CampaignSpec {
             (
                 "placements-async-rand",
                 "ASYNC, random-subset adversary (epochs)",
-                Schedule::AsyncRandom { prob: 0.7, seed: 0 },
+                Schedule::AsyncRandom { prob: 0.7 },
             ),
             (
                 "placements-async-lag",
                 "ASYNC, lagging adversary (epochs)",
-                Schedule::AsyncLagging {
-                    max_lag: 4,
-                    seed: 0,
-                },
+                Schedule::AsyncLagging { max_lag: 4 },
             ),
         ];
         let sections = schedules
@@ -332,7 +326,7 @@ impl CampaignSpec {
                         &ks,
                         &["ks-dfs", "probe-dfs"],
                         Placement::Rooted,
-                        Schedule::AsyncRandom { prob: 0.7, seed: 0 },
+                        Schedule::AsyncRandom { prob: 0.7 },
                         2,
                     ),
                 ),
@@ -386,10 +380,7 @@ impl CampaignSpec {
                 })
                 .collect()
         };
-        let lag = Schedule::AsyncLagging {
-            max_lag: 4,
-            seed: 0,
-        };
+        let lag = Schedule::AsyncLagging { max_lag: 4 };
         let mut sections = vec![
             Section::new(
                 "scale-sync-full",
@@ -491,10 +482,7 @@ impl CampaignSpec {
         };
         // A fixed fault fraction: k/8 crashes, at least one.
         let crashes_for = |k: usize| (k as u64 / 8).max(1);
-        let lag = Schedule::AsyncLagging {
-            max_lag: 4,
-            seed: 0,
-        };
+        let lag = Schedule::AsyncLagging { max_lag: 4 };
         let dyn_section = |name: &str, title: &str, schedule: Schedule| {
             Section::new(
                 name,

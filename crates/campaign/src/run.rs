@@ -440,7 +440,7 @@ mod tests {
                     &[16],
                     &["ks-dfs", "probe-dfs"],
                     Placement::Rooted,
-                    Schedule::AsyncRandom { prob: 0.7, seed: 0 },
+                    Schedule::AsyncRandom { prob: 0.7 },
                     2,
                 ),
             )],

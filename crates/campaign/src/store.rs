@@ -534,7 +534,7 @@ mod tests {
                 ScenarioSpec::new(GraphFamily::Star, 8, "probe-dfs"),
                 ScenarioSpec::new(GraphFamily::Grid, 12, "ks-dfs")
                     .with_placement(Placement::Clustered { clusters: 3 })
-                    .with_schedule(Schedule::AsyncRandom { prob: 0.7, seed: 0 }),
+                    .with_schedule(Schedule::AsyncRandom { prob: 0.7 }),
             ],
             2,
             9,

@@ -22,11 +22,8 @@ fn every_algorithm_schedule_pair_is_seed_deterministic() {
     let schedules = [
         Schedule::Sync,
         Schedule::AsyncRoundRobin,
-        Schedule::AsyncRandom { prob: 0.6, seed: 0 },
-        Schedule::AsyncLagging {
-            max_lag: 4,
-            seed: 0,
-        },
+        Schedule::AsyncRandom { prob: 0.6 },
+        Schedule::AsyncLagging { max_lag: 4 },
     ];
     let mut rng = StdRng::seed_from_u64(0xDE7E_0001);
     for algorithm in registry.labels() {
@@ -63,7 +60,7 @@ fn quick_mixed_spec(seed: u64) -> CampaignSpec {
         &[16, 48],
         &["ks-dfs"],
         Placement::ScatteredUniform,
-        Schedule::AsyncRandom { prob: 0.7, seed: 0 },
+        Schedule::AsyncRandom { prob: 0.7 },
         2,
     );
     mixed.extend(section_points(
@@ -71,7 +68,7 @@ fn quick_mixed_spec(seed: u64) -> CampaignSpec {
         &[16, 48],
         &["ks-dfs", "probe-dfs"],
         Placement::Rooted,
-        Schedule::AsyncRandom { prob: 0.7, seed: 0 },
+        Schedule::AsyncRandom { prob: 0.7 },
         2,
     ));
     CampaignSpec {

@@ -53,14 +53,12 @@ fn fuzz_spec(rng: &mut StdRng, registry: &Registry) -> ScenarioSpec {
             1 => Schedule::AsyncRoundRobin,
             2 | 3 => Schedule::AsyncRandom {
                 prob: 0.05 + (rng.random_range(0..90u32) as f64) / 100.0,
-                seed: 0,
             },
             4 => Schedule::AsyncTargeted {
                 max_lag: 1 + rng.random_range(0..6u64),
             },
             _ => Schedule::AsyncLagging {
                 max_lag: 1 + rng.random_range(0..6u64),
-                seed: 0,
             },
         };
         let k = 6 + rng.random_range(0..26usize);

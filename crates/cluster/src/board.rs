@@ -9,10 +9,13 @@
 //! because batches are content-addressed and re-execution is
 //! deterministic.
 //!
-//! Uploaded records are held per job (not only in the shared cache) so
-//! result assembly cannot be broken by cache eviction: the job store is
-//! bounded by the job's own grid — exactly the memory the local executor
-//! would have used — and is dropped when the job settles.
+//! Each accepted upload is queued, with its worker, for whoever waits on
+//! the job: [`ClusterBoard::wait`] hands the queue over, and its `Done`
+//! comes with the last uploads, so the waiter holds every record (result
+//! assembly cannot be broken by shared-cache eviction) and can account
+//! each one before it settles the job. The board keeps each accepted
+//! record line per job, for batch coverage and the digest handshake,
+//! until the job is withdrawn.
 //!
 //! The digest handshake doubles as a *production determinism check*: when
 //! a batch is executed twice (lease expiry + requeue), the second worker's
@@ -68,9 +71,12 @@ struct JobShards {
     remaining: usize,
     /// Set on a digest conflict; terminal.
     failed: Option<String>,
-    /// Uploaded records, keyed by slot content identity. The raw line is
-    /// kept alongside for digest verification.
-    records: HashMap<SlotKey, (TrialRecord, String)>,
+    /// Accepted record lines, keyed by slot content identity, for batch
+    /// coverage and digest verification.
+    records: HashMap<SlotKey, String>,
+    /// Accepted uploads the executor has not taken yet, each with the
+    /// worker that sent it.
+    landed: Vec<(String, Upload)>,
 }
 
 #[derive(Debug)]
@@ -165,6 +171,7 @@ impl ClusterBoard {
                 batches: entries,
                 failed: None,
                 records: HashMap::new(),
+                landed: Vec::new(),
             },
         );
     }
@@ -263,7 +270,7 @@ impl ClusterBoard {
         let mut missing = Vec::new();
         for (i, slot) in entry.slots.iter().enumerate() {
             match shards.records.get(&slot_key(slot)) {
-                Some((_, line)) => {
+                Some(line) => {
                     if let Some(Some(theirs)) = digests.get(i) {
                         let ours = line_digest(line);
                         if *theirs != ours {
@@ -364,9 +371,8 @@ impl ClusterBoard {
             ));
         }
         for u in uploads {
-            shards
-                .records
-                .insert(record_key(&u.record), (u.record.clone(), u.line.clone()));
+            shards.records.insert(record_key(&u.record), u.line.clone());
+            shards.landed.push((worker.to_string(), u.clone()));
         }
         shards.batches[batch as usize].phase = Phase::Done;
         shards.remaining -= 1;
@@ -381,29 +387,29 @@ impl ClusterBoard {
     }
 
     /// Block until `timeout` for progress on `job`, reaping expired leases
-    /// first, and report its state. The executor drives this in a loop so
-    /// reaping happens even when no worker traffic arrives.
-    pub fn wait(&self, job: &str, timeout: Duration) -> WaitStatus {
+    /// first, and report its state. The uploads accepted for `job` since
+    /// the last call move into `landed`, each with its worker, so the
+    /// reply `Done` comes with the last of them. The executor drives this
+    /// in a loop so reaping happens even when no worker traffic arrives.
+    pub fn wait(
+        &self,
+        job: &str,
+        timeout: Duration,
+        landed: &mut Vec<(String, Upload)>,
+    ) -> WaitStatus {
         let mut inner = self.inner.lock().unwrap();
         reap_expired(&mut inner, Instant::now());
-        match job_status(&inner, job) {
-            WaitStatus::Waiting => {}
-            done => return done,
+        if job_status(&inner, job) == WaitStatus::Waiting {
+            inner = self
+                .cv
+                .wait_timeout(inner, timeout)
+                .expect("board mutex poisoned by a panic")
+                .0;
         }
-        let (guard, _) = self.cv.wait_timeout(inner, timeout).unwrap();
-        job_status(&guard, job)
-    }
-
-    /// Drain the job's uploaded records (result assembly) without removing
-    /// the job.
-    pub fn take_records(&self, job: &str) -> Vec<TrialRecord> {
-        let mut inner = self.inner.lock().unwrap();
-        inner
-            .jobs
-            .get_mut(job)
-            .map(|s| std::mem::take(&mut s.records))
-            .map(|m| m.into_values().map(|(rec, _)| rec).collect())
-            .unwrap_or_default()
+        if let Some(shards) = inner.jobs.get_mut(job) {
+            landed.append(&mut shards.landed);
+        }
+        job_status(&inner, job)
     }
 
     /// Remove a job from the board (cancelled, failed, or settled). Leased
@@ -530,6 +536,9 @@ mod tests {
     use disp_core::scenario::{Registry, ScenarioSpec};
     use disp_graph::generators::GraphFamily;
 
+    /// A wait that does not block a test for long.
+    const TICK: Duration = Duration::from_millis(1);
+
     fn run_slot(k: usize) -> (SlotSpec, TrialRecord) {
         let point = ExperimentPoint::new(ScenarioSpec::new(GraphFamily::Star, k, "probe-dfs"), 1);
         let seed = 42 + k as u64;
@@ -611,13 +620,19 @@ mod tests {
             .complete("w1", "r0", a.batch, &[upload_for(0, &r1)])
             .unwrap();
         assert!(!reply.stale);
-        assert_eq!(board.wait("r0", Duration::from_millis(1)), WaitStatus::Done);
-        // w2's completion of the same batch is now stale, not an error.
+        let mut landed = Vec::new();
+        assert_eq!(board.wait("r0", TICK, &mut landed), WaitStatus::Done);
+        // The executor takes the accepted upload with the `Done`.
+        assert_eq!(landed.len(), 1);
+        assert_eq!((landed[0].0.as_str(), &landed[0].1.record), ("w1", &r1));
+        // w2's completion of the same batch is now stale, not an error,
+        // and lands nothing.
         let reply = board
             .complete("w2", "r0", a.batch, &[upload_for(0, &r1)])
             .unwrap();
         assert!(reply.stale);
-        assert_eq!(board.take_records("r0").len(), 1);
+        assert_eq!(board.wait("r0", TICK, &mut landed), WaitStatus::Done);
+        assert_eq!(landed.len(), 1);
     }
 
     #[test]
@@ -649,7 +664,7 @@ mod tests {
         ];
         let reply = board.reconcile("w2", "r0", a.batch, &digests);
         assert!(reply.stale && reply.missing.is_empty());
-        assert_eq!(board.wait("r0", Duration::from_millis(1)), WaitStatus::Done);
+        assert_eq!(board.wait("r0", TICK, &mut Vec::new()), WaitStatus::Done);
     }
 
     #[test]
@@ -665,7 +680,7 @@ mod tests {
             .unwrap();
         let reply = board.reconcile("w2", "r0", a.batch, &[Some(0xBAD)]);
         assert!(reply.stale);
-        match board.wait("r0", Duration::from_millis(1)) {
+        match board.wait("r0", TICK, &mut Vec::new()) {
             WaitStatus::Failed(msg) => assert!(msg.contains("determinism violation")),
             other => panic!("expected failure, got {other:?}"),
         }
@@ -686,10 +701,7 @@ mod tests {
             .is_err());
         // Uncovered slot.
         assert!(board.complete("w1", "r0", a.batch, &[]).is_err());
-        assert_eq!(
-            board.wait("r0", Duration::from_millis(1)),
-            WaitStatus::Waiting
-        );
+        assert_eq!(board.wait("r0", TICK, &mut Vec::new()), WaitStatus::Waiting);
     }
 
     #[test]

@@ -469,7 +469,7 @@ mod tests {
             let board = board.clone();
             let shared = shared.clone();
             std::thread::spawn(move || {
-                while board.wait("r0", Duration::from_millis(20))
+                while board.wait("r0", Duration::from_millis(20), &mut Vec::new())
                     == crate::board::WaitStatus::Waiting
                 {}
                 shared.request_stop();
@@ -562,7 +562,7 @@ mod tests {
             let board = board.clone();
             let shared = shared.clone();
             std::thread::spawn(move || {
-                while board.wait("r1", Duration::from_millis(20))
+                while board.wait("r1", Duration::from_millis(20), &mut Vec::new())
                     == crate::board::WaitStatus::Waiting
                 {}
                 shared.request_stop();

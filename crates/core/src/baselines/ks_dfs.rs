@@ -46,27 +46,14 @@
 //! label. Followers keep their leader's id in `aux0`; settlers keep the
 //! parent port in `p0`, the scan cursor in `aux0` and the tree label in
 //! `aux1`; scatter walkers keep their 64-bit xorshift state split across
-//! `aux0`/`aux1`. A `node → settler` cache replaces the per-activation
-//! co-location scans for "does this node host a settler" (settlers never
-//! move). The golden corpus (`tests/golden_corpus.rs`) pins this rewrite
-//! step-for-step to the enum-of-structs implementation it replaced.
+//! `aux0`/`aux1`. The tags, their per-class counts and the `node → settler`
+//! index live in the crate's census (DESIGN.md §13.1). The golden corpus
+//! (`tests/golden_corpus.rs`) pins this rewrite step-for-step to the
+//! enum-of-structs implementation it replaced.
 
+use crate::census::{enc, opt, Census, NO_PORT};
 use disp_graph::Port;
 use disp_sim::{bits, ActivationCtx, AgentId, AgentProtocol, World};
-
-const NO_SETTLER: u32 = u32::MAX;
-/// The `Option<Port>` sentinel: ports are 1-based, so `Port(0)` is free.
-const NO_PORT: Port = Port(0);
-
-#[inline]
-fn opt(p: Port) -> Option<Port> {
-    (p != NO_PORT).then_some(p)
-}
-
-#[inline]
-fn enc(p: Option<Port>) -> Port {
-    p.unwrap_or(NO_PORT)
-}
 
 /// The flattened role × stage tag (`_F`/`_T` fold the follower's `executed`
 /// boolean into the byte).
@@ -95,13 +82,10 @@ mod tag {
 /// follower, settled, scatter, leader.
 const CLASSES: usize = 4;
 
-/// Class names in [`class`] index order, for the flight recorder's
-/// per-role histogram ([`AgentProtocol::class_counts`]). The settled class
-/// must be named exactly `"settled"` — the recorder keys on it.
+/// Class names, in class order.
 const CLASS_NAMES: [&str; CLASSES] = ["follower", "settled", "scatter", "leader"];
 
 /// The memory class of a tag — the coarse role.
-#[inline]
 fn class(t: u8) -> usize {
     match t {
         tag::FOLLOWER_F | tag::FOLLOWER_T => 0,
@@ -134,13 +118,8 @@ fn class_bits_table(k: usize, max_degree: usize) -> [usize; CLASSES] {
 /// structure-of-arrays layout.
 #[derive(Debug)]
 pub struct KsDfs {
-    /// Role × stage per agent — the dispatch byte (see [`tag`]).
-    tags: Vec<u8>,
-    /// Number of agents per memory class; with `class_bits` this makes
-    /// peak-memory sampling `O(1)` instead of an `O(k)` scan.
-    class_counts: [u32; CLASSES],
-    /// Per-class footprint in bits (a function of `k` and `Δ` only).
-    class_bits: [usize; CLASSES],
+    /// Role × stage per agent (see [`tag`]) and the settler index.
+    census: Census<CLASSES>,
     /// Packed port fields (`NO_PORT` = none); meaning per role in [`tag`].
     p0: Vec<Port>,
     p1: Vec<Port>,
@@ -149,10 +128,6 @@ pub struct KsDfs {
     /// Packed counter / reference fields; meaning per role in [`tag`].
     aux0: Vec<u32>,
     aux1: Vec<u32>,
-    k: usize,
-    settled_count: usize,
-    /// `node → settler agent` cache (settlers never move here).
-    settled_at: Vec<u32>,
     scatter_seed: u64,
 }
 
@@ -166,21 +141,9 @@ impl KsDfs {
     /// Like [`KsDfs::new`] with an explicit seed for the scatter-mode RNG.
     pub fn with_seed(world: &World, scatter_seed: u64) -> Self {
         let k = world.num_agents();
-        let mut proto = KsDfs {
-            tags: vec![tag::FOLLOWER_F; k],
-            class_counts: [0; CLASSES],
-            class_bits: class_bits_table(k, world.graph().max_degree()),
-            p0: vec![NO_PORT; k],
-            p1: vec![NO_PORT; k],
-            p2: vec![NO_PORT; k],
-            p3: vec![NO_PORT; k],
-            aux0: vec![0; k],
-            aux1: vec![0; k],
-            k,
-            settled_count: 0,
-            settled_at: vec![NO_SETTLER; world.graph().num_nodes()],
-            scatter_seed,
-        };
+        let mut tags = vec![tag::FOLLOWER_F; k];
+        let mut aux0 = vec![0; k];
+        let mut aux1 = vec![0; k];
         for v in world.graph().nodes() {
             let mut leader: Option<AgentId> = None;
             let mut count = 0usize;
@@ -195,46 +158,30 @@ impl KsDfs {
             for a in world.agents_at(v) {
                 let i = a.index();
                 if a == leader {
-                    proto.tags[i] = tag::LEAD_DECIDE;
-                    proto.aux0[i] = count as u32 - 1;
-                    proto.aux1[i] = a.0 + 1; // tree label = algorithmic id
+                    tags[i] = tag::LEAD_DECIDE;
+                    aux0[i] = count as u32 - 1;
+                    aux1[i] = a.0 + 1; // tree label = algorithmic id
                 } else {
-                    proto.tags[i] = tag::FOLLOWER_F;
-                    proto.aux0[i] = leader.0;
+                    aux0[i] = leader.0;
                 }
             }
         }
-        for &t in &proto.tags {
-            proto.class_counts[class(t)] += 1;
-        }
-        proto
-    }
-
-    /// The single tag-write point: keeps the per-class counts (and with them
-    /// the `O(1)` peak-memory sampling) coherent.
-    #[inline]
-    fn set_tag(&mut self, i: usize, t: u8) {
-        self.class_counts[class(self.tags[i])] -= 1;
-        self.class_counts[class(t)] += 1;
-        self.tags[i] = t;
-    }
-
-    /// Number of settled agents so far.
-    pub fn settled_count(&self) -> usize {
-        self.settled_count
-    }
-
-    #[inline]
-    fn settler_at(&self, ctx: &ActivationCtx<'_>) -> Option<AgentId> {
-        match self.settled_at[ctx.node().index()] {
-            NO_SETTLER => None,
-            a => Some(AgentId(a)),
+        let bits = class_bits_table(k, world.graph().max_degree());
+        KsDfs {
+            census: Census::new(world, tags, class, &CLASS_NAMES, bits),
+            p0: vec![NO_PORT; k],
+            p1: vec![NO_PORT; k],
+            p2: vec![NO_PORT; k],
+            p3: vec![NO_PORT; k],
+            aux0,
+            aux1,
+            scatter_seed,
         }
     }
 
     #[inline]
     fn is_follower_of(&self, a: AgentId, leader: AgentId) -> bool {
-        self.tags[a.index()] <= tag::FOLLOWER_T && self.aux0[a.index()] == leader.0
+        self.census.tag(a.index()) <= tag::FOLLOWER_T && self.aux0[a.index()] == leader.0
     }
 
     /// Smallest-ID co-located follower of `leader` (unsettled group member).
@@ -254,12 +201,11 @@ impl KsDfs {
         treelabel: u32,
     ) {
         let i = agent.index();
-        self.set_tag(i, tag::SETTLED);
+        self.census.set_tag(i, tag::SETTLED);
+        self.census.settlers.claim(ctx.node(), agent);
         self.p0[i] = enc(parent_port);
         self.aux0[i] = 1; // scan cursor starts at port 1
         self.aux1[i] = treelabel;
-        self.settled_at[ctx.node().index()] = agent.0;
-        self.settled_count += 1;
         ctx.park(agent);
     }
 
@@ -273,9 +219,9 @@ impl KsDfs {
 
     fn act_leader(&mut self, agent: AgentId, ctx: &mut ActivationCtx<'_>) {
         let a = agent.index();
-        match self.tags[a] {
+        match self.census.tag(a) {
             tag::LEAD_DECIDE => {
-                match self.settler_at(ctx) {
+                match self.census.settlers.at(ctx.node()) {
                     None => {
                         // First visit of this node by anyone: settle here.
                         let arrival_pin = opt(self.p2[a]);
@@ -320,7 +266,7 @@ impl KsDfs {
                             match parent_port {
                                 Some(p) => {
                                     self.publish_order(a, p);
-                                    self.set_tag(a, tag::LEAD_DEPART_BACKTRACK);
+                                    self.census.set_tag(a, tag::LEAD_DEPART_BACKTRACK);
                                 }
                                 None => {
                                     // Root exhausted with members left: the
@@ -334,7 +280,7 @@ impl KsDfs {
                             // Examine the neighbor behind `next_port`.
                             self.aux0[s] = next_port + 1;
                             self.publish_order(a, Port(next_port));
-                            self.set_tag(a, tag::LEAD_DEPART_SCAN);
+                            self.census.set_tag(a, tag::LEAD_DEPART_SCAN);
                         }
                     }
                 }
@@ -348,9 +294,9 @@ impl KsDfs {
                     self.p2[a] = pin;
                     if t == tag::LEAD_DEPART_SCAN {
                         self.p1[a] = pin;
-                        self.set_tag(a, tag::LEAD_CHECK_NEIGHBOR);
+                        self.census.set_tag(a, tag::LEAD_CHECK_NEIGHBOR);
                     } else {
-                        self.set_tag(a, tag::LEAD_DECIDE);
+                        self.census.set_tag(a, tag::LEAD_DECIDE);
                     }
                 }
                 // else: keep waiting for stragglers.
@@ -358,10 +304,10 @@ impl KsDfs {
 
             tag::LEAD_CHECK_NEIGHBOR => {
                 let rp = opt(self.p1[a]).expect("checking a neighbor without a return port");
-                if self.settler_at(ctx).is_some() {
+                if self.census.settlers.at(ctx.node()).is_some() {
                     // Occupied: go back and try the next port.
                     self.publish_order(a, rp);
-                    self.set_tag(a, tag::LEAD_DEPART_RETURN);
+                    self.census.set_tag(a, tag::LEAD_DEPART_RETURN);
                 } else {
                     // Free node: settle here (forward move of the DFS).
                     let treelabel = self.aux1[a];
@@ -374,7 +320,7 @@ impl KsDfs {
                         .expect("group_size > 0 implies a co-located follower");
                     self.settle(ctx, chosen, Some(rp), treelabel);
                     self.aux0[a] -= 1;
-                    self.set_tag(a, tag::LEAD_DECIDE);
+                    self.census.set_tag(a, tag::LEAD_DECIDE);
                 }
             }
 
@@ -390,7 +336,7 @@ impl KsDfs {
     #[inline]
     fn set_scatter(&mut self, agent: AgentId, rng: u64) {
         let i = agent.index();
-        self.set_tag(i, tag::SCATTER);
+        self.census.set_tag(i, tag::SCATTER);
         self.aux0[i] = rng as u32;
         self.aux1[i] = (rng >> 32) as u32;
     }
@@ -408,16 +354,16 @@ impl KsDfs {
     fn act_follower(&mut self, agent: AgentId, ctx: &mut ActivationCtx<'_>) {
         let a = agent.index();
         let leader = AgentId(self.aux0[a]);
-        let executed = self.tags[a] == tag::FOLLOWER_T;
+        let executed = self.census.tag(a) == tag::FOLLOWER_T;
         // Execute the leader's published order, if a fresh one is visible.
         if ctx.is_colocated(leader)
-            && self.tags[leader.index()] >= tag::LEAD_DECIDE
+            && self.census.tag(leader.index()) >= tag::LEAD_DECIDE
             && self.p0[leader.index()] != NO_PORT
         {
             let flip = self.p3[leader.index()] == Port(1);
             if flip != executed {
                 ctx.move_via(self.p0[leader.index()]);
-                self.set_tag(
+                self.census.set_tag(
                     a,
                     if flip {
                         tag::FOLLOWER_T
@@ -433,7 +379,7 @@ impl KsDfs {
         let a = agent.index();
         // If the current node is free of settlers, settle here (activation
         // order breaks ties between walkers arriving in the same round).
-        if self.settler_at(ctx).is_none() {
+        if self.census.settlers.at(ctx.node()).is_none() {
             self.settle(ctx, agent, None, agent.0 + 1);
             return;
         }
@@ -454,7 +400,7 @@ impl KsDfs {
 
 impl AgentProtocol for KsDfs {
     fn on_activate(&mut self, agent: AgentId, ctx: &mut ActivationCtx<'_>) {
-        match self.tags[agent.index()] {
+        match self.census.tag(agent.index()) {
             tag::FOLLOWER_F | tag::FOLLOWER_T => self.act_follower(agent, ctx),
             tag::SETTLED => {}
             tag::SCATTER => self.act_scatter(agent, ctx),
@@ -463,31 +409,23 @@ impl AgentProtocol for KsDfs {
     }
 
     fn is_terminated(&self) -> bool {
-        self.settled_count == self.k
+        self.census.is_terminated()
     }
 
     fn is_settled(&self, agent: AgentId) -> bool {
-        self.tags[agent.index()] == tag::SETTLED
+        self.census.is_settled(agent)
     }
 
     fn memory_bits(&self, agent: AgentId) -> usize {
-        self.class_bits[class(self.tags[agent.index()])]
+        self.census.memory_bits(agent)
     }
 
     fn max_memory_bits(&self) -> Option<usize> {
-        Some(
-            (0..CLASSES)
-                .filter(|&c| self.class_counts[c] > 0)
-                .map(|c| self.class_bits[c])
-                .max()
-                .unwrap_or(0),
-        )
+        self.census.max_memory_bits()
     }
 
     fn class_counts(&self, out: &mut Vec<(&'static str, u32)>) {
-        for (name, &count) in CLASS_NAMES.iter().zip(&self.class_counts) {
-            out.push((name, count));
-        }
+        self.census.class_counts(out);
     }
 
     fn name(&self) -> &'static str {

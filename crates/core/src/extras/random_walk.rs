@@ -14,12 +14,13 @@
 //! delays one hop ([`ActivationCtx::try_move_via`] + wait). The registry
 //! therefore declares both `supports_crash` and `supports_dynamic`.
 
+use crate::census::Settlers;
 use crate::scenario::{AlgorithmFactory, Params};
-use disp_graph::Port;
+use disp_graph::{NodeId, Port};
 use disp_rng::mix;
 use disp_sim::{bits, ActivationCtx, AgentId, AgentProtocol, MoveError, World};
 
-/// `home`/`settled_at` sentinel: not settled / no settler.
+/// `home` sentinel: not settled.
 const NONE: u32 = u32::MAX;
 
 /// The random-walk protocol. See the module docs.
@@ -27,13 +28,12 @@ const NONE: u32 = u32::MAX;
 pub struct RandomWalk {
     /// `agent → node it settled at`, `NONE` while walking.
     home: Vec<u32>,
-    /// `node → settler` cache of the locally observable "does this node
+    /// `node → settler` index of the locally observable "does this node
     /// host a settled agent" (settlers never move; a crashed settler's
-    /// entry is retracted in [`AgentProtocol::on_crash`]).
-    settled_at: Vec<u32>,
+    /// claim is released in [`AgentProtocol::on_crash`]).
+    settlers: Settlers,
     /// Per-agent xorshift64* state (never zero).
     rng: Vec<u64>,
-    settled_count: usize,
     dead_count: usize,
 }
 
@@ -43,9 +43,8 @@ impl RandomWalk {
         let k = world.num_agents();
         RandomWalk {
             home: vec![NONE; k],
-            settled_at: vec![NONE; world.graph().num_nodes()],
+            settlers: Settlers::new(world),
             rng: (0..k as u64).map(|i| mix(&[seed, i]) | 1).collect(),
-            settled_count: 0,
             dead_count: 0,
         }
     }
@@ -66,11 +65,10 @@ impl AgentProtocol for RandomWalk {
         }
         // Activations are sequential, so "no settled agent here" is a
         // race-free claim on this node.
-        let node = ctx.node().index();
-        if self.settled_at[node] == NONE {
-            self.settled_at[node] = agent.0;
-            self.home[agent.index()] = node as u32;
-            self.settled_count += 1;
+        let node = ctx.node();
+        if self.settlers.at(node).is_none() {
+            self.settlers.claim(node, agent);
+            self.home[agent.index()] = node.0;
             ctx.park(agent);
             return;
         }
@@ -89,14 +87,13 @@ impl AgentProtocol for RandomWalk {
         // the orphaned node; termination then needs survivors only.
         let home = std::mem::replace(&mut self.home[agent.index()], NONE);
         if home != NONE {
-            self.settled_at[home as usize] = NONE;
-            self.settled_count -= 1;
+            self.settlers.release(NodeId(home));
         }
         self.dead_count += 1;
     }
 
     fn is_terminated(&self) -> bool {
-        self.settled_count == self.home.len() - self.dead_count
+        self.settlers.count() == self.home.len() - self.dead_count
     }
 
     fn is_settled(&self, agent: AgentId) -> bool {
@@ -117,10 +114,10 @@ impl AgentProtocol for RandomWalk {
     }
 
     fn class_counts(&self, out: &mut Vec<(&'static str, u32)>) {
-        let settled = self.settled_count as u32;
-        let walking = (self.home.len() - self.settled_count - self.dead_count) as u32;
+        let settled = self.settlers.count();
+        let walking = (self.home.len() - settled - self.dead_count) as u32;
         out.push(("walking", walking));
-        out.push(("settled", settled));
+        out.push(("settled", settled as u32));
     }
 
     fn name(&self) -> &'static str {
@@ -170,7 +167,7 @@ mod tests {
     fn random_walk_disperses_from_every_placement_under_every_schedule() {
         let reg = registry();
         for placement in Placement::all() {
-            for schedule in [Schedule::Sync, Schedule::AsyncRandom { prob: 0.7, seed: 0 }] {
+            for schedule in [Schedule::Sync, Schedule::AsyncRandom { prob: 0.7 }] {
                 let spec = ScenarioSpec::new(GraphFamily::RandomTree, 12, "random-walk")
                     .with_placement(placement)
                     .with_schedule(schedule);

@@ -28,7 +28,7 @@
 //!
 //! let spec = ScenarioSpec::new(GraphFamily::RandomTree, 32, "ks-dfs")
 //!     .with_placement(Placement::ScatteredUniform)
-//!     .with_schedule(Schedule::AsyncRandom { prob: 0.7, seed: 0 });
+//!     .with_schedule(Schedule::AsyncRandom { prob: 0.7 });
 //! assert_eq!(spec.label(), "rtree/k32/scatter/async-rand0.7/ks-dfs");
 //! let report = spec.run(&Registry::builtin(), 42).unwrap();
 //! assert!(report.dispersed);
@@ -38,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod baselines;
+pub(crate) mod census;
 pub mod empty_node;
 pub mod extras;
 pub mod oscillation;

@@ -42,18 +42,16 @@
 //! assignment, a see-off order). The realized schedule is the one where
 //! every follower executes the leader's movement order immediately — a
 //! legal refinement of the flip-order movement protocol under both
-//! schedulers (`DESIGN.md` §8). The protocol also keeps a per-node settler
-//! index (`settled_at`), a simulation-level cache of the locally-observable
-//! "does this node host a settled agent" query that every visit is entitled
-//! to make; it turns the O(occupants) co-location scans of the old
-//! implementation into O(1) lookups.
+//! schedulers (`DESIGN.md` §8). Whether a node hosts a settled agent is
+//! one lookup in the census's `node → settler` index, not a scan.
 //!
 //! ## Structure-of-arrays state (DESIGN.md §13)
 //!
 //! Per-agent state is stored data-oriented rather than as a
 //! `Vec<AgentState>` of enums: one `u8` tag per agent (role × stage,
-//! flattened — see the private `tag` module) plus parallel packed field arrays (`p0..p3` for
-//! ports, with `Port(0)` as the `None` sentinel — ports are 1-based — and
+//! flattened — see the private `tag` module; the crate's census keeps the
+//! tags and their per-class counts, DESIGN.md §13.1) plus parallel packed
+//! field arrays (`p0..p3` for ports, `Port(0)` meaning none, and
 //! `aux0`/`aux1` for counters and agent references). An activation reads
 //! the tag byte, dispatches, and touches only the two or three fields its
 //! arm needs, instead of copying a 40-byte enum in and out of the state
@@ -76,24 +74,11 @@
 //! arXiv 2408.12220 model) the walk resumes exactly where it stalled. This
 //! is what lets the registry declare `supports_dynamic` for `probe-dfs`.
 
+use crate::census::{enc, opt, Census, NO_PORT};
 use disp_graph::Port;
 use disp_sim::{
     bits, ActivationCtx, AgentId, AgentProtocol, ListArena, ListHandle, MoveError, World,
 };
-
-const NO_SETTLER: u32 = u32::MAX;
-/// The `Option<Port>` sentinel: ports are 1-based, so `Port(0)` is free.
-const NO_PORT: Port = Port(0);
-
-#[inline]
-fn opt(p: Port) -> Option<Port> {
-    (p != NO_PORT).then_some(p)
-}
-
-#[inline]
-fn enc(p: Option<Port>) -> Port {
-    p.unwrap_or(NO_PORT)
-}
 
 /// Attempt a move; `None` means the edge is down — wait in place and retry
 /// on the next activation. Any other failure is a protocol bug.
@@ -171,14 +156,11 @@ mod tag {
 /// rider, prober, guest, escort, settled, leader.
 const CLASSES: usize = 6;
 
-/// Class names in [`class`] index order, for the flight recorder's
-/// per-role histogram ([`AgentProtocol::class_counts`]). The settled class
-/// must be named exactly `"settled"` — the recorder keys on it.
+/// Class names, in class order.
 const CLASS_NAMES: [&str; CLASSES] = ["rider", "prober", "guest", "escort", "settled", "leader"];
 
 /// The memory class of a tag — the coarse role; every stage of a role has
 /// the same persistent footprint.
-#[inline]
 fn class(t: u8) -> usize {
     match t {
         tag::RIDER => 0,
@@ -223,13 +205,8 @@ fn class_bits_table(k: usize, max_degree: usize) -> [usize; CLASSES] {
 /// structure-of-arrays layout.
 #[derive(Debug)]
 pub struct ProbeDfs {
-    /// Role × stage per agent — the dispatch byte (see [`tag`]).
-    tags: Vec<u8>,
-    /// Number of agents per memory class; with [`class_bits`](Self::new)
-    /// this makes peak-memory sampling `O(1)` instead of an `O(k)` scan.
-    class_counts: [u32; CLASSES],
-    /// Per-class footprint in bits (a function of `k` and `Δ` only).
-    class_bits: [usize; CLASSES],
+    /// Role × stage per agent (see [`tag`]) and the settler index.
+    census: Census<CLASSES>,
     /// Packed port fields (`NO_PORT` = none); meaning per role in [`tag`].
     p0: Vec<Port>,
     p1: Vec<Port>,
@@ -239,7 +216,6 @@ pub struct ProbeDfs {
     aux0: Vec<u32>,
     aux1: Vec<u32>,
     k: usize,
-    settled_count: usize,
     /// The shared slab behind the three bookkeeping lists.
     lists: ListArena,
     /// Unsettled followers riding the cohort, ascending by id (front =
@@ -251,8 +227,6 @@ pub struct ProbeDfs {
     returned_probers: ListHandle,
     /// Reusable drain buffer for prober collection and see-off pairing.
     scratch: Vec<AgentId>,
-    /// `node → settler agent` cache (see the module docs).
-    settled_at: Vec<u32>,
     /// Counts `Async_Probe` invocations (one per `Decide`), for tests.
     probe_invocations: u64,
     /// Largest number of probe iterations within a single invocation.
@@ -272,18 +246,14 @@ impl ProbeDfs {
         let leader = AgentId(k as u32 - 1);
         let mut tags = vec![tag::RIDER; k];
         tags[leader.index()] = tag::LEAD_ENROLL;
+        let bits = class_bits_table(k, world.graph().max_degree());
         let mut lists = ListArena::new(k);
         let mut riders = ListHandle::new();
         for i in 0..k as u32 - 1 {
             lists.push_back(&mut riders, AgentId(i));
         }
-        let mut class_counts = [0u32; CLASSES];
-        class_counts[0] = k as u32 - 1; // riders
-        class_counts[5] = 1; // the leader
         ProbeDfs {
-            tags,
-            class_counts,
-            class_bits: class_bits_table(k, world.graph().max_degree()),
+            census: Census::new(world, tags, class, &CLASS_NAMES, bits),
             p0: vec![NO_PORT; k],
             p1: vec![NO_PORT; k],
             p2: vec![NO_PORT; k],
@@ -291,13 +261,11 @@ impl ProbeDfs {
             aux0: vec![0; k],
             aux1: vec![0; k],
             k,
-            settled_count: 0,
             lists,
             riders,
             idle_guests: ListHandle::new(),
             returned_probers: ListHandle::new(),
             scratch: Vec::new(),
-            settled_at: vec![NO_SETTLER; world.graph().num_nodes()],
             probe_invocations: 0,
             max_probe_iterations: 0,
             current_probe_iterations: 0,
@@ -316,41 +284,22 @@ impl ProbeDfs {
         self.max_probe_iterations
     }
 
-    #[inline]
-    fn settler_here(&self, ctx: &ActivationCtx<'_>) -> Option<AgentId> {
-        match self.settled_at[ctx.node().index()] {
-            NO_SETTLER => None,
-            a => Some(AgentId(a)),
-        }
-    }
-
-    /// The single tag-write point: keeps the per-class counts (and with them
-    /// the `O(1)` peak-memory sampling) coherent.
-    #[inline]
-    fn set_tag(&mut self, i: usize, t: u8) {
-        self.class_counts[class(self.tags[i])] -= 1;
-        self.class_counts[class(t)] += 1;
-        self.tags[i] = t;
-    }
-
     fn settle(&mut self, ctx: &mut ActivationCtx<'_>, agent: AgentId, parent_port: Option<Port>) {
-        self.set_tag(agent.index(), tag::SETTLED);
+        self.census.set_tag(agent.index(), tag::SETTLED);
+        self.census.settlers.claim(ctx.node(), agent);
         self.p0[agent.index()] = enc(parent_port);
-        self.settled_at[ctx.node().index()] = agent.0;
-        self.settled_count += 1;
         ctx.milestone(agent, MILESTONE_SETTLED);
         ctx.park(agent);
     }
 
     fn unsettle(&mut self, ctx: &mut ActivationCtx<'_>, settler: AgentId) -> Option<Port> {
         debug_assert_eq!(
-            self.tags[settler.index()],
+            self.census.tag(settler.index()),
             tag::SETTLED,
             "unsettle on a non-settled agent"
         );
         let parent_port = opt(self.p0[settler.index()]);
-        self.settled_at[ctx.node().index()] = NO_SETTLER;
-        self.settled_count -= 1;
+        self.census.settlers.release(ctx.node());
         ctx.wake(settler);
         parent_port
     }
@@ -375,7 +324,7 @@ impl ProbeDfs {
                 // settlement, settle a second agent on the same node. The
                 // invariant harness must catch this at that very step.
                 #[cfg(feature = "inject-collision")]
-                if self.settled_count == 3 {
+                if self.census.settlers.count() == 3 {
                     if let Some(extra) = self.lists.pop_front(&mut self.riders) {
                         ctx.extract(extra);
                         self.settle(ctx, extra, arrival_pin);
@@ -393,18 +342,18 @@ impl ProbeDfs {
     #[allow(clippy::too_many_lines)]
     fn act_leader(&mut self, agent: AgentId, ctx: &mut ActivationCtx<'_>) {
         let a = agent.index();
-        match self.tags[a] {
+        match self.census.tag(a) {
             tag::LEAD_ENROLL => {
                 for i in 0..self.k as u32 {
                     if AgentId(i) != agent {
                         ctx.enroll(AgentId(i));
                     }
                 }
-                self.set_tag(a, tag::LEAD_DECIDE);
+                self.census.set_tag(a, tag::LEAD_DECIDE);
             }
 
             tag::LEAD_DECIDE => {
-                if self.settler_here(ctx).is_none() {
+                if self.census.settlers.at(ctx.node()).is_none() {
                     // Start node: settle the smallest follower (or the leader
                     // itself if it is alone).
                     let arrival_pin = opt(self.p0[a]);
@@ -415,7 +364,7 @@ impl ProbeDfs {
                     self.p1[a] = NO_PORT;
                     self.probe_invocations += 1;
                     self.current_probe_iterations = 0;
-                    self.set_tag(a, tag::LEAD_PROBE_ASSIGN);
+                    self.census.set_tag(a, tag::LEAD_PROBE_ASSIGN);
                 }
             }
 
@@ -428,7 +377,7 @@ impl ProbeDfs {
                     } else {
                         tag::LEAD_SEE_OFF_ASSIGN
                     };
-                    self.set_tag(a, next);
+                    self.census.set_tag(a, next);
                 } else {
                     self.current_probe_iterations += 1;
                     self.max_probe_iterations =
@@ -440,7 +389,7 @@ impl ProbeDfs {
                         let port = Port(checked + 1);
                         if let Some(pin) = try_move(ctx, port) {
                             self.p2[a] = pin;
-                            self.set_tag(a, tag::LEAD_SOLO_OUT);
+                            self.census.set_tag(a, tag::LEAD_SOLO_OUT);
                         }
                     } else {
                         // Assign the `want` smallest-id helpers from the
@@ -460,7 +409,7 @@ impl ProbeDfs {
                                     .pop_front(&mut self.idle_guests)
                                     .expect("guest available");
                                 let gi = g.index();
-                                debug_assert_eq!(self.tags[gi], tag::GUEST_IDLE);
+                                debug_assert_eq!(self.census.tag(gi), tag::GUEST_IDLE);
                                 // Guest home port / saved parent move to the
                                 // prober origin slots p2/p3.
                                 self.p2[gi] = self.p1[gi];
@@ -479,13 +428,13 @@ impl ProbeDfs {
                                 r
                             };
                             let h = helper.index();
-                            self.set_tag(h, tag::PROBER_OUT);
+                            self.census.set_tag(h, tag::PROBER_OUT);
                             self.p0[h] = port;
                             self.p1[h] = NO_PORT;
                         }
                         self.aux0[a] = checked + want as u32;
                         self.aux1[a] = want as u32;
-                        self.set_tag(a, tag::LEAD_PROBE_WAIT);
+                        self.census.set_tag(a, tag::LEAD_PROBE_WAIT);
                     }
                 }
             }
@@ -498,7 +447,7 @@ impl ProbeDfs {
                         .drain_into(&mut self.returned_probers, &mut probers);
                     for &prober in &probers {
                         let p = prober.index();
-                        let found_settler = match self.tags[p] {
+                        let found_settler = match self.census.tag(p) {
                             tag::PROBER_RETURNED_FOUND => true,
                             tag::PROBER_RETURNED_EMPTY => false,
                             t => unreachable!("returned prober in stage {t}"),
@@ -512,12 +461,12 @@ impl ProbeDfs {
                         }
                         if self.p2[p] == NO_PORT {
                             // Follower origin: back onto the cohort.
-                            self.set_tag(p, tag::RIDER);
+                            self.census.set_tag(p, tag::RIDER);
                             ctx.enroll(prober);
                             self.lists.insert_sorted(&mut self.riders, prober);
                         } else {
                             // Guest origin: back to idling at the probe node.
-                            self.set_tag(p, tag::GUEST_IDLE);
+                            self.census.set_tag(p, tag::GUEST_IDLE);
                             self.p0[p] = self.p3[p];
                             self.p1[p] = self.p2[p];
                             ctx.park(prober);
@@ -526,30 +475,30 @@ impl ProbeDfs {
                     }
                     probers.clear();
                     self.scratch = probers;
-                    self.set_tag(a, tag::LEAD_PROBE_ASSIGN);
+                    self.census.set_tag(a, tag::LEAD_PROBE_ASSIGN);
                 }
             }
 
             tag::LEAD_SOLO_OUT => {
                 // Arrived at the solo-probed neighbor.
-                self.set_tag(a, tag::LEAD_SOLO_AT_NEIGHBOR);
+                self.census.set_tag(a, tag::LEAD_SOLO_AT_NEIGHBOR);
             }
 
             tag::LEAD_SOLO_AT_NEIGHBOR => {
-                if let Some(settler) = self.settler_here(ctx) {
+                if let Some(settler) = self.census.settlers.at(ctx.node()) {
                     let parent_port = self.unsettle(ctx, settler);
                     let s = settler.index();
-                    self.set_tag(s, tag::GUEST_TO_PROBE_SITE);
+                    self.census.set_tag(s, tag::GUEST_TO_PROBE_SITE);
                     self.p0[s] = enc(parent_port);
                     self.p1[s] = self.p2[a];
                     debug_assert_ne!(self.p1[s], NO_PORT, "solo pin recorded");
                     self.aux1[a] = settler.0;
-                    self.set_tag(a, tag::LEAD_SOLO_WAIT_GUEST_GONE);
+                    self.census.set_tag(a, tag::LEAD_SOLO_WAIT_GUEST_GONE);
                 } else {
                     let pin = self.p2[a];
                     debug_assert_ne!(pin, NO_PORT, "solo pin recorded");
                     if try_move(ctx, pin).is_some() {
-                        self.set_tag(a, tag::LEAD_SOLO_RETURN_EMPTY);
+                        self.census.set_tag(a, tag::LEAD_SOLO_RETURN_EMPTY);
                     }
                 }
             }
@@ -560,7 +509,7 @@ impl ProbeDfs {
                     let pin = self.p2[a];
                     debug_assert_ne!(pin, NO_PORT, "solo pin recorded");
                     if try_move(ctx, pin).is_some() {
-                        self.set_tag(a, tag::LEAD_SOLO_RETURN_FOUND);
+                        self.census.set_tag(a, tag::LEAD_SOLO_RETURN_FOUND);
                     }
                 }
             }
@@ -572,7 +521,7 @@ impl ProbeDfs {
                 }
                 self.aux0[a] += 1;
                 self.p2[a] = NO_PORT;
-                self.set_tag(a, tag::LEAD_PROBE_ASSIGN);
+                self.census.set_tag(a, tag::LEAD_PROBE_ASSIGN);
             }
 
             tag::LEAD_SEE_OFF_ASSIGN => {
@@ -586,24 +535,26 @@ impl ProbeDfs {
                             .pop_front(&mut self.idle_guests)
                             .expect("one idle guest");
                         let settler = self
-                            .settler_here(ctx)
+                            .census
+                            .settlers
+                            .at(ctx.node())
                             .expect("probe node must have a settler");
                         let g = guest.index();
-                        debug_assert_eq!(self.tags[g], tag::GUEST_IDLE);
+                        debug_assert_eq!(self.census.tag(g), tag::GUEST_IDLE);
                         let home_port = self.p1[g];
                         let settler_parent = self.unsettle(ctx, settler);
                         // The guest walks home: p0 (saved parent) stays and
                         // p1 already holds the home port it walks through.
-                        self.set_tag(g, tag::GUEST_GOING_HOME);
+                        self.census.set_tag(g, tag::GUEST_GOING_HOME);
                         ctx.wake(guest);
                         let s = settler.index();
-                        self.set_tag(s, tag::ESCORT_GOING);
+                        self.census.set_tag(s, tag::ESCORT_GOING);
                         self.p0[s] = home_port;
                         self.p1[s] = NO_PORT;
                         self.p2[s] = NO_PORT;
                         self.p3[s] = NO_PORT;
                         self.aux0[s] = enc(settler_parent).0;
-                        self.set_tag(a, tag::LEAD_SEE_OFF_WAIT_SETTLER);
+                        self.census.set_tag(a, tag::LEAD_SEE_OFF_WAIT_SETTLER);
                     }
                     x => {
                         let pairs = x / 2;
@@ -620,9 +571,9 @@ impl ProbeDfs {
                             let escort_home = self.p1[e];
                             // The first guest walks home (p1 already holds
                             // its home port); the second escorts it there.
-                            self.set_tag(w, tag::GUEST_GOING_HOME);
+                            self.census.set_tag(w, tag::GUEST_GOING_HOME);
                             ctx.wake(walker);
-                            self.set_tag(e, tag::ESCORT_GOING);
+                            self.census.set_tag(e, tag::ESCORT_GOING);
                             self.p0[e] = walker_home;
                             self.p1[e] = NO_PORT;
                             self.p2[e] = escort_home;
@@ -637,31 +588,31 @@ impl ProbeDfs {
                         guests.clear();
                         self.scratch = guests;
                         self.aux1[a] = (x - pairs) as u32;
-                        self.set_tag(a, tag::LEAD_SEE_OFF_WAIT);
+                        self.census.set_tag(a, tag::LEAD_SEE_OFF_WAIT);
                     }
                 }
             }
 
             tag::LEAD_SEE_OFF_WAIT => {
                 if self.idle_guests.len() as u32 == self.aux1[a] {
-                    self.set_tag(a, tag::LEAD_SEE_OFF_ASSIGN);
+                    self.census.set_tag(a, tag::LEAD_SEE_OFF_ASSIGN);
                 }
             }
 
             tag::LEAD_SEE_OFF_WAIT_SETTLER => {
-                if self.settler_here(ctx).is_some() {
+                if self.census.settlers.at(ctx.node()).is_some() {
                     self.movement(ctx, agent, tag::LEAD_SEE_OFF_WAIT_SETTLER);
                 }
             }
 
             tag::LEAD_ARRIVE_FORWARD => {
                 debug_assert!(
-                    self.settler_here(ctx).is_none(),
+                    self.census.settlers.at(ctx.node()).is_none(),
                     "forward target must be fully unsettled"
                 );
                 let arrival_pin = opt(self.p0[a]);
                 if !self.settle_next(ctx, agent, arrival_pin) {
-                    self.set_tag(a, tag::LEAD_DECIDE);
+                    self.census.set_tag(a, tag::LEAD_DECIDE);
                 }
             }
 
@@ -679,9 +630,11 @@ impl ProbeDfs {
             Some(p) => (p, tag::LEAD_ARRIVE_FORWARD),
             None => {
                 let settler = self
-                    .settler_here(ctx)
+                    .census
+                    .settlers
+                    .at(ctx.node())
                     .expect("backtracking from a settled node");
-                debug_assert_eq!(self.tags[settler.index()], tag::SETTLED);
+                debug_assert_eq!(self.census.tag(settler.index()), tag::SETTLED);
                 let p = opt(self.p0[settler.index()])
                     .expect("DFS root can only be exhausted after every agent settled");
                 (p, tag::LEAD_DECIDE)
@@ -690,9 +643,9 @@ impl ProbeDfs {
         match ctx.try_move_cohort_via(p) {
             Ok(pin) => {
                 self.p0[a] = pin;
-                self.set_tag(a, arrived);
+                self.census.set_tag(a, arrived);
             }
-            Err(MoveError::EdgeDown { .. }) => self.set_tag(a, stay),
+            Err(MoveError::EdgeDown { .. }) => self.census.set_tag(a, stay),
             Err(e) => panic!("illegal probe-dfs cohort move: {e}"),
         }
     }
@@ -703,38 +656,38 @@ impl ProbeDfs {
 
     fn act_prober(&mut self, agent: AgentId, ctx: &mut ActivationCtx<'_>) {
         let a = agent.index();
-        match self.tags[a] {
+        match self.census.tag(a) {
             tag::PROBER_OUT => {
                 if let Some(p) = try_move(ctx, self.p0[a]) {
                     self.p1[a] = p;
-                    self.set_tag(a, tag::PROBER_AT_NEIGHBOR);
+                    self.census.set_tag(a, tag::PROBER_AT_NEIGHBOR);
                 }
             }
             tag::PROBER_AT_NEIGHBOR => {
-                if let Some(settler) = self.settler_here(ctx) {
+                if let Some(settler) = self.census.settlers.at(ctx.node()) {
                     let parent_port = self.unsettle(ctx, settler);
                     let s = settler.index();
-                    self.set_tag(s, tag::GUEST_TO_PROBE_SITE);
+                    self.census.set_tag(s, tag::GUEST_TO_PROBE_SITE);
                     self.p0[s] = enc(parent_port);
                     self.p1[s] = self.p1[a];
                     debug_assert_ne!(self.p1[s], NO_PORT, "pin recorded on the way out");
                     self.aux0[a] = settler.0;
-                    self.set_tag(a, tag::PROBER_WAIT_GUEST_GONE);
+                    self.census.set_tag(a, tag::PROBER_WAIT_GUEST_GONE);
                 } else {
-                    self.set_tag(a, tag::PROBER_GO_HOME_EMPTY);
+                    self.census.set_tag(a, tag::PROBER_GO_HOME_EMPTY);
                 }
             }
             tag::PROBER_WAIT_GUEST_GONE => {
                 let recruited = AgentId(self.aux0[a]);
                 if !ctx.is_colocated(recruited) {
-                    self.set_tag(a, tag::PROBER_GO_HOME_FOUND);
+                    self.census.set_tag(a, tag::PROBER_GO_HOME_FOUND);
                 }
             }
             t @ (tag::PROBER_GO_HOME_EMPTY | tag::PROBER_GO_HOME_FOUND) => {
                 let pin = self.p1[a];
                 debug_assert_ne!(pin, NO_PORT, "pin recorded on the way out");
                 if try_move(ctx, pin).is_some() {
-                    self.set_tag(
+                    self.census.set_tag(
                         a,
                         if t == tag::PROBER_GO_HOME_FOUND {
                             tag::PROBER_RETURNED_FOUND
@@ -753,12 +706,12 @@ impl ProbeDfs {
 
     fn act_guest(&mut self, agent: AgentId, ctx: &mut ActivationCtx<'_>) {
         let a = agent.index();
-        match self.tags[a] {
+        match self.census.tag(a) {
             tag::GUEST_TO_PROBE_SITE => {
                 let Some(pin) = try_move(ctx, self.p1[a]) else {
                     return;
                 };
-                self.set_tag(a, tag::GUEST_IDLE);
+                self.census.set_tag(a, tag::GUEST_IDLE);
                 self.p1[a] = pin;
                 self.lists.insert_sorted(&mut self.idle_guests, agent);
                 ctx.park(agent);
@@ -769,9 +722,8 @@ impl ProbeDfs {
                     return;
                 }
                 // Re-settle at home: p0 already holds the saved parent port.
-                self.set_tag(a, tag::SETTLED);
-                self.settled_at[ctx.node().index()] = agent.0;
-                self.settled_count += 1;
+                self.census.set_tag(a, tag::SETTLED);
+                self.census.settlers.claim(ctx.node(), agent);
                 ctx.park(agent);
             }
             t => unreachable!("act_guest on non-guest tag {t}"),
@@ -780,20 +732,20 @@ impl ProbeDfs {
 
     fn act_escort(&mut self, agent: AgentId, ctx: &mut ActivationCtx<'_>) {
         let a = agent.index();
-        match self.tags[a] {
+        match self.census.tag(a) {
             tag::ESCORT_GOING => {
                 if let Some(p) = try_move(ctx, self.p0[a]) {
                     self.p1[a] = p;
-                    self.set_tag(a, tag::ESCORT_AT_PARTNER_HOME);
+                    self.census.set_tag(a, tag::ESCORT_AT_PARTNER_HOME);
                 }
             }
             tag::ESCORT_AT_PARTNER_HOME => {
                 // Wait until the partner guest has arrived and re-settled.
-                if self.settler_here(ctx).is_some() {
+                if self.census.settlers.at(ctx.node()).is_some() {
                     let pin = self.p1[a];
                     debug_assert_ne!(pin, NO_PORT, "pin recorded on the way out");
                     if try_move(ctx, pin).is_some() {
-                        self.set_tag(a, tag::ESCORT_RETURNED);
+                        self.census.set_tag(a, tag::ESCORT_RETURNED);
                     }
                 }
             }
@@ -801,14 +753,13 @@ impl ProbeDfs {
                 // Restore.
                 if self.p2[a] == NO_PORT {
                     // α(w): re-settle at the probe node.
-                    self.set_tag(a, tag::SETTLED);
+                    self.census.set_tag(a, tag::SETTLED);
+                    self.census.settlers.claim(ctx.node(), agent);
                     self.p0[a] = Port(self.aux0[a]);
-                    self.settled_at[ctx.node().index()] = agent.0;
-                    self.settled_count += 1;
                     ctx.park(agent);
                 } else {
                     // A guest escort: back to idling at the probe node.
-                    self.set_tag(a, tag::GUEST_IDLE);
+                    self.census.set_tag(a, tag::GUEST_IDLE);
                     self.p0[a] = self.p3[a];
                     self.p1[a] = self.p2[a];
                     self.lists.insert_sorted(&mut self.idle_guests, agent);
@@ -822,7 +773,7 @@ impl ProbeDfs {
 
 impl AgentProtocol for ProbeDfs {
     fn on_activate(&mut self, agent: AgentId, ctx: &mut ActivationCtx<'_>) {
-        match self.tags[agent.index()] {
+        match self.census.tag(agent.index()) {
             tag::RIDER | tag::SETTLED => {}
             tag::PROBER_OUT..=tag::PROBER_RETURNED_FOUND => self.act_prober(agent, ctx),
             tag::GUEST_TO_PROBE_SITE..=tag::GUEST_GOING_HOME => self.act_guest(agent, ctx),
@@ -832,31 +783,23 @@ impl AgentProtocol for ProbeDfs {
     }
 
     fn is_terminated(&self) -> bool {
-        self.settled_count == self.k
+        self.census.is_terminated()
     }
 
     fn is_settled(&self, agent: AgentId) -> bool {
-        self.tags[agent.index()] == tag::SETTLED
+        self.census.is_settled(agent)
     }
 
     fn memory_bits(&self, agent: AgentId) -> usize {
-        self.class_bits[class(self.tags[agent.index()])]
+        self.census.memory_bits(agent)
     }
 
     fn max_memory_bits(&self) -> Option<usize> {
-        Some(
-            (0..CLASSES)
-                .filter(|&c| self.class_counts[c] > 0)
-                .map(|c| self.class_bits[c])
-                .max()
-                .unwrap_or(0),
-        )
+        self.census.max_memory_bits()
     }
 
     fn class_counts(&self, out: &mut Vec<(&'static str, u32)>) {
-        for (name, &count) in CLASS_NAMES.iter().zip(&self.class_counts) {
-            out.push((name, count));
-        }
+        self.census.class_counts(out);
     }
 
     fn name(&self) -> &'static str {

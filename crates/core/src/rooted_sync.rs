@@ -24,33 +24,20 @@
 //! ## Structure-of-arrays state (DESIGN.md §13)
 //!
 //! Per-agent state is a `u8` tag (role × stage, booleans such as a seeker's
-//! `saw_settler` folded in — see the private `tag` module) plus packed parallel fields: `p0`
-//! (a seeker's probe port / a settler's parent port, `Port(0)` = none),
-//! `p1` (a seeker's return pin) and `aux0` (a seeker's wait counter). The
-//! protocol has exactly **one** leader, so its phase payload — group size,
-//! movement order, probe counters — lives in plain struct scalars instead
-//! of per-agent enum variants, and a `node → settler` cache replaces the
-//! per-activation co-location scans for "does this node host a settler"
-//! (settlers never move in this protocol, so the cache is trivially
-//! coherent). The golden corpus (`tests/golden_corpus.rs`) pins this
-//! rewrite step-for-step to the enum-of-structs implementation it replaced.
+//! `saw_settler` folded in — see the private `tag` module) plus packed
+//! parallel fields: `p0` (a seeker's probe port / a settler's parent port,
+//! `Port(0)` = none), `p1` (a seeker's return pin) and `aux0` (a seeker's
+//! wait counter). The protocol has exactly **one** leader, so its phase
+//! payload — group size, movement order, probe counters — lives in plain
+//! struct scalars instead of per-agent enum variants. The tags, their
+//! per-class counts and the `node → settler` index live in the crate's
+//! census (DESIGN.md §13.1). The golden corpus (`tests/golden_corpus.rs`)
+//! pins this rewrite step-for-step to the enum-of-structs implementation
+//! it replaced.
 
+use crate::census::{enc, opt, Census, NO_PORT};
 use disp_graph::Port;
 use disp_sim::{bits, ActivationCtx, AgentId, AgentProtocol, World};
-
-const NO_SETTLER: u32 = u32::MAX;
-/// The `Option<Port>` sentinel: ports are 1-based, so `Port(0)` is free.
-const NO_PORT: Port = Port(0);
-
-#[inline]
-fn opt(p: Port) -> Option<Port> {
-    (p != NO_PORT).then_some(p)
-}
-
-#[inline]
-fn enc(p: Option<Port>) -> Port {
-    p.unwrap_or(NO_PORT)
-}
 
 /// Tuning knobs (also swept by the `ablations` binary).
 #[derive(Debug, Clone, Copy)]
@@ -110,13 +97,10 @@ mod tag {
 /// follower, settled, seeker, leader.
 const CLASSES: usize = 4;
 
-/// Class names in [`class`] index order, for the flight recorder's
-/// per-role histogram ([`AgentProtocol::class_counts`]). The settled class
-/// must be named exactly `"settled"` — the recorder keys on it.
+/// Class names, in class order.
 const CLASS_NAMES: [&str; CLASSES] = ["follower", "settled", "seeker", "leader"];
 
 /// The memory class of a tag — the coarse role.
-#[inline]
 fn class(t: u8) -> usize {
     match t {
         tag::FOLLOWER_F | tag::FOLLOWER_T => 0,
@@ -156,13 +140,8 @@ fn class_bits_table(k: usize, max_degree: usize) -> [usize; CLASSES] {
 #[derive(Debug)]
 pub struct RootedSyncDisp {
     config: SyncConfig,
-    /// Role × stage per agent — the dispatch byte (see [`tag`]).
-    tags: Vec<u8>,
-    /// Number of agents per memory class; with `class_bits` this makes
-    /// peak-memory sampling `O(1)` instead of an `O(k)` scan.
-    class_counts: [u32; CLASSES],
-    /// Per-class footprint in bits (a function of `k` and `Δ` only).
-    class_bits: [usize; CLASSES],
+    /// Role × stage per agent (see [`tag`]) and the settler index.
+    census: Census<CLASSES>,
     /// Seeker probe port / settler parent port (`NO_PORT` = none).
     p0: Vec<Port>,
     /// Seeker return pin (`NO_PORT` = none).
@@ -170,10 +149,6 @@ pub struct RootedSyncDisp {
     /// Seeker wait counter.
     aux0: Vec<u32>,
     leader: AgentId,
-    k: usize,
-    settled_count: usize,
-    /// `node → settler agent` cache (settlers never move here).
-    settled_at: Vec<u32>,
     /// Reusable buffer for the seeker-pool and returned-seeker scans.
     scratch: Vec<AgentId>,
     // --- leader phase payload (one leader ⇒ plain scalars) ---
@@ -216,21 +191,14 @@ impl RootedSyncDisp {
         let leader = AgentId(k as u32 - 1);
         let mut tags = vec![tag::FOLLOWER_F; k];
         tags[leader.index()] = tag::LEAD_DECIDE;
-        let mut class_counts = [0u32; CLASSES];
-        class_counts[0] = k as u32 - 1; // followers
-        class_counts[3] = 1; // the leader
+        let bits = class_bits_table(k, world.graph().max_degree());
         RootedSyncDisp {
             config,
-            tags,
-            class_counts,
-            class_bits: class_bits_table(k, world.graph().max_degree()),
+            census: Census::new(world, tags, class, &CLASS_NAMES, bits),
             p0: vec![NO_PORT; k],
             p1: vec![NO_PORT; k],
             aux0: vec![0; k],
             leader,
-            k,
-            settled_count: 0,
-            settled_at: vec![NO_SETTLER; world.graph().num_nodes()],
             scratch: Vec::new(),
             group_size: k - 1,
             order_port: NO_PORT,
@@ -251,46 +219,28 @@ impl RootedSyncDisp {
         self.max_probe_iterations
     }
 
-    /// The single write point for `tags`, keeping the per-class counts
-    /// behind [`AgentProtocol::max_memory_bits`] exact.
-    #[inline]
-    fn set_tag(&mut self, i: usize, t: u8) {
-        self.class_counts[class(self.tags[i])] -= 1;
-        self.class_counts[class(t)] += 1;
-        self.tags[i] = t;
-    }
-
-    #[inline]
-    fn settler_here(&self, ctx: &ActivationCtx<'_>) -> Option<AgentId> {
-        match self.settled_at[ctx.node().index()] {
-            NO_SETTLER => None,
-            a => Some(AgentId(a)),
-        }
-    }
-
     /// Settle `agent` and park it: settlers in this protocol are never
     /// recruited, so their activations are no-ops forever.
     fn settle(&mut self, ctx: &mut ActivationCtx<'_>, agent: AgentId, parent_port: Option<Port>) {
-        self.set_tag(agent.index(), tag::SETTLED);
+        self.census.set_tag(agent.index(), tag::SETTLED);
+        self.census.settlers.claim(ctx.node(), agent);
         self.p0[agent.index()] = enc(parent_port);
-        self.settled_at[ctx.node().index()] = agent.0;
-        self.settled_count += 1;
         ctx.park(agent);
     }
 
     /// The co-located follower with the smallest id, if any.
     fn min_follower_here(&self, ctx: &ActivationCtx<'_>) -> Option<AgentId> {
         ctx.colocated_iter()
-            .filter(|a| self.tags[a.index()] <= tag::FOLLOWER_T)
+            .filter(|a| self.census.tag(a.index()) <= tag::FOLLOWER_T)
             .min_by_key(|a| a.0)
     }
 
     #[allow(clippy::too_many_lines)]
     fn act_leader(&mut self, agent: AgentId, ctx: &mut ActivationCtx<'_>) {
         let a = agent.index();
-        match self.tags[a] {
+        match self.census.tag(a) {
             tag::LEAD_DECIDE => {
-                if self.settler_here(ctx).is_none() {
+                if self.census.settlers.at(ctx.node()).is_none() {
                     let arrival_pin = opt(self.arrival_pin);
                     if self.group_size == 0 {
                         self.settle(ctx, agent, arrival_pin);
@@ -303,7 +253,7 @@ impl RootedSyncDisp {
                     self.checked = 0;
                     self.next_empty = NO_PORT;
                     self.current_probe_iterations = 0;
-                    self.set_tag(a, tag::LEAD_PROBE_ASSIGN);
+                    self.census.set_tag(a, tag::LEAD_PROBE_ASSIGN);
                 }
             }
 
@@ -318,7 +268,7 @@ impl RootedSyncDisp {
                     pool.clear();
                     pool.extend(
                         ctx.colocated_iter()
-                            .filter(|h| self.tags[h.index()] <= tag::FOLLOWER_T),
+                            .filter(|h| self.census.tag(h.index()) <= tag::FOLLOWER_T),
                     );
                     pool.sort_unstable_by_key(|h| h.0);
                     if let Some(cap) = self.config.max_probers {
@@ -328,18 +278,18 @@ impl RootedSyncDisp {
                         // Leader probes the next port itself.
                         let port = Port(self.checked + 1);
                         self.solo_pin = ctx.move_via(port);
-                        self.set_tag(a, tag::LEAD_SOLO_OUT);
+                        self.census.set_tag(a, tag::LEAD_SOLO_OUT);
                     } else {
                         let want = (ctx.degree() - self.checked as usize).min(pool.len());
                         for (i, seeker) in pool.iter().take(want).enumerate() {
                             let s = seeker.index();
-                            self.set_tag(s, tag::SEEK_OUT);
+                            self.census.set_tag(s, tag::SEEK_OUT);
                             self.p0[s] = Port(self.checked + 1 + i as u32);
                             self.p1[s] = NO_PORT;
                         }
                         self.checked += want as u32;
                         self.assigned = want as u32;
-                        self.set_tag(a, tag::LEAD_PROBE_WAIT);
+                        self.census.set_tag(a, tag::LEAD_PROBE_WAIT);
                     }
                     pool.clear();
                     self.scratch = pool;
@@ -349,23 +299,24 @@ impl RootedSyncDisp {
             tag::LEAD_PROBE_WAIT => {
                 let mut returned = std::mem::take(&mut self.scratch);
                 returned.clear();
-                returned.extend(
-                    ctx.colocated_iter().filter(|s| {
-                        matches!(self.tags[s.index()], tag::SEEK_RET_F | tag::SEEK_RET_T)
-                    }),
-                );
+                returned.extend(ctx.colocated_iter().filter(|s| {
+                    matches!(
+                        self.census.tag(s.index()),
+                        tag::SEEK_RET_F | tag::SEEK_RET_T
+                    )
+                }));
                 if returned.len() as u32 == self.assigned {
                     let flip = self.order_port != NO_PORT && self.order_flip;
                     for &s in &returned {
                         let si = s.index();
                         let port = self.p0[si];
-                        if self.tags[si] == tag::SEEK_RET_F {
+                        if self.census.tag(si) == tag::SEEK_RET_F {
                             self.next_empty = match opt(self.next_empty) {
                                 Some(q) if q < port => q,
                                 _ => port,
                             };
                         }
-                        self.set_tag(
+                        self.census.set_tag(
                             si,
                             if flip {
                                 tag::FOLLOWER_T
@@ -374,16 +325,16 @@ impl RootedSyncDisp {
                             },
                         );
                     }
-                    self.set_tag(a, tag::LEAD_PROBE_ASSIGN);
+                    self.census.set_tag(a, tag::LEAD_PROBE_ASSIGN);
                 }
                 returned.clear();
                 self.scratch = returned;
             }
 
             tag::LEAD_SOLO_OUT => {
-                let saw = self.settler_here(ctx).is_some();
+                let saw = self.census.settlers.at(ctx.node()).is_some();
                 self.solo_left = self.config.wait_rounds;
-                self.set_tag(
+                self.census.set_tag(
                     a,
                     if saw {
                         tag::LEAD_SOLO_WAIT_T
@@ -394,10 +345,11 @@ impl RootedSyncDisp {
             }
 
             t @ (tag::LEAD_SOLO_WAIT_F | tag::LEAD_SOLO_WAIT_T) => {
-                let saw = t == tag::LEAD_SOLO_WAIT_T || self.settler_here(ctx).is_some();
+                let saw =
+                    t == tag::LEAD_SOLO_WAIT_T || self.census.settlers.at(ctx.node()).is_some();
                 if self.solo_left == 0 {
                     ctx.move_via(opt(self.solo_pin).expect("solo pin recorded"));
-                    self.set_tag(
+                    self.census.set_tag(
                         a,
                         if saw {
                             tag::LEAD_SOLO_RET_T
@@ -407,7 +359,7 @@ impl RootedSyncDisp {
                     );
                 } else {
                     self.solo_left -= 1;
-                    self.set_tag(
+                    self.census.set_tag(
                         a,
                         if saw {
                             tag::LEAD_SOLO_WAIT_T
@@ -424,18 +376,18 @@ impl RootedSyncDisp {
                 }
                 self.checked += 1;
                 self.solo_pin = NO_PORT;
-                self.set_tag(a, tag::LEAD_PROBE_ASSIGN);
+                self.census.set_tag(a, tag::LEAD_PROBE_ASSIGN);
             }
 
             t @ (tag::LEAD_DEPART_FORWARD | tag::LEAD_DEPART_BACKTRACK) => {
                 debug_assert_ne!(self.order_port, NO_PORT, "departing without an order");
                 if !ctx
                     .colocated_iter()
-                    .any(|h| self.tags[h.index()] <= tag::FOLLOWER_T)
+                    .any(|h| self.census.tag(h.index()) <= tag::FOLLOWER_T)
                 {
                     let pin = ctx.move_via(self.order_port);
                     self.arrival_pin = pin;
-                    self.set_tag(
+                    self.census.set_tag(
                         a,
                         if t == tag::LEAD_DEPART_FORWARD {
                             tag::LEAD_ARRIVE_FORWARD
@@ -447,7 +399,7 @@ impl RootedSyncDisp {
             }
 
             tag::LEAD_ARRIVE_FORWARD => {
-                debug_assert!(self.settler_here(ctx).is_none());
+                debug_assert!(self.census.settlers.at(ctx.node()).is_none());
                 let arrival_pin = opt(self.arrival_pin);
                 if self.group_size == 0 {
                     self.settle(ctx, agent, arrival_pin);
@@ -456,7 +408,7 @@ impl RootedSyncDisp {
                 let chosen = self.min_follower_here(ctx).expect("group is co-located");
                 self.settle(ctx, chosen, arrival_pin);
                 self.group_size -= 1;
-                self.set_tag(a, tag::LEAD_DECIDE);
+                self.census.set_tag(a, tag::LEAD_DECIDE);
             }
 
             t => unreachable!("act_leader on non-leader tag {t}"),
@@ -471,7 +423,9 @@ impl RootedSyncDisp {
             Some(p) => (p, tag::LEAD_DEPART_FORWARD),
             None => {
                 let settler = self
-                    .settler_here(ctx)
+                    .census
+                    .settlers
+                    .at(ctx.node())
                     .expect("backtracking from a settled node");
                 let p = opt(self.p0[settler.index()])
                     .expect("the DFS root can only be exhausted after everyone settled");
@@ -480,19 +434,19 @@ impl RootedSyncDisp {
         };
         self.order_port = p;
         self.order_flip = flip;
-        self.set_tag(leader.index(), depart);
+        self.census.set_tag(leader.index(), depart);
     }
 
     fn act_follower(&mut self, agent: AgentId, ctx: &mut ActivationCtx<'_>) {
         let a = agent.index();
-        let executed = self.tags[a] == tag::FOLLOWER_T;
+        let executed = self.census.tag(a) == tag::FOLLOWER_T;
         if ctx.is_colocated(self.leader)
-            && self.tags[self.leader.index()] >= tag::LEAD_DECIDE
+            && self.census.tag(self.leader.index()) >= tag::LEAD_DECIDE
             && self.order_port != NO_PORT
             && self.order_flip != executed
         {
             ctx.move_via(self.order_port);
-            self.set_tag(
+            self.census.set_tag(
                 a,
                 if self.order_flip {
                     tag::FOLLOWER_T
@@ -505,17 +459,17 @@ impl RootedSyncDisp {
 
     fn act_seeker(&mut self, agent: AgentId, ctx: &mut ActivationCtx<'_>) {
         let a = agent.index();
-        match self.tags[a] {
+        match self.census.tag(a) {
             tag::SEEK_OUT => {
                 self.p1[a] = ctx.move_via(self.p0[a]);
                 self.aux0[a] = self.config.wait_rounds;
-                self.set_tag(a, tag::SEEK_WAIT_F);
+                self.census.set_tag(a, tag::SEEK_WAIT_F);
             }
             t @ (tag::SEEK_WAIT_F | tag::SEEK_WAIT_T) => {
-                let saw = t == tag::SEEK_WAIT_T || self.settler_here(ctx).is_some();
+                let saw = t == tag::SEEK_WAIT_T || self.census.settlers.at(ctx.node()).is_some();
                 if self.aux0[a] == 0 {
                     ctx.move_via(opt(self.p1[a]).expect("pin recorded"));
-                    self.set_tag(
+                    self.census.set_tag(
                         a,
                         if saw {
                             tag::SEEK_RET_T
@@ -525,7 +479,7 @@ impl RootedSyncDisp {
                     );
                 } else {
                     self.aux0[a] -= 1;
-                    self.set_tag(
+                    self.census.set_tag(
                         a,
                         if saw {
                             tag::SEEK_WAIT_T
@@ -543,7 +497,7 @@ impl RootedSyncDisp {
 
 impl AgentProtocol for RootedSyncDisp {
     fn on_activate(&mut self, agent: AgentId, ctx: &mut ActivationCtx<'_>) {
-        match self.tags[agent.index()] {
+        match self.census.tag(agent.index()) {
             tag::FOLLOWER_F | tag::FOLLOWER_T => self.act_follower(agent, ctx),
             tag::SETTLED => {}
             tag::SEEK_OUT..=tag::SEEK_RET_T => self.act_seeker(agent, ctx),
@@ -552,31 +506,23 @@ impl AgentProtocol for RootedSyncDisp {
     }
 
     fn is_terminated(&self) -> bool {
-        self.settled_count == self.k
+        self.census.is_terminated()
     }
 
     fn is_settled(&self, agent: AgentId) -> bool {
-        self.tags[agent.index()] == tag::SETTLED
+        self.census.is_settled(agent)
     }
 
     fn memory_bits(&self, agent: AgentId) -> usize {
-        self.class_bits[class(self.tags[agent.index()])]
+        self.census.memory_bits(agent)
     }
 
     fn max_memory_bits(&self) -> Option<usize> {
-        Some(
-            (0..CLASSES)
-                .filter(|&c| self.class_counts[c] > 0)
-                .map(|c| self.class_bits[c])
-                .max()
-                .unwrap_or(0),
-        )
+        self.census.max_memory_bits()
     }
 
     fn class_counts(&self, out: &mut Vec<(&'static str, u32)>) {
-        for (name, &count) in CLASS_NAMES.iter().zip(&self.class_counts) {
-            out.push((name, count));
-        }
+        self.census.class_counts(out);
     }
 
     fn name(&self) -> &'static str {

@@ -129,16 +129,11 @@ pub enum Schedule {
     AsyncRandom {
         /// Per-agent activation probability per step.
         prob: f64,
-        /// RNG seed (0 inside a [`ScenarioSpec`]; the runner derives the
-        /// live adversary seed from the run seed).
-        seed: u64,
     },
     /// Asynchronous with heterogeneous lags up to `max_lag`.
     AsyncLagging {
         /// Largest per-agent activation period.
         max_lag: u64,
-        /// RNG seed (see [`Schedule::AsyncRandom::seed`]).
-        seed: u64,
     },
     /// Asynchronous with the adaptive targeted (starvation) adversary: the
     /// protocol-designated victim set — the unsettled agents, i.e. the DFS
@@ -160,7 +155,7 @@ impl Schedule {
         self.to_string()
     }
 
-    /// Inverse of [`Schedule::label`] (seeds come back as 0). Rejects
+    /// Inverse of [`Schedule::label`]. Rejects
     /// non-canonical float spellings, so `label ↔ value` is a bijection.
     pub fn from_label(label: &str) -> Option<Schedule> {
         match label {
@@ -169,13 +164,13 @@ impl Schedule {
             _ => {
                 if let Some(rest) = label.strip_prefix("async-rand") {
                     let prob = parse_f64(rest)?;
-                    (prob > 0.0 && prob <= 1.0).then_some(Schedule::AsyncRandom { prob, seed: 0 })
+                    (prob > 0.0 && prob <= 1.0).then_some(Schedule::AsyncRandom { prob })
                 } else if let Some(rest) = label.strip_prefix("async-target") {
                     let max_lag = parse_u64(rest)?;
                     (max_lag >= 1).then_some(Schedule::AsyncTargeted { max_lag })
                 } else if let Some(rest) = label.strip_prefix("async-lag") {
                     let max_lag = parse_u64(rest)?;
-                    (max_lag >= 1).then_some(Schedule::AsyncLagging { max_lag, seed: 0 })
+                    (max_lag >= 1).then_some(Schedule::AsyncLagging { max_lag })
                 } else {
                     None
                 }
@@ -188,31 +183,16 @@ impl Schedule {
         !matches!(self, Schedule::Sync)
     }
 
-    /// The same schedule with its adversary seed replaced by `seed` (a
-    /// no-op for the deterministic schedules).
-    pub fn reseeded(self, seed: u64) -> Schedule {
-        match self {
-            Schedule::Sync => Schedule::Sync,
-            Schedule::AsyncRoundRobin => Schedule::AsyncRoundRobin,
-            Schedule::AsyncRandom { prob, .. } => Schedule::AsyncRandom { prob, seed },
-            Schedule::AsyncLagging { max_lag, .. } => Schedule::AsyncLagging { max_lag, seed },
-            Schedule::AsyncTargeted { max_lag } => Schedule::AsyncTargeted { max_lag },
-        }
-    }
-
-    /// The adversary this schedule runs under, as a seedable descriptor plus
-    /// the stored seed — `None` for the synchronous scheduler.
-    pub fn adversary(&self) -> Option<(AdversaryKind, u64)> {
+    /// The adversary this schedule runs under, as a seedable descriptor —
+    /// `None` for the synchronous scheduler. The run seed supplies the
+    /// adversary's seed.
+    pub fn adversary(&self) -> Option<AdversaryKind> {
         match *self {
             Schedule::Sync => None,
-            Schedule::AsyncRoundRobin => Some((AdversaryKind::RoundRobin, 0)),
-            Schedule::AsyncRandom { prob, seed } => {
-                Some((AdversaryKind::RandomSubset { prob }, seed))
-            }
-            Schedule::AsyncLagging { max_lag, seed } => {
-                Some((AdversaryKind::Lagging { max_lag }, seed))
-            }
-            Schedule::AsyncTargeted { max_lag } => Some((AdversaryKind::Targeted { max_lag }, 0)),
+            Schedule::AsyncRoundRobin => Some(AdversaryKind::RoundRobin),
+            Schedule::AsyncRandom { prob } => Some(AdversaryKind::RandomSubset { prob }),
+            Schedule::AsyncLagging { max_lag } => Some(AdversaryKind::Lagging { max_lag }),
+            Schedule::AsyncTargeted { max_lag } => Some(AdversaryKind::Targeted { max_lag }),
         }
     }
 }
@@ -827,8 +807,7 @@ pub struct ScenarioSpec {
     pub occupancy: f64,
     /// Initial placement family.
     pub placement: Placement,
-    /// Scheduler (with adversary seed normalized to 0 — run seeds supply
-    /// the randomness).
+    /// Scheduler (run seeds supply the adversary's randomness).
     pub schedule: Schedule,
     /// Dynamic-graph adversary: `Some(r)` removes `r` seeded edges per
     /// round (restored the next round); ring family only.
@@ -902,10 +881,9 @@ impl ScenarioSpec {
         self
     }
 
-    /// Set the schedule. Any embedded adversary seed is normalized to 0 —
-    /// seeds are not part of a scenario's identity.
+    /// Set the schedule.
     pub fn with_schedule(mut self, schedule: Schedule) -> ScenarioSpec {
-        self.schedule = schedule.reseeded(0);
+        self.schedule = schedule;
         self
     }
 
@@ -1272,7 +1250,7 @@ impl ScenarioSpec {
     pub fn build_adversary(&self, k: usize, seed: u64) -> Option<Box<dyn Adversary>> {
         self.schedule
             .adversary()
-            .map(|(kind, _)| kind.build(k, mix(&[seed, SEED_ADVERSARY])))
+            .map(|kind| kind.build(k, mix(&[seed, SEED_ADVERSARY])))
     }
 
     /// The resolved runner configuration for the realized `world`.
@@ -1450,7 +1428,7 @@ pub fn run_custom(
     let config = limits.resolve(k, graph.num_edges(), graph.max_degree(), schedule);
     let adversary = schedule
         .adversary()
-        .map(|(kind, _)| kind.build(k, mix(&[seed, SEED_ADVERSARY])));
+        .map(|kind| kind.build(k, mix(&[seed, SEED_ADVERSARY])));
     let mut world = World::new(graph, positions);
     let mut protocol = factory.build(&world, params, mix(&[seed, SEED_ALGORITHM]));
     let outcome = drive(
@@ -1523,11 +1501,8 @@ pub fn grammar_help(registry: &Registry) -> String {
     let schedules = [
         Schedule::Sync,
         Schedule::AsyncRoundRobin,
-        Schedule::AsyncRandom { prob: 0.7, seed: 0 },
-        Schedule::AsyncLagging {
-            max_lag: 4,
-            seed: 0,
-        },
+        Schedule::AsyncRandom { prob: 0.7 },
+        Schedule::AsyncLagging { max_lag: 4 },
         Schedule::AsyncTargeted { max_lag: 4 },
     ];
     let schedules: Vec<String> = schedules.iter().map(Schedule::label).collect();
@@ -1595,12 +1570,9 @@ mod tests {
         for sched in [
             Schedule::Sync,
             Schedule::AsyncRoundRobin,
-            Schedule::AsyncRandom { prob: 0.7, seed: 0 },
-            Schedule::AsyncRandom { prob: 1.0, seed: 0 },
-            Schedule::AsyncLagging {
-                max_lag: 4,
-                seed: 0,
-            },
+            Schedule::AsyncRandom { prob: 0.7 },
+            Schedule::AsyncRandom { prob: 1.0 },
+            Schedule::AsyncLagging { max_lag: 4 },
             Schedule::AsyncTargeted { max_lag: 4 },
         ] {
             assert_eq!(Schedule::from_label(&sched.label()), Some(sched));
@@ -1613,7 +1585,7 @@ mod tests {
         assert_eq!(Schedule::from_label("async-target0"), None);
         assert_eq!(Schedule::from_label("async-target04"), None);
         assert_eq!(
-            Schedule::AsyncRandom { prob: 1.0, seed: 9 }.label(),
+            Schedule::AsyncRandom { prob: 1.0 }.label(),
             "async-rand1.0",
             "integral probabilities keep their float marker"
         );
@@ -1646,10 +1618,7 @@ mod tests {
         assert_eq!(spec.label(), "rtree/k64/rooted/sync/probe-dfs");
         let spec = ScenarioSpec::new(GraphFamily::ErdosRenyi { avg_degree: 6.0 }, 32, "ks-dfs")
             .with_placement(Placement::Clustered { clusters: 4 })
-            .with_schedule(Schedule::AsyncLagging {
-                max_lag: 4,
-                seed: 77,
-            });
+            .with_schedule(Schedule::AsyncLagging { max_lag: 4 });
         assert_eq!(spec.label(), "er6/k32/cluster4/async-lag4/ks-dfs");
         let spec = ScenarioSpec::new(GraphFamily::Star, 96, "sync-seeker")
             .with_param("wait", ParamValue::U64(6))
@@ -1685,7 +1654,7 @@ mod tests {
             ScenarioSpec::new(GraphFamily::RandomTree, 64, "probe-dfs"),
             ScenarioSpec::new(GraphFamily::Grid, 20, "ks-dfs")
                 .with_placement(Placement::ScatteredUniform)
-                .with_schedule(Schedule::AsyncRandom { prob: 0.7, seed: 0 }),
+                .with_schedule(Schedule::AsyncRandom { prob: 0.7 }),
             ScenarioSpec::new(GraphFamily::Star, 96, "sync-seeker")
                 .with_param("wait", ParamValue::U64(6))
                 .with_occupancy(0.25)
@@ -1890,11 +1859,8 @@ mod tests {
         let r = reg();
         for schedule in [
             Schedule::AsyncRoundRobin,
-            Schedule::AsyncRandom { prob: 0.5, seed: 0 },
-            Schedule::AsyncLagging {
-                max_lag: 4,
-                seed: 0,
-            },
+            Schedule::AsyncRandom { prob: 0.5 },
+            Schedule::AsyncLagging { max_lag: 4 },
             Schedule::AsyncTargeted { max_lag: 4 },
         ] {
             for algo in ["ks-dfs", "probe-dfs"] {
@@ -1922,7 +1888,7 @@ mod tests {
         let r = reg();
         let spec = ScenarioSpec::new(GraphFamily::RandomTree, 24, "ks-dfs")
             .with_placement(Placement::ScatteredUniform)
-            .with_schedule(Schedule::AsyncRandom { prob: 0.6, seed: 0 });
+            .with_schedule(Schedule::AsyncRandom { prob: 0.6 });
         let a = spec.run(&r, 7).unwrap();
         let b = spec.run(&r, 7).unwrap();
         let c = spec.run(&r, 8).unwrap();
@@ -2018,8 +1984,7 @@ mod tests {
         assert_eq!(cfg.memory_sample_interval, 4);
         assert!(cfg.max_rounds >= 10_000);
         // Step budgets scale with the adversary's epoch cost.
-        let rand =
-            Limits::default().resolve(64, 63, 2, Schedule::AsyncRandom { prob: 0.5, seed: 0 });
+        let rand = Limits::default().resolve(64, 63, 2, Schedule::AsyncRandom { prob: 0.5 });
         let sync = Limits::default().resolve(64, 63, 2, Schedule::Sync);
         assert!(rand.max_steps > sync.max_steps);
     }

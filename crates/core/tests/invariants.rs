@@ -110,11 +110,8 @@ fn grid_specs() -> Vec<ScenarioSpec> {
     let schedules = [
         Schedule::Sync,
         Schedule::AsyncRoundRobin,
-        Schedule::AsyncRandom { prob: 0.6, seed: 0 },
-        Schedule::AsyncLagging {
-            max_lag: 3,
-            seed: 0,
-        },
+        Schedule::AsyncRandom { prob: 0.6 },
+        Schedule::AsyncLagging { max_lag: 3 },
         Schedule::AsyncTargeted { max_lag: 3 },
     ];
     let registry = registry();
@@ -155,11 +152,8 @@ fn fault_world_specs() -> Vec<ScenarioSpec> {
     let schedules = [
         Schedule::Sync,
         Schedule::AsyncRoundRobin,
-        Schedule::AsyncRandom { prob: 0.6, seed: 0 },
-        Schedule::AsyncLagging {
-            max_lag: 3,
-            seed: 0,
-        },
+        Schedule::AsyncRandom { prob: 0.6 },
+        Schedule::AsyncLagging { max_lag: 3 },
     ];
     let mut specs = Vec::new();
     for schedule in schedules {

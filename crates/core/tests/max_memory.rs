@@ -2,7 +2,9 @@
 //! `max_memory_bits` itself, with exactly the maximum the runners' per-agent
 //! scan would compute, at the start, part-way through and at the end of a
 //! run. A protocol that answers `None` makes every memory sample scan all
-//! `k` agents.
+//! `k` agents. The class histogram the flight recorder samples is held to
+//! the agents it describes the same way: its counts sum to `k`, and its
+//! `settled` entry counts exactly the agents that report `is_settled`.
 
 use disp_core::extras::spacer::SpacerFactory;
 use disp_core::scenario::{Registry, ScenarioSpec};
@@ -38,6 +40,26 @@ fn every_protocol_reports_the_scanned_memory_maximum() {
                 protocol.max_memory_bits(),
                 Some(scan(protocol.as_ref(), k)),
                 "{label} after at most {rounds} rounds"
+            );
+            let mut classes = Vec::new();
+            protocol.class_counts(&mut classes);
+            if classes.is_empty() {
+                continue;
+            }
+            let total: u32 = classes.iter().map(|&(_, count)| count).sum();
+            assert_eq!(total as usize, k, "{label} after at most {rounds} rounds");
+            let settled: Vec<u32> = classes
+                .iter()
+                .filter(|&&(name, _)| name == "settled")
+                .map(|&(_, count)| count)
+                .collect();
+            let scanned = (0..k as u32)
+                .filter(|&i| protocol.is_settled(AgentId(i)))
+                .count();
+            assert_eq!(
+                settled,
+                [scanned as u32],
+                "{label} after at most {rounds} rounds: {classes:?}"
             );
         }
     }

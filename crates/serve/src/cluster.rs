@@ -5,9 +5,10 @@
 //! the two HTTP halves:
 //!
 //! * `handle_internal` — the coordinator's `/internal/*` endpoint
-//!   handlers, routed from [`crate::server`]. `complete` is where worker
-//!   results enter the shared cache tier and the submitting job's
-//!   telemetry stream (worker-tagged `trial_completed` events).
+//!   handlers, routed from [`crate::server`]. `complete` hands worker
+//!   results to the lease board; the submitting job's executor takes them
+//!   from there into the shared cache tier, its progress counters and its
+//!   event stream (worker-tagged `completed` events).
 //! * [`HttpCoordinator`] + [`run_worker`] — the worker process: the
 //!   [`Coordinator`] transport over [`crate::client::Client`] (batch
 //!   uploads use chunked request bodies) and the process runner that wires
@@ -15,10 +16,8 @@
 
 use crate::cache::TrialCache;
 use crate::client::Client;
-use crate::metrics::Metrics;
 use crate::server::{AppState, Reply};
 use disp_analysis::json::Json;
-use disp_campaign::telemetry::TrialEvent;
 use disp_cluster::proto::{
     decode_complete_body, decode_reconcile, decode_worker_ref, encode_complete_body,
     encode_reconcile, encode_worker_ref, CompleteHeader, CompleteReply, LeaseReply, ReconcileReply,
@@ -78,42 +77,16 @@ pub(crate) fn handle_internal(
         "complete" => {
             let (header, uploads) = decode_complete_body(text).map_err(bad)?;
             // A broken upload (wrong identity, uncovered slot) is the
-            // worker's bug; the lease stays live for a retry.
-            let done = board
+            // worker's bug; the lease stays live for a retry. The job's
+            // executor accounts what the board accepts.
+            board
                 .complete(&header.worker, &header.job, header.batch, &uploads)
-                .map_err(bad)?;
-            if !done.stale {
-                absorb_uploads(state, &header, &uploads);
-            }
-            done.encode()
+                .map_err(bad)?
+                .encode()
         }
         _ => return Err(Reply::error(404, "no such endpoint")),
     };
     Ok(Reply::json(200, reply))
-}
-
-/// Fold an accepted batch completion into the shared cache tier, the
-/// submitting job's progress counters and its live event stream.
-fn absorb_uploads(state: &AppState, header: &CompleteHeader, uploads: &[Upload]) {
-    let job = state.manager.get(&header.job);
-    for u in uploads {
-        state.cache.insert(&u.record);
-        let Some(job) = &job else { continue };
-        if u.cached {
-            // Served from the worker's local cache: a hit, tagged as such.
-            job.record_trial_event(&TrialEvent::cached(&u.record));
-            job.note_trial(false);
-        } else {
-            job.record_trial_event(&TrialEvent::completed_by(
-                &u.record,
-                u.wall_micros,
-                &header.worker,
-            ));
-            job.note_trial(true);
-            Metrics::inc(&state.metrics.trials_executed);
-            state.metrics.trial_duration_us.observe(u.wall_micros);
-        }
-    }
 }
 
 /// The worker's [`Coordinator`] transport: the protocol over the same

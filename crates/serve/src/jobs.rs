@@ -398,12 +398,9 @@ impl Job {
         doc
     }
 
-    /// Whether the executor has settled the job and its counters are
-    /// final. A cluster upload's counters can land just after the board
-    /// reports the job done, so a `Done` job also waits for `done == total`.
+    /// Whether the executor has settled the job: its counters are final.
     pub(crate) fn settled(&self) -> bool {
-        let closed = self.events.lock().unwrap().closed;
-        closed && (self.state() != JobState::Done || self.done.load(Ordering::SeqCst) == self.total)
+        self.events.lock().unwrap().closed
     }
 
     /// Append one rendered event to the (bounded) event log and wake
@@ -463,8 +460,8 @@ impl Job {
 
     /// Account one settled grid slot, live: `executed` trials ran fresh
     /// (here or on a cluster worker), the rest were cache hits. Called once
-    /// per record — by the job's trial store and, in coordinator mode, by
-    /// the `/internal/complete` handler as uploads land.
+    /// per record, on the executor thread — by the job's trial store, also
+    /// for the uploads a cluster job takes off the lease board.
     pub(crate) fn note_trial(&self, executed: bool) {
         if executed {
             self.executed.fetch_add(1, Ordering::SeqCst);
@@ -913,7 +910,11 @@ fn execute_job(
                 .collect()
         }
         ExecBackend::Cluster { board, batch_size } => {
-            match execute_on_board(job, &plan, board, *batch_size)? {
+            let mut sink = JobSink {
+                job: Arc::clone(job),
+                metrics: Arc::clone(metrics),
+            };
+            match execute_on_board(&plan, board, *batch_size, &store, &mut sink)? {
                 Some(fresh) => fresh,
                 None => return Ok(false),
             }
@@ -940,16 +941,23 @@ fn execute_job(
 
 /// The execution stage on the cluster lease board: publish the plan's
 /// misses as contiguous batches, wait for workers to pull and complete
-/// them (the board requeues expired leases; per-trial progress and events
-/// are fed by the `/internal/complete` handler as uploads land), and
-/// return their records aligned with [`Plan::misses`]. `Ok(None)` on
-/// cancellation.
+/// them (the board requeues expired leases), and return their records
+/// aligned with [`Plan::misses`]. `Ok(None)` on cancellation.
+///
+/// Every upload the board accepted is accounted here, as it lands, the
+/// way local execution accounts a trial: an executed one through the
+/// job's `store` and `sink`, a worker-cache hit as a cache hit; its record
+/// is kept for assembly. The board hands over the last of them with
+/// `Done`, so the job settles with its counters complete.
 fn execute_on_board(
-    job: &Job,
     plan: &Plan,
     board: &ClusterBoard,
     batch_size: usize,
+    store: &JobStore,
+    sink: &mut JobSink,
 ) -> Result<Option<Vec<Option<TrialRecord>>>, String> {
+    let job = store.job;
+    let mut by_id: HashMap<String, TrialRecord> = HashMap::new();
     let slots: Vec<SlotSpec> = plan
         .misses()
         .map(|t| SlotSpec {
@@ -961,12 +969,30 @@ fn execute_on_board(
         .collect();
     if !slots.is_empty() {
         board.publish(&job.id, plan_batches(slots, batch_size));
+        let mut landed = Vec::new();
         loop {
             if job.cancel.load(Ordering::SeqCst) {
                 board.withdraw(&job.id);
                 return Ok(None);
             }
-            match board.wait(&job.id, Duration::from_millis(200)) {
+            let status = board.wait(&job.id, Duration::from_millis(200), &mut landed);
+            for (worker, upload) in landed.drain(..) {
+                let record = upload.record;
+                if upload.cached {
+                    store.cache.insert(&record);
+                    job.note_trial(false);
+                    sink.emit(&TrialEvent::cached(&record));
+                } else {
+                    store.insert(&record);
+                    sink.emit(&TrialEvent::completed_by(
+                        &record,
+                        upload.wall_micros,
+                        &worker,
+                    ));
+                }
+                by_id.insert(record.trial_id(), record);
+            }
+            match status {
                 WaitStatus::Done => break,
                 WaitStatus::Failed(msg) => {
                     board.withdraw(&job.id);
@@ -976,11 +1002,6 @@ fn execute_on_board(
             }
         }
     }
-    let mut by_id: HashMap<String, TrialRecord> = board
-        .take_records(&job.id)
-        .into_iter()
-        .map(|r| (r.trial_id(), r))
-        .collect();
     board.withdraw(&job.id);
     Ok(Some(
         plan.misses().map(|t| by_id.remove(&t.trial_id())).collect(),

@@ -75,12 +75,22 @@ fn submit(client: &mut Client, seed: u64) -> String {
         .to_string()
 }
 
-fn wait_done(client: &mut Client, id: &str) -> Json {
+/// Poll run `id` until it reads `"done"`; that first `"done"` document
+/// already accounts every one of the grid's `total` trials.
+fn wait_done(client: &mut Client, id: &str, total: u64) -> Json {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
         let doc = client.get(&format!("/runs/{id}")).unwrap().json().unwrap();
         match doc.get("state").and_then(Json::as_str) {
-            Some("done") => return doc,
+            Some("done") => {
+                assert_eq!(doc.get("total").and_then(Json::as_u64), Some(total));
+                assert_eq!(
+                    doc.get("done").and_then(Json::as_u64),
+                    Some(total),
+                    "run {id} reads done before its trials are counted: {doc:?}"
+                );
+                return doc;
+            }
             Some("queued") | Some("running") => {
                 assert!(
                     Instant::now() < deadline,
@@ -161,7 +171,7 @@ fn four_workers_shard_a_grid_byte_identically_even_through_a_worker_crash() {
         .map(|i| spawn_worker(&addr, &format!("w{i}")))
         .collect();
 
-    wait_done(&mut client, &id);
+    wait_done(&mut client, &id, total);
     let results = client.get(&format!("/runs/{id}/results")).unwrap();
     assert_eq!(results.status, 200);
     assert_eq!(
@@ -235,7 +245,7 @@ fn a_squeezed_shared_cache_is_refilled_from_worker_caches_not_re_execution() {
     let mut client = Client::new(&addr);
 
     let first = submit(&mut client, 7);
-    wait_done(&mut client, &first);
+    wait_done(&mut client, &first, total);
     assert_eq!(
         client
             .get(&format!("/runs/{first}/results"))
@@ -251,7 +261,7 @@ fn a_squeezed_shared_cache_is_refilled_from_worker_caches_not_re_execution() {
     // empty, the worker answers from its local cache (zero wall time), and
     // the executed-trials counter does not move at all.
     let second = submit(&mut client, 7);
-    let status = wait_done(&mut client, &second);
+    let status = wait_done(&mut client, &second, total);
     assert_eq!(
         client
             .get(&format!("/runs/{second}/results"))

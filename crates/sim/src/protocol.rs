@@ -47,8 +47,10 @@ pub trait AgentProtocol {
     /// per-role counts when the footprint is a function of the role alone.
     /// The runners' periodic memory sampling uses this fast path when it is
     /// available and falls back to the `O(k)` per-agent scan otherwise. An
-    /// override MUST return exactly the value the scan would compute; the
-    /// golden corpus pins the peak memory the scan-path references computed.
+    /// override MUST return exactly the value the scan would compute;
+    /// `disp-core`'s `tests/max_memory.rs` holds every registered protocol
+    /// to the scan. The paper protocols answer from the per-class counts
+    /// of one census in `disp-core` (`crates/core/src/census.rs`).
     fn max_memory_bits(&self) -> Option<usize> {
         None
     }
@@ -56,13 +58,13 @@ pub trait AgentProtocol {
     /// Per-role class histogram: push one `(class-name, live-agent-count)`
     /// pair per protocol role, in the protocol's canonical order. The
     /// flight recorder ([`crate::timeline`]) calls this at every sampled
-    /// round/epoch boundary, so an override must run in O(classes) — the
-    /// SoA protocol cores satisfy that from their incrementally-maintained
-    /// per-class counts. Protocols with a settlement notion must name the
-    /// settled role exactly `"settled"`; the recorder derives its settled
-    /// count by summing classes of that name. The default pushes nothing,
-    /// which the recorder reports as an unknown class breakdown (settled
-    /// count 0).
+    /// round/epoch boundary, so an override must run in O(classes), and
+    /// sums the classes named `"settled"` into its settled count. The
+    /// default pushes nothing, which the recorder reports as an unknown
+    /// class breakdown (settled count 0). The paper protocols answer from
+    /// one census in `disp-core` (`crates/core/src/census.rs`), which keeps
+    /// their per-class counts and derives `is_settled` from the class of
+    /// that name.
     fn class_counts(&self, _out: &mut Vec<(&'static str, u32)>) {}
 
     /// Human-readable protocol name (used in reports and traces).

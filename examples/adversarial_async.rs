@@ -20,32 +20,11 @@ fn main() {
 
     let schedules = vec![
         ("async round-robin", Schedule::AsyncRoundRobin),
-        (
-            "async random p=0.9",
-            Schedule::AsyncRandom { prob: 0.9, seed: 0 },
-        ),
-        (
-            "async random p=0.5",
-            Schedule::AsyncRandom { prob: 0.5, seed: 0 },
-        ),
-        (
-            "async random p=0.2",
-            Schedule::AsyncRandom { prob: 0.2, seed: 0 },
-        ),
-        (
-            "async lagging ≤4",
-            Schedule::AsyncLagging {
-                max_lag: 4,
-                seed: 0,
-            },
-        ),
-        (
-            "async lagging ≤16",
-            Schedule::AsyncLagging {
-                max_lag: 16,
-                seed: 0,
-            },
-        ),
+        ("async random p=0.9", Schedule::AsyncRandom { prob: 0.9 }),
+        ("async random p=0.5", Schedule::AsyncRandom { prob: 0.5 }),
+        ("async random p=0.2", Schedule::AsyncRandom { prob: 0.2 }),
+        ("async lagging ≤4", Schedule::AsyncLagging { max_lag: 4 }),
+        ("async lagging ≤16", Schedule::AsyncLagging { max_lag: 16 }),
         ("async targeted ≤4", Schedule::AsyncTargeted { max_lag: 4 }),
         (
             "async targeted ≤16",

@@ -22,17 +22,11 @@ fn main() {
         ("synchronized fleet (SYNC)", depot("sync-seeker")),
         (
             "uncoordinated fleet (ASYNC, lagging)",
-            depot("probe-dfs").with_schedule(Schedule::AsyncLagging {
-                max_lag: 5,
-                seed: 0,
-            }),
+            depot("probe-dfs").with_schedule(Schedule::AsyncLagging { max_lag: 5 }),
         ),
         (
             "OPODIS'21 baseline (ASYNC, lagging)",
-            depot("ks-dfs").with_schedule(Schedule::AsyncLagging {
-                max_lag: 5,
-                seed: 0,
-            }),
+            depot("ks-dfs").with_schedule(Schedule::AsyncLagging { max_lag: 5 }),
         ),
     ];
 

@@ -38,10 +38,7 @@ fn main() {
     let factory = registry.get("ks-dfs").expect("registered");
     for (label, schedule) in [
         ("SYNC", Schedule::Sync),
-        (
-            "ASYNC (random)",
-            Schedule::AsyncRandom { prob: 0.6, seed: 0 },
-        ),
+        ("ASYNC (random)", Schedule::AsyncRandom { prob: 0.6 }),
     ] {
         let (outcome, dispersed) = run_custom(
             factory,

@@ -30,7 +30,7 @@ fn main() {
     );
 
     // Same workload under asynchrony — one builder call away.
-    let async_spec = spec.with_schedule(Schedule::AsyncRandom { prob: 0.6, seed: 0 });
+    let async_spec = spec.with_schedule(Schedule::AsyncRandom { prob: 0.6 });
     let async_report = async_spec.run(&registry, 4).expect("async balancing run");
     println!(
         "under asynchrony: {} epochs ({} scheduler steps), dispersed: {}",

@@ -21,12 +21,12 @@ fn main() {
         (
             "ASYNC doubling probe ",
             ScenarioSpec::new(GraphFamily::RandomTree, k, "probe-dfs")
-                .with_schedule(Schedule::AsyncRandom { prob: 0.7, seed: 0 }),
+                .with_schedule(Schedule::AsyncRandom { prob: 0.7 }),
         ),
         (
             "ASYNC scan baseline  ",
             ScenarioSpec::new(GraphFamily::RandomTree, k, "ks-dfs")
-                .with_schedule(Schedule::AsyncRandom { prob: 0.7, seed: 0 }),
+                .with_schedule(Schedule::AsyncRandom { prob: 0.7 }),
         ),
     ];
 

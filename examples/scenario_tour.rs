@@ -15,11 +15,8 @@ fn main() {
     let schedules = [
         Schedule::Sync,
         Schedule::AsyncRoundRobin,
-        Schedule::AsyncRandom { prob: 0.7, seed: 0 },
-        Schedule::AsyncLagging {
-            max_lag: 4,
-            seed: 0,
-        },
+        Schedule::AsyncRandom { prob: 0.7 },
+        Schedule::AsyncLagging { max_lag: 4 },
     ];
 
     println!(

@@ -19,7 +19,7 @@
 //! // asynchronously — one canonical, round-trippable description.
 //! let spec = ScenarioSpec::new(GraphFamily::RandomTree, 20, "ks-dfs")
 //!     .with_placement(Placement::ScatteredUniform)
-//!     .with_schedule(Schedule::AsyncRandom { prob: 0.7, seed: 0 });
+//!     .with_schedule(Schedule::AsyncRandom { prob: 0.7 });
 //! assert_eq!(spec.label(), "rtree/k20/scatter/async-rand0.7/ks-dfs");
 //! let report = spec.run(&Registry::builtin(), 42).unwrap();
 //! assert!(report.dispersed);

@@ -30,11 +30,8 @@ fn all_algorithms_disperse_on_all_quick_families_sync() {
 fn async_algorithms_disperse_under_all_adversaries() {
     for schedule in [
         Schedule::AsyncRoundRobin,
-        Schedule::AsyncRandom { prob: 0.5, seed: 0 },
-        Schedule::AsyncLagging {
-            max_lag: 6,
-            seed: 0,
-        },
+        Schedule::AsyncRandom { prob: 0.5 },
+        Schedule::AsyncLagging { max_lag: 6 },
     ] {
         for algo in ["ks-dfs", "probe-dfs"] {
             let r = rooted(GraphFamily::RandomTree, 40, algo, schedule);
@@ -50,11 +47,8 @@ fn every_placement_family_disperses_under_every_schedule() {
     for placement in Placement::all() {
         for schedule in [
             Schedule::Sync,
-            Schedule::AsyncRandom { prob: 0.6, seed: 0 },
-            Schedule::AsyncLagging {
-                max_lag: 4,
-                seed: 0,
-            },
+            Schedule::AsyncRandom { prob: 0.6 },
+            Schedule::AsyncLagging { max_lag: 4 },
         ] {
             let spec = ScenarioSpec::new(GraphFamily::Grid, 30, "ks-dfs")
                 .with_placement(placement)
@@ -72,12 +66,7 @@ fn probe_dfs_stays_within_k_log_k_async() {
         GraphFamily::Star,
         GraphFamily::RandomTree,
     ] {
-        let r = rooted(
-            family,
-            96,
-            "probe-dfs",
-            Schedule::AsyncRandom { prob: 0.8, seed: 0 },
-        );
+        let r = rooted(family, 96, "probe-dfs", Schedule::AsyncRandom { prob: 0.8 });
         assert!(
             verify::envelope::within_k_log_k(&r.outcome, 60.0),
             "{family}: {} epochs exceeds the O(k log k) envelope",
@@ -134,7 +123,7 @@ fn general_configurations_disperse_with_many_groups() {
     let graph = GraphFamily::Grid.instantiate(100, 3);
     let n = graph.num_nodes();
     let positions: Vec<NodeId> = (0..70).map(|i| NodeId(((i * 13) % n) as u32)).collect();
-    for schedule in [Schedule::Sync, Schedule::AsyncRandom { prob: 0.6, seed: 0 }] {
+    for schedule in [Schedule::Sync, Schedule::AsyncRandom { prob: 0.6 }] {
         let (outcome, dispersed) = run_custom(
             factory,
             &Params::new(),
