@@ -177,7 +177,13 @@ impl TrialRecord {
     /// flat fields and the dispersion verdict, in that order.
     pub fn to_json_line(&self) -> String {
         let mut line = String::with_capacity(LINE_CAPACITY);
-        let mut w = ObjectWriter::new(&mut line);
+        self.write_json_line(&mut line);
+        line
+    }
+
+    /// Append the line [`TrialRecord::to_json_line`] returns to `out`.
+    pub fn write_json_line(&self, out: &mut String) {
+        let mut w = ObjectWriter::new(out);
         let mut scenario = w.object("scenario");
         write_scenario(&self.point.scenario, &mut scenario);
         scenario.end();
@@ -191,7 +197,6 @@ impl TrialRecord {
         outcome.end();
         w.bool("dispersed", self.dispersed);
         w.end();
-        line
     }
 
     /// Parse a line produced by [`TrialRecord::to_json_line`], in one pass

@@ -36,7 +36,7 @@ use disp_campaign::run::{run_trials, RunOptions, RunSummary};
 use disp_campaign::signal;
 use disp_campaign::store::{CampaignStore, TrialStore};
 use disp_campaign::telemetry::{
-    timeline_to_jsonl, trace_to_jsonl, JsonlSink, Telemetry, TimelineSidecar,
+    timeline_to_jsonl, trace_to_jsonl, EventSink, JsonlSink, Telemetry, TimelineSidecar,
 };
 use disp_core::scenario::{grammar_help, Registry, ScenarioSpec};
 use disp_sim::{TimelineRecorder, Trace, WorldPool, DEFAULT_TIMELINE_BUDGET, DEFAULT_TRACE_CAP};
@@ -350,7 +350,7 @@ fn execute(
         threads,
         batch: args.get("--batch").unwrap_or(1),
         cancel: Some(signal::install()),
-        telemetry: handle.as_ref(),
+        events: handle.as_ref().map(|h| h as &dyn EventSink),
         timelines: timelines.as_ref(),
     };
     let checkpoint = checkpoint.as_ref().map(|c| c as &dyn TrialStore);

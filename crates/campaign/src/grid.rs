@@ -123,6 +123,27 @@ impl TrialSpec {
     }
 }
 
+/// A slot's names as the trial pipeline renders them once and lends them
+/// to every use: the store lookup, the dedup key and the slot's events.
+#[derive(Debug, Clone, Copy)]
+pub struct SlotId<'a> {
+    /// The trial id, `label#rN`.
+    pub id: &'a str,
+    /// The canonical scenario label, a prefix of `id`.
+    pub label: &'a str,
+    /// The repetition index.
+    pub rep: usize,
+}
+
+impl<'a> SlotId<'a> {
+    /// Name a slot by its rendered trial id `label#rN`.
+    pub fn of(id: &'a str, rep: usize) -> SlotId<'a> {
+        // The last `#` is the one the rep suffix put there.
+        let label = id.rsplit_once('#').map_or(id, |(label, _)| label);
+        SlotId { id, label, rep }
+    }
+}
+
 /// Derive the seed of one trial from the campaign seed, the scenario's
 /// canonical label and the repetition index.
 ///
@@ -131,11 +152,12 @@ impl TrialSpec {
 /// never changes the seeds — and therefore the results — of the points that
 /// stayed.
 pub fn trial_seed(campaign_seed: u64, point: &ExperimentPoint, rep: usize) -> u64 {
-    mix(&[
-        campaign_seed,
-        fnv1a(point.point_id().as_bytes()),
-        rep as u64,
-    ])
+    seed_of(campaign_seed, fnv1a(point.point_id().as_bytes()), rep)
+}
+
+/// [`trial_seed`] from the FNV-1a digest of the point's label.
+fn seed_of(campaign_seed: u64, label_digest: u64, rep: usize) -> u64 {
+    mix(&[campaign_seed, label_digest, rep as u64])
 }
 
 /// A complete, named campaign description.
@@ -606,20 +628,32 @@ impl CampaignSpec {
     /// Expand the grid into trials, in deterministic grid order, with
     /// derived seeds.
     pub fn trials(&self) -> Vec<TrialSpec> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.slot_count());
         for (si, section) in self.sections.iter().enumerate() {
             for point in &section.points {
+                let label = fnv1a(point.point_id().as_bytes());
                 for rep in 0..point.repetitions.max(1) {
                     out.push(TrialSpec {
                         section: si,
                         point: point.clone(),
                         rep,
-                        seed: trial_seed(self.seed, point, rep),
+                        seed: seed_of(self.seed, label, rep),
                     });
                 }
             }
         }
         out
+    }
+
+    /// The number of slots [`CampaignSpec::trials`] expands to, counted
+    /// without expanding the grid (saturating, so a hostile grid cannot
+    /// overflow the count).
+    pub fn slot_count(&self) -> usize {
+        self.sections
+            .iter()
+            .flat_map(|s| &s.points)
+            .map(|p| p.repetitions.max(1))
+            .fold(0, usize::saturating_add)
     }
 
     /// A stable fingerprint of the expanded grid + campaign seed, recorded

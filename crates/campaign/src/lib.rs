@@ -71,10 +71,11 @@ pub mod telemetry;
 
 pub use engine::{parallel_map, EngineStats};
 pub use grid::{
-    full_ks, quick_ks, section_points, trial_seed, CampaignSpec, Mode, Section, TrialSpec,
+    full_ks, quick_ks, section_points, trial_seed, CampaignSpec, Mode, Section, SlotId, TrialSpec,
 };
 pub use run::{run_campaign, run_campaign_batched, run_trials, Plan, RunOptions, RunSummary};
-pub use store::{CampaignStore, Checkpoint, Manifest, TrialStore, TrialWriter};
+pub use store::{CampaignStore, Checkpoint, Held, Manifest, TrialStore, TrialSummary, TrialWriter};
 pub use telemetry::{
-    trace_to_jsonl, JsonlSink, Telemetry, TelemetryHandle, TelemetrySink, TrialEvent,
+    trace_to_jsonl, EventRef, EventSink, JsonlSink, Telemetry, TelemetryHandle, TelemetrySink,
+    TrialEvent,
 };

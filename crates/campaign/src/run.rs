@@ -19,14 +19,15 @@
 //! ([`crate::store::Checkpoint`]) or the service's trial cache.
 
 use crate::engine::{parallel_map, EngineStats};
-use crate::grid::{CampaignSpec, TrialSpec};
-use crate::store::{CampaignStore, TrialStore};
-use crate::telemetry::{timeline_to_jsonl, TelemetryHandle, TimelineSidecar, TrialEvent};
+use crate::grid::{CampaignSpec, SlotId, TrialSpec};
+use crate::store::{CampaignStore, Held, TrialStore};
+use crate::telemetry::{timeline_to_jsonl, EventRef, EventSink, TelemetryHandle, TimelineSidecar};
 use disp_analysis::TrialRecord;
 use disp_core::scenario::Registry;
 use disp_sim::{TimelineRecorder, WorldPool};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -64,8 +65,9 @@ pub struct RunOptions<'a> {
     /// flight finish and reach the store normally.
     pub cancel: Option<&'a AtomicBool>,
     /// Live per-trial events: `cached` for store hits up front, then
-    /// `started`/`completed` (with wall-clock micros) per executed trial.
-    pub telemetry: Option<&'a TelemetryHandle>,
+    /// `started`/`completed` (with wall-clock micros) per executed trial,
+    /// each on the thread that produced it.
+    pub events: Option<&'a dyn EventSink>,
     /// Flight-recorder sidecar: one decimated timeline chunk per executed
     /// trial, appended as it finishes.
     pub timelines: Option<&'a TimelineSidecar>,
@@ -77,7 +79,7 @@ impl Default for RunOptions<'_> {
             threads: 1,
             batch: 1,
             cancel: None,
-            telemetry: None,
+            events: None,
             timelines: None,
         }
     }
@@ -87,7 +89,7 @@ impl Default for RunOptions<'_> {
 #[derive(Debug)]
 pub enum Fill {
     /// The store already held it.
-    Held(Box<TrialRecord>),
+    Held(Held),
     /// Entry `m` of [`Plan::misses`] produces it.
     Miss(usize),
 }
@@ -113,41 +115,62 @@ thread_local! {
 }
 
 impl Plan {
-    /// The plan stage. Every slot is validated against `registry` — an
-    /// illegal combination is a typed error before anything runs — and
-    /// looked up once in `store`; a hit is announced on `telemetry` as
-    /// [`TrialEvent::Cached`], in grid order. Misses are deduplicated by
-    /// trial id: a grid that lists one trial twice executes it once.
+    /// The plan stage. Every point is validated against `registry` once —
+    /// an illegal combination is a typed error before anything runs — and
+    /// every slot is named once and looked up once in `store`; a hit is
+    /// reported to `events` as a `cached` event, in grid order. Misses are
+    /// deduplicated by trial id: a grid that lists one trial twice
+    /// executes it once.
     pub fn new(
         grid: Vec<TrialSpec>,
         registry: &Registry,
         store: Option<&dyn TrialStore>,
-        telemetry: Option<&TelemetryHandle>,
+        events: Option<&dyn EventSink>,
     ) -> Result<Plan, String> {
-        for trial in &grid {
+        // A point's slots are adjacent: its first slot stands for it.
+        let first_of_point =
+            |slot: usize| slot == 0 || grid[slot].point.scenario != grid[slot - 1].point.scenario;
+        for (slot, trial) in grid.iter().enumerate() {
             let scenario = &trial.point.scenario;
-            scenario
-                .validate(registry)
-                .map_err(|e| format!("scenario '{}': {e}", scenario.label()))?;
+            if first_of_point(slot) {
+                scenario
+                    .validate(registry)
+                    .map_err(|e| format!("scenario '{}': {e}", scenario.label()))?;
+            }
         }
         let mut misses = Vec::new();
         let mut first: HashMap<String, usize> = HashMap::new();
-        let fills = grid
-            .iter()
-            .enumerate()
-            .map(|(slot, trial)| match store.and_then(|s| s.lookup(trial)) {
-                Some(record) => {
-                    if let Some(telemetry) = telemetry {
-                        telemetry.emit(TrialEvent::cached(&record));
+        let mut fills = Vec::with_capacity(grid.len());
+        // The slot's trial id; a point's label is rendered at its first
+        // slot and kept for the rest.
+        let mut id = String::new();
+        let mut label_len = 0;
+        for (slot, trial) in grid.iter().enumerate() {
+            if first_of_point(slot) {
+                id.clear();
+                let _ = write!(id, "{}", trial.point.scenario);
+                label_len = id.len();
+            }
+            id.truncate(label_len);
+            let _ = write!(id, "#r{}", trial.rep);
+            let name = SlotId {
+                id: &id,
+                label: &id[..label_len],
+                rep: trial.rep,
+            };
+            fills.push(match store.and_then(|s| s.lookup(trial, name)) {
+                Some(held) => {
+                    if let Some(events) = events {
+                        events.emit(EventRef::Cached(name, held.summary()));
                     }
-                    Fill::Held(Box::new(record))
+                    Fill::Held(held)
                 }
-                None => Fill::Miss(*first.entry(trial.trial_id()).or_insert_with(|| {
+                None => Fill::Miss(*first.entry(id.clone()).or_insert_with(|| {
                     misses.push(slot);
                     misses.len() - 1
                 })),
-            })
-            .collect();
+            });
+        }
         Ok(Plan {
             grid,
             fills,
@@ -195,8 +218,14 @@ impl Plan {
             if opts.cancel.is_some_and(|c| c.load(Ordering::SeqCst)) {
                 return None;
             }
-            if let Some(telemetry) = opts.telemetry {
-                telemetry.emit(TrialEvent::started(&trial.point.point_id(), trial.rep));
+            // The slot is named only for an observer that reads its name.
+            let id = match (opts.events, opts.timelines) {
+                (None, None) => String::new(),
+                _ => trial.trial_id(),
+            };
+            let name = SlotId::of(&id, trial.rep);
+            if let Some(events) = opts.events {
+                events.emit(EventRef::Started(name));
             }
             let begun = Instant::now();
             let mut recorder = opts.timelines.map(|_| TimelineRecorder::new());
@@ -209,14 +238,13 @@ impl Plan {
             };
             let wall_micros = begun.elapsed().as_micros() as u64;
             if let (Some(sidecar), Some(recorder)) = (opts.timelines, recorder) {
-                let label = trial.point.point_id();
-                sidecar.append(&timeline_to_jsonl(&recorder.finish(), &label, seed));
+                sidecar.append(&timeline_to_jsonl(&recorder.finish(), name.label, seed));
             }
             if let Some(store) = store {
                 store.insert(&record);
             }
-            if let Some(telemetry) = opts.telemetry {
-                telemetry.emit(TrialEvent::completed(&record, wall_micros));
+            if let Some(events) = opts.events {
+                events.emit(EventRef::completed(name, &record, wall_micros, None));
             }
             Some((record, wall_micros))
         };
@@ -233,15 +261,16 @@ impl Plan {
     }
 
     /// The assembly stage: every slot's record in grid order — held
-    /// records as looked up, each miss's record (`fresh[m]`, aligned with
-    /// [`Plan::misses`]) in every slot it fills. A slot left without a
-    /// record is an error naming it, never a silent gap.
+    /// records as looked up (a held line decoded), each miss's record
+    /// (`fresh[m]`, aligned with [`Plan::misses`]) in every slot it fills.
+    /// A slot left without a record is an error naming it, never a silent
+    /// gap.
     pub fn assemble(self, fresh: Vec<Option<TrialRecord>>) -> Result<Vec<TrialRecord>, String> {
         self.grid
             .iter()
             .zip(self.fills)
             .map(|(trial, fill)| match fill {
-                Fill::Held(record) => Ok(*record),
+                Fill::Held(held) => held.into_record(),
                 Fill::Miss(m) => fresh
                     .get(m)
                     .cloned()
@@ -249,6 +278,33 @@ impl Plan {
                     .ok_or_else(|| format!("no record for trial '{}'", trial.trial_id())),
             })
             .collect()
+    }
+
+    /// [`Plan::assemble`] as a JSONL body: every slot's record line in
+    /// grid order, each ending in a newline — a held line copied as the
+    /// store holds it, each fresh record encoded.
+    pub fn assemble_lines(&self, fresh: &[Option<TrialRecord>]) -> Result<String, String> {
+        let held: usize = self
+            .fills
+            .iter()
+            .map(|fill| match fill {
+                Fill::Held(Held::Line(line, _)) => line.len() + 1,
+                _ => 0,
+            })
+            .sum();
+        let mut body = String::with_capacity(held);
+        for (trial, fill) in self.grid.iter().zip(&self.fills) {
+            match fill {
+                Fill::Held(held) => held.write_line(&mut body),
+                Fill::Miss(m) => fresh
+                    .get(*m)
+                    .and_then(Option::as_ref)
+                    .ok_or_else(|| format!("no record for trial '{}'", trial.trial_id()))?
+                    .write_json_line(&mut body),
+            }
+            body.push('\n');
+        }
+        Ok(body)
     }
 }
 
@@ -262,7 +318,7 @@ pub fn run_trials(
     store: Option<&dyn TrialStore>,
     opts: &RunOptions,
 ) -> Result<(Vec<TrialRecord>, RunSummary), String> {
-    let plan = Plan::new(grid, registry, store, opts.telemetry)?;
+    let plan = Plan::new(grid, registry, store, opts.events)?;
     let start = Instant::now();
     let (fresh, stats) = plan.execute(registry, store, opts);
     let executed = fresh.iter().flatten().count();
@@ -325,7 +381,7 @@ pub fn run_campaign_batched(
         threads,
         batch,
         cancel: Some(cancel),
-        telemetry,
+        events: telemetry.map(|t| t as &dyn EventSink),
         timelines: None,
     };
     let store = checkpoint.as_ref().map(|c| c as &dyn TrialStore);
@@ -661,8 +717,8 @@ mod tests {
         // A store that holds the second slot only.
         struct One(TrialRecord);
         impl TrialStore for One {
-            fn lookup(&self, trial: &TrialSpec) -> Option<TrialRecord> {
-                (trial.trial_id() == self.0.trial_id()).then(|| self.0.clone())
+            fn lookup(&self, _: &TrialSpec, slot: SlotId) -> Option<Held> {
+                (slot.id == self.0.trial_id()).then(|| Held::Record(Box::new(self.0.clone())))
             }
             fn insert(&self, _: &TrialRecord) {}
         }

@@ -17,7 +17,7 @@
 //! The trial pipeline ([`crate::run`]) sees a store only through the
 //! [`TrialStore`] seam; [`Checkpoint`] is this directory behind it.
 
-use crate::grid::{CampaignSpec, Mode, Section, TrialSpec};
+use crate::grid::{CampaignSpec, Mode, Section, SlotId, TrialSpec};
 use disp_analysis::experiment::ExperimentPoint;
 use disp_analysis::json::Json;
 use disp_analysis::jsonl::{self, Ingest};
@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// One section of a persisted campaign: its name/title plus every scenario
 /// as a canonical label with its repetition count.
@@ -385,13 +385,76 @@ impl TrialWriter {
     }
 }
 
+/// What a `cached` event and a job's per-point statistics read of a held
+/// trial's outcome.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TrialSummary {
+    /// Rounds (SYNC) or epochs (ASYNC).
+    pub time: u64,
+    /// Total edge traversals.
+    pub total_moves: u64,
+    /// Whether the final configuration is a dispersion.
+    pub dispersed: bool,
+}
+
+impl TrialSummary {
+    /// The summary of `record`'s outcome.
+    pub fn of(record: &TrialRecord) -> TrialSummary {
+        TrialSummary {
+            time: record.outcome.time(),
+            total_moves: record.outcome.total_moves,
+            dispersed: record.dispersed,
+        }
+    }
+}
+
+/// A finished trial as a store hands it out, in the form the store keeps.
+#[derive(Debug, Clone)]
+pub enum Held {
+    /// A decoded record (the campaign checkpoint keeps these).
+    Record(Box<TrialRecord>),
+    /// A record line, byte-identical to [`TrialRecord::to_json_line`] of
+    /// the record the requesting grid would produce, shared with the store
+    /// that keeps it, and its outcome summary (the trial cache keeps
+    /// these).
+    Line(Arc<str>, TrialSummary),
+}
+
+impl Held {
+    /// The outcome summary events report.
+    pub fn summary(&self) -> TrialSummary {
+        match self {
+            Held::Record(record) => TrialSummary::of(record),
+            Held::Line(_, summary) => *summary,
+        }
+    }
+
+    /// The record, decoding a held line.
+    pub fn into_record(self) -> Result<TrialRecord, String> {
+        match self {
+            Held::Record(record) => Ok(*record),
+            Held::Line(line, _) => TrialRecord::from_json_line(&line),
+        }
+    }
+
+    /// Append the record line (no newline) to `out`: a copy of a held
+    /// line, or the encoding of a held record.
+    pub fn write_line(&self, out: &mut String) {
+        match self {
+            Held::Record(record) => record.write_json_line(out),
+            Held::Line(line, _) => out.push_str(line),
+        }
+    }
+}
+
 /// A store of finished trials — the trial pipeline's one lookup/insert
 /// seam, implemented by the campaign [`Checkpoint`] and by the service's
 /// content-addressed trial cache.
 pub trait TrialStore: Sync {
-    /// The finished record for `trial`, if held — byte-identical to what
-    /// executing it would produce.
-    fn lookup(&self, trial: &TrialSpec) -> Option<TrialRecord>;
+    /// The finished trial in slot `trial`, named `slot`, if held — its
+    /// line byte-identical to what executing it in this grid would
+    /// produce.
+    fn lookup(&self, trial: &TrialSpec, slot: SlotId) -> Option<Held>;
     /// Keep one freshly executed record. Called once per record, on the
     /// engine thread that ran it, as soon as it finishes.
     fn insert(&self, record: &TrialRecord);
@@ -407,8 +470,9 @@ pub struct Checkpoint {
 }
 
 impl TrialStore for Checkpoint {
-    fn lookup(&self, trial: &TrialSpec) -> Option<TrialRecord> {
-        self.held.get(&trial.trial_id()).cloned()
+    fn lookup(&self, _: &TrialSpec, slot: SlotId) -> Option<Held> {
+        let record = self.held.get(slot.id)?;
+        Some(Held::Record(Box::new(record.clone())))
     }
 
     fn insert(&self, record: &TrialRecord) {
@@ -464,8 +528,13 @@ mod tests {
         assert_eq!(manifest.campaign, "table1");
         assert_eq!(manifest.total_trials, trials.len());
         let checkpoint = store2.checkpoint().unwrap();
-        assert_eq!(checkpoint.lookup(&trials[0]), Some(rec));
-        assert_eq!(checkpoint.lookup(&trials[1]), None);
+        let lookup = |t: &TrialSpec| {
+            let id = t.trial_id();
+            let held = checkpoint.lookup(t, SlotId::of(&id, t.rep));
+            held.map(|h| h.into_record().unwrap())
+        };
+        assert_eq!(lookup(&trials[0]), Some(rec));
+        assert_eq!(lookup(&trials[1]), None);
         drop(checkpoint);
 
         // A torn tail is tolerated.

@@ -28,6 +28,8 @@
 //! service's `GET /trace`), since both the CLI and `disp-serve` sit above
 //! this crate.
 
+use crate::grid::SlotId;
+use crate::store::TrialSummary;
 use disp_analysis::json::{Json, ObjectWriter};
 use disp_analysis::TrialRecord;
 use disp_sim::{Trace, TraceEvent};
@@ -101,72 +103,6 @@ pub enum TrialEvent {
 }
 
 impl TrialEvent {
-    /// The `Started` event for a trial about to execute.
-    pub fn started(label: &str, rep: usize) -> TrialEvent {
-        TrialEvent::Started {
-            trial_id: format!("{label}#r{rep}"),
-            label: label.to_string(),
-            rep,
-        }
-    }
-
-    /// The `Completed` event for a freshly executed record.
-    pub fn completed(record: &TrialRecord, wall_micros: u64) -> TrialEvent {
-        TrialEvent::Completed {
-            trial_id: record.trial_id(),
-            label: record.point.point_id(),
-            rep: record.rep,
-            wall_micros,
-            time: record.outcome.time(),
-            steps: record.outcome.steps,
-            total_moves: record.outcome.total_moves,
-            dispersed: record.dispersed,
-            worker: None,
-        }
-    }
-
-    /// [`TrialEvent::completed`] tagged with the cluster worker that
-    /// executed the trial, so a coordinator's SSE stream shows where each
-    /// trial ran.
-    pub fn completed_by(record: &TrialRecord, wall_micros: u64, worker: &str) -> TrialEvent {
-        match TrialEvent::completed(record, wall_micros) {
-            TrialEvent::Completed {
-                trial_id,
-                label,
-                rep,
-                wall_micros,
-                time,
-                steps,
-                total_moves,
-                dispersed,
-                ..
-            } => TrialEvent::Completed {
-                trial_id,
-                label,
-                rep,
-                wall_micros,
-                time,
-                steps,
-                total_moves,
-                dispersed,
-                worker: Some(worker.to_string()),
-            },
-            other => other,
-        }
-    }
-
-    /// The `Cached` event for a record satisfied without execution.
-    pub fn cached(record: &TrialRecord) -> TrialEvent {
-        TrialEvent::Cached {
-            trial_id: record.trial_id(),
-            label: record.point.point_id(),
-            rep: record.rep,
-            time: record.outcome.time(),
-            total_moves: record.outcome.total_moves,
-            dispersed: record.dispersed,
-        }
-    }
-
     /// The event kind as a stable lowercase tag.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -181,18 +117,12 @@ impl TrialEvent {
     /// key, `"event"`, is the [`TrialEvent::kind`] tag, written in one pass.
     pub fn to_json_line(&self) -> String {
         let mut line = String::with_capacity(EVENT_LINE_CAPACITY);
-        let mut w = ObjectWriter::new(&mut line);
-        w.str("event", self.kind());
         match self {
             TrialEvent::Started {
                 trial_id,
                 label,
                 rep,
-            } => {
-                w.str("trial_id", trial_id);
-                w.str("label", label);
-                w.u64("rep", *rep as u64);
-            }
+            } => EventRef::Started(slot(trial_id, label, *rep)).write_json(&mut line),
             TrialEvent::Completed {
                 trial_id,
                 label,
@@ -203,19 +133,16 @@ impl TrialEvent {
                 total_moves,
                 dispersed,
                 worker,
-            } => {
-                w.str("trial_id", trial_id);
-                w.str("label", label);
-                w.u64("rep", *rep as u64);
-                w.u64("wall_micros", *wall_micros);
-                w.u64("time", *time);
-                w.u64("steps", *steps);
-                w.u64("total_moves", *total_moves);
-                w.bool("dispersed", *dispersed);
-                if let Some(worker) = worker {
-                    w.str("worker", worker);
-                }
+            } => EventRef::Completed {
+                slot: slot(trial_id, label, *rep),
+                wall_micros: *wall_micros,
+                time: *time,
+                steps: *steps,
+                total_moves: *total_moves,
+                dispersed: *dispersed,
+                worker: worker.as_deref(),
             }
+            .write_json(&mut line),
             TrialEvent::Cached {
                 trial_id,
                 label,
@@ -224,18 +151,178 @@ impl TrialEvent {
                 total_moves,
                 dispersed,
             } => {
-                w.str("trial_id", trial_id);
-                w.str("label", label);
-                w.u64("rep", *rep as u64);
-                w.u64("time", *time);
-                w.u64("total_moves", *total_moves);
-                w.bool("dispersed", *dispersed);
+                let summary = TrialSummary {
+                    time: *time,
+                    total_moves: *total_moves,
+                    dispersed: *dispersed,
+                };
+                EventRef::Cached(slot(trial_id, label, *rep), summary).write_json(&mut line)
             }
-            TrialEvent::Overflow { dropped } => w.u64("dropped", *dropped),
+            TrialEvent::Overflow { dropped } => {
+                let mut w = ObjectWriter::new(&mut line);
+                w.str("event", self.kind());
+                w.u64("dropped", *dropped);
+                w.end();
+            }
         }
-        w.end();
         line
     }
+}
+
+fn slot<'a>(id: &'a str, label: &'a str, rep: usize) -> SlotId<'a> {
+    SlotId { id, label, rep }
+}
+
+/// A trial event as the pipeline produces it: borrowed from the slot's
+/// names, rendered once, so a sink can write it straight into its own
+/// buffer. [`EventRef::to_event`] makes the owned [`TrialEvent`] a
+/// channel carries.
+#[derive(Debug, Clone, Copy)]
+pub enum EventRef<'a> {
+    /// A slot's trial is about to execute.
+    Started(SlotId<'a>),
+    /// A slot's trial finished executing.
+    Completed {
+        /// The slot.
+        slot: SlotId<'a>,
+        /// Wall-clock execution time in microseconds (non-content!).
+        wall_micros: u64,
+        /// Rounds (SYNC) or epochs (ASYNC).
+        time: u64,
+        /// ASYNC scheduler steps (0 for SYNC).
+        steps: u64,
+        /// Total edge traversals.
+        total_moves: u64,
+        /// Whether the final configuration is a dispersion.
+        dispersed: bool,
+        /// The cluster worker that executed it (`None` for local
+        /// execution).
+        worker: Option<&'a str>,
+    },
+    /// A slot was satisfied from the store without execution.
+    Cached(SlotId<'a>, TrialSummary),
+}
+
+impl<'a> EventRef<'a> {
+    /// The `completed` event of slot `slot`, which ran as `record`.
+    pub fn completed(
+        slot: SlotId<'a>,
+        record: &TrialRecord,
+        wall_micros: u64,
+        worker: Option<&'a str>,
+    ) -> EventRef<'a> {
+        EventRef::Completed {
+            slot,
+            wall_micros,
+            time: record.outcome.time(),
+            steps: record.outcome.steps,
+            total_moves: record.outcome.total_moves,
+            dispersed: record.dispersed,
+            worker,
+        }
+    }
+
+    /// The slot the event is about.
+    pub fn slot(&self) -> SlotId<'a> {
+        match *self {
+            EventRef::Started(slot)
+            | EventRef::Completed { slot, .. }
+            | EventRef::Cached(slot, _) => slot,
+        }
+    }
+
+    /// Append the event's JSON object — the bytes of
+    /// [`TrialEvent::to_json_line`] — to `out`.
+    pub fn write_json(&self, out: &mut String) {
+        let mut w = ObjectWriter::new(out);
+        let slot = self.slot();
+        let kind = match self {
+            EventRef::Started(_) => "started",
+            EventRef::Completed { .. } => "completed",
+            EventRef::Cached(..) => "cached",
+        };
+        w.str("event", kind);
+        w.str("trial_id", slot.id);
+        w.str("label", slot.label);
+        w.u64("rep", slot.rep as u64);
+        match *self {
+            EventRef::Started(_) => {}
+            EventRef::Completed {
+                wall_micros,
+                time,
+                steps,
+                total_moves,
+                dispersed,
+                worker,
+                ..
+            } => {
+                w.u64("wall_micros", wall_micros);
+                w.u64("time", time);
+                w.u64("steps", steps);
+                w.u64("total_moves", total_moves);
+                w.bool("dispersed", dispersed);
+                if let Some(worker) = worker {
+                    w.str("worker", worker);
+                }
+            }
+            EventRef::Cached(_, summary) => {
+                w.u64("time", summary.time);
+                w.u64("total_moves", summary.total_moves);
+                w.bool("dispersed", summary.dispersed);
+            }
+        }
+        w.end();
+    }
+
+    /// The owned event.
+    pub fn to_event(&self) -> TrialEvent {
+        let slot = self.slot();
+        let (trial_id, label, rep) = (slot.id.to_string(), slot.label.to_string(), slot.rep);
+        match *self {
+            EventRef::Started(_) => TrialEvent::Started {
+                trial_id,
+                label,
+                rep,
+            },
+            EventRef::Completed {
+                wall_micros,
+                time,
+                steps,
+                total_moves,
+                dispersed,
+                worker,
+                ..
+            } => TrialEvent::Completed {
+                trial_id,
+                label,
+                rep,
+                wall_micros,
+                time,
+                steps,
+                total_moves,
+                dispersed,
+                worker: worker.map(str::to_string),
+            },
+            EventRef::Cached(_, summary) => TrialEvent::Cached {
+                trial_id,
+                label,
+                rep,
+                time: summary.time,
+                total_moves: summary.total_moves,
+                dispersed: summary.dispersed,
+            },
+        }
+    }
+}
+
+/// Where the trial pipeline reports trial events: on the thread that
+/// produced each one, as it happens — `cached` for each store hit during
+/// the plan stage, in grid order, and `started`/`completed` around each
+/// executed trial. A serve job renders them straight into its event log;
+/// a [`TelemetryHandle`] forwards them to a collector thread.
+pub trait EventSink: Sync {
+    /// Take one event.
+    fn emit(&self, event: EventRef);
 }
 
 /// Bytes reserved for one event line: a `completed` event of a typical
@@ -342,6 +429,12 @@ enum Wire {
 pub struct TelemetryHandle {
     tx: SyncSender<Wire>,
     dropped: Arc<AtomicU64>,
+}
+
+impl EventSink for TelemetryHandle {
+    fn emit(&self, event: EventRef) {
+        TelemetryHandle::emit(self, event.to_event());
+    }
 }
 
 impl TelemetryHandle {
@@ -575,9 +668,14 @@ mod tests {
     use disp_graph::{NodeId, Port};
     use disp_sim::AgentId;
 
+    fn started(label: &str, rep: usize) -> TrialEvent {
+        let id = format!("{label}#r{rep}");
+        EventRef::Started(SlotId::of(&id, rep)).to_event()
+    }
+
     #[test]
     fn events_render_with_discriminators() {
-        let ev = TrialEvent::started("line/k4/rooted/sync/probe-dfs", 2);
+        let ev = started("line/k4/rooted/sync/probe-dfs", 2);
         let doc = Json::parse(&ev.to_json_line()).unwrap();
         assert_eq!(doc.get("event").and_then(Json::as_str), Some("started"));
         assert_eq!(
@@ -615,7 +713,7 @@ mod tests {
         };
         let lines = [
             (
-                TrialEvent::started("line/k4/rooted/sync/probe-dfs", 2),
+                started("line/k4/rooted/sync/probe-dfs", 2),
                 r#"{"event":"started","trial_id":"line/k4/rooted/sync/probe-dfs#r2","label":"line/k4/rooted/sync/probe-dfs","rep":2}"#,
             ),
             (
@@ -642,7 +740,7 @@ mod tests {
         let telemetry = Telemetry::start(Box::new(sink));
         let handle = telemetry.handle();
         for rep in 0..100 {
-            handle.emit(TrialEvent::started("x", rep));
+            handle.emit(started("x", rep));
         }
         let dropped = telemetry.finish();
         let events = collected.lock().unwrap();
@@ -650,7 +748,7 @@ mod tests {
         assert_eq!(dropped, 0);
         assert_eq!(events.len(), 100);
         for (rep, ev) in events.iter().enumerate() {
-            assert_eq!(*ev, TrialEvent::started("x", rep));
+            assert_eq!(*ev, started("x", rep));
         }
     }
 
@@ -675,7 +773,7 @@ mod tests {
         // Fill the channel (bound + 1 for the event parked in the sink),
         // then some: the rest must drop without blocking.
         for rep in 0..TELEMETRY_CHANNEL_BOUND + 100 {
-            handle.emit(TrialEvent::started("x", rep));
+            handle.emit(started("x", rep));
         }
         assert!(handle.dropped() > 0);
         let expected = handle.dropped();

@@ -47,35 +47,28 @@
 
 use disp_analysis::jsonl;
 use disp_analysis::TrialRecord;
-use disp_campaign::grid::TrialSpec;
-use disp_campaign::store::TrialStore;
+use disp_campaign::grid::{SlotId, TrialSpec};
+use disp_campaign::store::{Held, TrialStore, TrialSummary};
 use disp_rng::{fnv1a, mix};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// The content identity of a trial.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CacheKey {
-    /// Canonical scenario label.
-    label: String,
-    /// Repetition index within the grid point.
-    rep: usize,
-    /// The derived trial seed (a pure function of campaign seed + label +
-    /// rep; included so grids run under different campaign seeds never
-    /// alias).
-    seed: u64,
+/// The 64-bit digest of a trial's content identity `(label, rep, seed)`:
+/// the memory index's map key and the on-disk key set's element.
+fn key_digest(label: &str, rep: usize, seed: u64) -> u64 {
+    mix(&[fnv1a(label.as_bytes()), rep as u64, seed])
 }
 
-impl CacheKey {
-    /// A 64-bit digest of the key, used by the on-disk key set (and cheap
-    /// enough to keep one per persisted line).
-    fn digest(&self) -> u64 {
-        mix(&[fnv1a(self.label.as_bytes()), self.rep as u64, self.seed])
-    }
+/// Render `record`'s canonical label into `buf` (cleared first).
+fn label_into<'a>(buf: &'a mut String, record: &TrialRecord) -> &'a str {
+    buf.clear();
+    let _ = write!(buf, "{}", record.point.scenario);
+    buf
 }
 
 /// Budgets for the in-memory index and the compaction trigger.
@@ -114,74 +107,116 @@ pub struct CompactStats {
     pub bytes_out: u64,
 }
 
-/// One in-memory record plus its LRU bookkeeping.
+/// One trial in memory: its record line, the few outcome fields events
+/// read, and its LRU bookkeeping.
 #[derive(Debug)]
 struct Entry {
-    rec: TrialRecord,
-    /// Length of the record's JSONL line (the byte-budget unit).
-    bytes: usize,
+    /// The key's label, rep and seed: the map is keyed by their digest,
+    /// and a digest alone could collide.
+    label: Box<str>,
+    rep: usize,
+    seed: u64,
+    /// The record line as this cache wrote or read it — the bytes
+    /// `cache.jsonl` holds. Its length is the byte-budget unit.
+    line: Arc<str>,
+    /// The repetition count the line advertises.
+    repetitions: usize,
+    /// Whether `line` is exactly its record's `to_json_line()`: known for
+    /// every line this cache encoded; for a line read from the log, found
+    /// out when it is first served, so opening the log encodes nothing.
+    canonical: Option<bool>,
+    summary: TrialSummary,
     /// Stamp of this entry's newest position in the LRU queue; queue
     /// positions with older stamps are stale and skipped.
     stamp: u64,
 }
 
+impl Entry {
+    fn new(label: &str, record: &TrialRecord, line: Arc<str>, canonical: Option<bool>) -> Entry {
+        Entry {
+            label: label.into(),
+            rep: record.rep,
+            seed: record.seed,
+            line,
+            repetitions: record.point.repetitions,
+            canonical,
+            summary: TrialSummary::of(record),
+            stamp: 0,
+        }
+    }
+
+    fn is(&self, label: &str, rep: usize, seed: u64) -> bool {
+        (self.rep, self.seed) == (rep, seed) && *self.label == *label
+    }
+
+    /// Whether `line` can be served as it is to a grid of `repetitions`.
+    fn verbatim(&mut self, repetitions: usize) -> bool {
+        if self.repetitions != repetitions {
+            return false;
+        }
+        *self.canonical.get_or_insert_with(|| {
+            TrialRecord::from_json_line(&self.line).is_ok_and(|r| r.to_json_line() == *self.line)
+        })
+    }
+}
+
 /// The bounded in-memory index.
 #[derive(Debug, Default)]
 struct MemIndex {
-    entries: HashMap<CacheKey, Entry>,
-    /// `(stamp, key)` pairs, oldest first. Touches push a fresh stamp
-    /// instead of removing the old position (lazy invalidation).
-    lru: VecDeque<(u64, CacheKey)>,
+    entries: HashMap<u64, Entry>,
+    /// `(stamp, key digest)` pairs, oldest first. Touches push a fresh
+    /// stamp instead of removing the old position (lazy invalidation).
+    lru: VecDeque<(u64, u64)>,
     total_bytes: usize,
     next_stamp: u64,
 }
 
 impl MemIndex {
-    fn touch(&mut self, key: &CacheKey) {
+    fn touch(&mut self, digest: u64) {
         let stamp = self.next_stamp;
         self.next_stamp += 1;
-        if let Some(e) = self.entries.get_mut(key) {
+        if let Some(e) = self.entries.get_mut(&digest) {
             e.stamp = stamp;
-            self.lru.push_back((stamp, key.clone()));
+            self.lru.push_back((stamp, digest));
+            self.prune();
         }
     }
 
-    /// Insert `rec` under `key` and evict LRU entries until the budget
-    /// holds again. Returns the number of evictions.
-    fn insert(
-        &mut self,
-        key: CacheKey,
-        rec: TrialRecord,
-        bytes: usize,
-        budget: &CacheBudget,
-    ) -> u64 {
+    /// Insert `entry` under `digest` and evict LRU entries until the
+    /// budget holds again. Returns the number of evictions.
+    fn insert(&mut self, digest: u64, mut entry: Entry, budget: &CacheBudget) -> u64 {
         let stamp = self.next_stamp;
         self.next_stamp += 1;
-        self.lru.push_back((stamp, key.clone()));
-        self.total_bytes += bytes;
-        self.entries.insert(key, Entry { rec, bytes, stamp });
+        entry.stamp = stamp;
+        self.lru.push_back((stamp, digest));
+        self.total_bytes += entry.line.len();
+        self.entries.insert(digest, entry);
         let mut evicted = 0;
         while (self.entries.len() > budget.max_entries || self.total_bytes > budget.max_bytes)
             && self.entries.len() > 1
         {
-            let Some((stamp, key)) = self.lru.pop_front() else {
+            let Some((stamp, digest)) = self.lru.pop_front() else {
                 break;
             };
-            let live = self.entries.get(&key).is_some_and(|e| e.stamp == stamp);
+            let live = self.entries.get(&digest).is_some_and(|e| e.stamp == stamp);
             if live {
-                let e = self.entries.remove(&key).unwrap();
-                self.total_bytes -= e.bytes;
+                let e = self.entries.remove(&digest).unwrap();
+                self.total_bytes -= e.line.len();
                 evicted += 1;
             }
         }
-        // Lazy invalidation lets the queue accumulate stale positions;
-        // prune when it clearly dominates the live set.
+        self.prune();
+        evicted
+    }
+
+    /// Lazy invalidation lets the queue accumulate stale positions; prune
+    /// when they clearly dominate the live set.
+    fn prune(&mut self) {
         if self.lru.len() > 2 * self.entries.len() + 64 {
             let entries = &self.entries;
             self.lru
-                .retain(|(stamp, key)| entries.get(key).is_some_and(|e| e.stamp == *stamp));
+                .retain(|(stamp, digest)| entries.get(digest).is_some_and(|e| e.stamp == *stamp));
         }
-        evicted
     }
 }
 
@@ -200,8 +235,8 @@ struct DiskLog {
 }
 
 /// A thread-safe, optionally persistent map from trial content identity to
-/// the completed [`TrialRecord`], with an LRU-bounded memory index and a
-/// compacting JSONL log.
+/// the completed trial's record line, with an LRU-bounded memory index and
+/// a compacting JSONL log.
 #[derive(Debug)]
 pub struct TrialCache {
     mem: Mutex<MemIndex>,
@@ -267,8 +302,18 @@ impl TrialCache {
         let mut skipped = 0u64;
         if path.exists() {
             let file = File::open(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-            for line in BufReader::new(file).lines() {
-                let line = line.map_err(|e| format!("read {}: {e}", path.display()))?;
+            let mut reader = BufReader::new(file);
+            // One buffer each for the line and its label, reused across
+            // the log.
+            let (mut line, mut label) = (String::new(), String::new());
+            loop {
+                line.clear();
+                let read = reader
+                    .read_line(&mut line)
+                    .map_err(|e| format!("read {}: {e}", path.display()))?;
+                if read == 0 {
+                    break;
+                }
                 let trimmed = line.trim();
                 if trimmed.is_empty() {
                     continue;
@@ -280,14 +325,15 @@ impl TrialCache {
                     continue;
                 };
                 lines += 1;
-                let key = key_of(&rec);
-                if !keys.insert(key.digest()) {
+                let label = label_into(&mut label, &rec);
+                let digest = key_digest(label, rec.rep, rec.seed);
+                if !keys.insert(digest) {
                     dead += 1;
                     continue;
                 }
-                // Weighed by the line as read: `insert` wrote it as the
-                // record's JSON line, so the lengths agree.
-                evictions += mem.insert(key, rec, trimmed.len(), &budget);
+                // The line is kept as read.
+                let entry = Entry::new(label, &rec, trimmed.into(), None);
+                evictions += mem.insert(digest, entry, &budget);
             }
         }
         if lines >= budget.compact_min_lines && dead * 2 > lines {
@@ -330,59 +376,59 @@ impl TrialCache {
         seed: u64,
         repetitions: usize,
     ) -> Option<TrialRecord> {
-        let key = CacheKey {
-            label: label.to_string(),
-            rep,
-            seed,
-        };
-        let found = {
-            let mut mem = self.mem.lock().unwrap();
-            let found = mem.entries.get(&key).map(|e| e.rec.clone());
-            if found.is_some() {
-                mem.touch(&key);
-            }
-            found
-        };
-        match found {
-            Some(mut rec) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                rec.point.repetitions = repetitions;
-                Some(rec)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let found = self.find(label, rep, seed, repetitions, true);
+        self.count(found.is_some());
+        found.and_then(|(line, _)| TrialRecord::from_json_line(&line).ok())
     }
 
-    /// [`TrialCache::lookup`] without the observability side effects: no
-    /// hit/miss counting, no LRU refresh. Used by the cluster plumbing
-    /// (reconciliation, result assembly) so operator-facing counters keep
-    /// meaning "a submission asked for this trial".
-    pub fn peek(
+    /// [`TrialCache::lookup`] without the observability side effects (no
+    /// hit/miss counting, no LRU refresh), as the record line the
+    /// requesting grid is served, undecoded. Used by the cluster plumbing
+    /// (reconciliation) so operator-facing counters keep meaning "a
+    /// submission asked for this trial".
+    pub fn peek(&self, label: &str, rep: usize, seed: u64, repetitions: usize) -> Option<Arc<str>> {
+        self.find(label, rep, seed, repetitions, false)
+            .map(|(line, _)| line)
+    }
+
+    /// The line to serve for `(label, rep, seed)` in a grid of
+    /// `repetitions`, and its summary; `touch` refreshes its LRU position.
+    /// A stored line is shared as is when it is exactly what encoding its
+    /// record for that grid gives. A line written under another
+    /// repetition count, or read from the log in an accepted but
+    /// non-canonical spelling, is decoded and encoded again.
+    fn find(
         &self,
         label: &str,
         rep: usize,
         seed: u64,
         repetitions: usize,
-    ) -> Option<TrialRecord> {
-        let key = CacheKey {
-            label: label.to_string(),
-            rep,
-            seed,
+        touch: bool,
+    ) -> Option<(Arc<str>, TrialSummary)> {
+        let digest = key_digest(label, rep, seed);
+        let (line, summary, verbatim) = {
+            let mut mem = self.mem.lock().unwrap();
+            let e = mem
+                .entries
+                .get_mut(&digest)
+                .filter(|e| e.is(label, rep, seed))?;
+            let found = (Arc::clone(&e.line), e.summary, e.verbatim(repetitions));
+            if touch {
+                mem.touch(digest);
+            }
+            found
         };
-        let found = self
-            .mem
-            .lock()
-            .unwrap()
-            .entries
-            .get(&key)
-            .map(|e| e.rec.clone());
-        found.map(|mut rec| {
-            rec.point.repetitions = repetitions;
-            rec
-        })
+        if verbatim {
+            return Some((line, summary));
+        }
+        let mut record = TrialRecord::from_json_line(&line).ok()?;
+        record.point.repetitions = repetitions;
+        Some((record.to_json_line().into(), summary))
+    }
+
+    fn count(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Insert a completed record (no-op if its key is already in memory)
@@ -391,21 +437,24 @@ impl TrialCache {
     /// appended again — the suppression that keeps repeated overlapping
     /// submissions from growing the log without bound.
     pub fn insert(&self, record: &TrialRecord) {
-        let key = key_of(record);
-        let line = record.to_json_line();
+        let mut label = String::new();
+        let label = label_into(&mut label, record);
+        let digest = key_digest(label, record.rep, record.seed);
+        let line: Arc<str> = record.to_json_line().into();
         {
             let mut mem = self.mem.lock().unwrap();
-            if mem.entries.contains_key(&key) {
+            if mem.entries.contains_key(&digest) {
                 return;
             }
-            let evicted = mem.insert(key.clone(), record.clone(), line.len(), &self.budget);
+            let entry = Entry::new(label, record, Arc::clone(&line), Some(true));
+            let evicted = mem.insert(digest, entry, &self.budget);
             if evicted > 0 {
                 self.evictions.fetch_add(evicted, Ordering::Relaxed);
             }
         }
         if let Some(disk) = &self.disk {
             let mut d = disk.lock().unwrap();
-            if d.keys.insert(key.digest()) {
+            if d.keys.insert(digest) {
                 // An unwritable cache should abort loudly, like the store.
                 writeln!(d.writer, "{line}").expect("append cache record");
                 d.writer.flush().expect("flush cache record");
@@ -476,24 +525,18 @@ impl TrialCache {
 }
 
 /// The trial pipeline's store seam: a lookup by the trial's content triple
-/// (its advertised repetition count rewritten, as in [`TrialCache::lookup`]),
-/// an insert as [`TrialCache::insert`].
+/// that hands out the line to serve (shared, or re-encoded as
+/// [`TrialCache::lookup`] rewrites it), an insert as [`TrialCache::insert`].
 impl TrialStore for TrialCache {
-    fn lookup(&self, trial: &TrialSpec) -> Option<TrialRecord> {
-        let label = trial.point.point_id();
-        TrialCache::lookup(self, &label, trial.rep, trial.seed, trial.point.repetitions)
+    fn lookup(&self, trial: &TrialSpec, slot: SlotId) -> Option<Held> {
+        let repetitions = trial.point.repetitions;
+        let found = self.find(slot.label, trial.rep, trial.seed, repetitions, true);
+        self.count(found.is_some());
+        found.map(|(line, summary)| Held::Line(line, summary))
     }
 
     fn insert(&self, record: &TrialRecord) {
         TrialCache::insert(self, record);
-    }
-}
-
-fn key_of(rec: &TrialRecord) -> CacheKey {
-    CacheKey {
-        label: rec.point.point_id(),
-        rep: rec.rep,
-        seed: rec.seed,
     }
 }
 
@@ -530,6 +573,7 @@ fn compact_path(path: &Path) -> Result<(CompactStats, HashSet<u64>), String> {
     let out = File::create(&new_path).map_err(|e| format!("create {}: {e}", new_path.display()))?;
     let mut writer = BufWriter::new(out);
     let mut keys = HashSet::new();
+    let mut label = String::new();
     let mut stats = CompactStats {
         lines_in: 0,
         lines_kept: 0,
@@ -547,7 +591,7 @@ fn compact_path(path: &Path) -> Result<(CompactStats, HashSet<u64>), String> {
             continue; // torn tail or foreign junk: compaction drops it
         };
         stats.lines_in += 1;
-        if !keys.insert(key_of(&rec).digest()) {
+        if !keys.insert(key_digest(label_into(&mut label, &rec), rec.rep, rec.seed)) {
             continue;
         }
         // The *original* bytes, not a re-serialization: live entries
@@ -632,7 +676,7 @@ mod tests {
         let got = cache
             .peek(&rec.point.point_id(), rec.rep, rec.seed, 2)
             .unwrap();
-        assert_eq!(got.to_json_line(), rec.to_json_line());
+        assert_eq!(*got, rec.to_json_line());
         assert!(cache.peek("nope", 0, 1, 2).is_none());
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
     }
@@ -880,7 +924,7 @@ mod tests {
         let hit = cache
             .peek(&rec.point.point_id(), rec.rep, rec.seed, 2)
             .unwrap();
-        assert_eq!(hit.to_json_line(), rec.to_json_line());
+        assert_eq!(*hit, rec.to_json_line());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -273,7 +273,7 @@ fn drive_batch<C: Coordinator>(
         .iter()
         .map(|s| {
             let held = cache.peek(&s.label, s.rep, s.seed, s.repetitions);
-            held.map(|rec| line_digest(&rec.to_json_line()))
+            held.map(|line| line_digest(&line))
         })
         .collect();
     let reconcile = transport.reconcile(&cfg.id, &assignment.job, assignment.batch, &digests)?;
@@ -318,19 +318,26 @@ fn drive_batch<C: Coordinator>(
         .iter()
         .zip(plan.fills())
         .map(|(&slot, fill)| {
-            let (record, wall_micros) = match fill {
-                Fill::Held(rec) => ((**rec).clone(), 0),
-                Fill::Miss(m) => fresh[*m].clone().expect("checked above"),
+            let (line, record, wall_micros) = match fill {
+                Fill::Held(held) => {
+                    let mut line = String::new();
+                    held.write_line(&mut line);
+                    (line, held.clone().into_record()?, 0)
+                }
+                Fill::Miss(m) => {
+                    let (record, wall_micros) = fresh[*m].clone().expect("checked above");
+                    (record.to_json_line(), record, wall_micros)
+                }
             };
-            Upload {
+            Ok(Upload {
                 slot,
                 wall_micros,
                 cached: matches!(fill, Fill::Held(_)),
-                line: record.to_json_line(),
+                line,
                 record,
-            }
+            })
         })
-        .collect();
+        .collect::<Result<_, String>>()?;
     let header = CompleteHeader {
         worker: cfg.id.clone(),
         job: assignment.job.clone(),
@@ -483,7 +490,7 @@ mod tests {
         assert_eq!(summary.abandoned, 0);
         // Every record the coordinator now holds equals a direct execution.
         for slot in &slots {
-            let rec = shared_cache
+            let line = shared_cache
                 .peek(&slot.label, slot.rep, slot.seed, slot.repetitions)
                 .expect("uploaded");
             let direct =
@@ -491,7 +498,7 @@ mod tests {
                     .unwrap()
                     .point
                     .run_trial(&Registry::builtin(), slot.rep, slot.seed);
-            assert_eq!(rec.to_json_line(), direct.to_json_line());
+            assert_eq!(*line, direct.to_json_line());
         }
     }
 

@@ -81,8 +81,11 @@ impl<const C: usize> Census<C> {
 
     /// The one write point of the tags; keeps the per-class counts exact.
     pub(crate) fn set_tag(&mut self, i: usize, t: u8) {
-        self.counts[self.class(self.tags[i])] -= 1;
-        self.counts[self.class(t)] += 1;
+        let (from, to) = (self.class(self.tags[i]), self.class(t));
+        if from != to {
+            self.counts[from] -= 1;
+            self.counts[to] += 1;
+        }
         self.tags[i] = t;
     }
 

@@ -55,11 +55,12 @@
 //! `aux0`/`aux1` for counters and agent references). An activation reads
 //! the tag byte, dispatches, and touches only the two or three fields its
 //! arm needs, instead of copying a 40-byte enum in and out of the state
-//! vector. The rider / idle-guest / returned-prober lists thread through
-//! one shared [`ListArena`] slab (intrusive index-linked lists), so after
-//! construction the protocol performs no further heap allocation beyond
-//! one reusable scratch buffer. `tests/golden_corpus.rs` pins this rewrite
-//! step-for-step to the enum-of-structs implementation it replaced.
+//! vector. The riders and the idle guests are [`AgentSet`]s (ordered by
+//! id, O(1) insert wherever the id falls) and the returned probers a
+//! [`ListArena`] list (arrival order), so after construction the protocol
+//! performs no further heap allocation beyond one reusable scratch buffer.
+//! `tests/golden_corpus.rs` pins this rewrite step-for-step to the
+//! enum-of-structs implementation it replaced.
 //!
 //! This protocol assumes a **rooted** initial configuration (all agents on
 //! one node); see `DESIGN.md` for how general configurations are handled.
@@ -77,7 +78,7 @@
 use crate::census::{enc, opt, Census, NO_PORT};
 use disp_graph::Port;
 use disp_sim::{
-    bits, ActivationCtx, AgentId, AgentProtocol, ListArena, ListHandle, MoveError, World,
+    bits, ActivationCtx, AgentId, AgentProtocol, AgentSet, ListArena, ListHandle, MoveError, World,
 };
 
 /// Attempt a move; `None` means the edge is down — wait in place and retry
@@ -216,13 +217,13 @@ pub struct ProbeDfs {
     aux0: Vec<u32>,
     aux1: Vec<u32>,
     k: usize,
-    /// The shared slab behind the three bookkeeping lists.
+    /// The slab behind the returned-prober list.
     lists: ListArena,
-    /// Unsettled followers riding the cohort, ascending by id (front =
-    /// smallest, the next to settle or probe).
-    riders: ListHandle,
-    /// Guests idle at the current probe node, ascending by id.
-    idle_guests: ListHandle,
+    /// Unsettled followers riding the cohort (the smallest is the next to
+    /// settle or probe).
+    riders: AgentSet,
+    /// Guests idle at the current probe node.
+    idle_guests: AgentSet,
     /// Probers back at the probe node in arrival order, awaiting collection.
     returned_probers: ListHandle,
     /// Reusable drain buffer for prober collection and see-off pairing.
@@ -247,10 +248,9 @@ impl ProbeDfs {
         let mut tags = vec![tag::RIDER; k];
         tags[leader.index()] = tag::LEAD_ENROLL;
         let bits = class_bits_table(k, world.graph().max_degree());
-        let mut lists = ListArena::new(k);
-        let mut riders = ListHandle::new();
+        let mut riders = AgentSet::new(k);
         for i in 0..k as u32 - 1 {
-            lists.push_back(&mut riders, AgentId(i));
+            riders.insert(AgentId(i));
         }
         ProbeDfs {
             census: Census::new(world, tags, class, &CLASS_NAMES, bits),
@@ -261,9 +261,9 @@ impl ProbeDfs {
             aux0: vec![0; k],
             aux1: vec![0; k],
             k,
-            lists,
+            lists: ListArena::new(k),
             riders,
-            idle_guests: ListHandle::new(),
+            idle_guests: AgentSet::new(k),
             returned_probers: ListHandle::new(),
             scratch: Vec::new(),
             probe_invocations: 0,
@@ -312,7 +312,7 @@ impl ProbeDfs {
         leader: AgentId,
         arrival_pin: Option<Port>,
     ) -> bool {
-        match self.lists.pop_front(&mut self.riders) {
+        match self.riders.pop_first() {
             None => {
                 self.settle(ctx, leader, arrival_pin);
                 true
@@ -325,7 +325,7 @@ impl ProbeDfs {
                 // invariant harness must catch this at that very step.
                 #[cfg(feature = "inject-collision")]
                 if self.census.settlers.count() == 3 {
-                    if let Some(extra) = self.lists.pop_front(&mut self.riders) {
+                    if let Some(extra) = self.riders.pop_first() {
                         ctx.extract(extra);
                         self.settle(ctx, extra, arrival_pin);
                     }
@@ -393,21 +393,18 @@ impl ProbeDfs {
                         }
                     } else {
                         // Assign the `want` smallest-id helpers from the
-                        // union of idle guests and riders (both lists are
-                        // ascending: merge by taking the smaller front).
+                        // union of idle guests and riders (merge by taking
+                        // the smaller of the two minima).
                         let want = (ctx.degree() - checked as usize).min(avail);
                         for i in 0..want {
                             let port = Port(checked + 1 + i as u32);
-                            let take_guest = match (self.idle_guests.front(), self.riders.front()) {
+                            let take_guest = match (self.idle_guests.first(), self.riders.first()) {
                                 (Some(g), Some(r)) => g.0 < r.0,
                                 (Some(_), None) => true,
                                 (None, _) => false,
                             };
                             let helper = if take_guest {
-                                let g = self
-                                    .lists
-                                    .pop_front(&mut self.idle_guests)
-                                    .expect("guest available");
+                                let g = self.idle_guests.pop_first().expect("guest available");
                                 let gi = g.index();
                                 debug_assert_eq!(self.census.tag(gi), tag::GUEST_IDLE);
                                 // Guest home port / saved parent move to the
@@ -417,10 +414,7 @@ impl ProbeDfs {
                                 ctx.wake(g);
                                 g
                             } else {
-                                let r = self
-                                    .lists
-                                    .pop_front(&mut self.riders)
-                                    .expect("rider available");
+                                let r = self.riders.pop_first().expect("rider available");
                                 ctx.extract(r);
                                 let ri = r.index();
                                 self.p2[ri] = NO_PORT;
@@ -463,14 +457,14 @@ impl ProbeDfs {
                             // Follower origin: back onto the cohort.
                             self.census.set_tag(p, tag::RIDER);
                             ctx.enroll(prober);
-                            self.lists.insert_sorted(&mut self.riders, prober);
+                            self.riders.insert(prober);
                         } else {
                             // Guest origin: back to idling at the probe node.
                             self.census.set_tag(p, tag::GUEST_IDLE);
                             self.p0[p] = self.p3[p];
                             self.p1[p] = self.p2[p];
                             ctx.park(prober);
-                            self.lists.insert_sorted(&mut self.idle_guests, prober);
+                            self.idle_guests.insert(prober);
                         }
                     }
                     probers.clear();
@@ -530,10 +524,7 @@ impl ProbeDfs {
                     0 => self.movement(ctx, agent, tag::LEAD_SEE_OFF_ASSIGN),
                     1 => {
                         // α(w) escorts the single leftover guest home.
-                        let guest = self
-                            .lists
-                            .pop_front(&mut self.idle_guests)
-                            .expect("one idle guest");
+                        let guest = self.idle_guests.pop_first().expect("one idle guest");
                         let settler = self
                             .census
                             .settlers
@@ -559,7 +550,7 @@ impl ProbeDfs {
                     x => {
                         let pairs = x / 2;
                         let mut guests = std::mem::take(&mut self.scratch);
-                        self.lists.drain_into(&mut self.idle_guests, &mut guests);
+                        self.idle_guests.drain_into(&mut guests);
                         for i in 0..pairs {
                             let walker = guests[2 * i];
                             let escort = guests[2 * i + 1];
@@ -583,7 +574,7 @@ impl ProbeDfs {
                         }
                         // An odd leftover guest stays idle (and parked).
                         if x % 2 == 1 {
-                            self.lists.push_back(&mut self.idle_guests, guests[x - 1]);
+                            self.idle_guests.insert(guests[x - 1]);
                         }
                         guests.clear();
                         self.scratch = guests;
@@ -713,7 +704,7 @@ impl ProbeDfs {
                 };
                 self.census.set_tag(a, tag::GUEST_IDLE);
                 self.p1[a] = pin;
-                self.lists.insert_sorted(&mut self.idle_guests, agent);
+                self.idle_guests.insert(agent);
                 ctx.park(agent);
             }
             tag::GUEST_IDLE => {}
@@ -762,7 +753,7 @@ impl ProbeDfs {
                     self.census.set_tag(a, tag::GUEST_IDLE);
                     self.p0[a] = self.p3[a];
                     self.p1[a] = self.p2[a];
-                    self.lists.insert_sorted(&mut self.idle_guests, agent);
+                    self.idle_guests.insert(agent);
                     ctx.park(agent);
                 }
             }

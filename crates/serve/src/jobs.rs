@@ -37,10 +37,10 @@ use crate::cache::TrialCache;
 use crate::metrics::Metrics;
 use disp_analysis::online::OnlineStats;
 use disp_analysis::TrialRecord;
-use disp_campaign::grid::{CampaignSpec, TrialSpec};
+use disp_campaign::grid::{CampaignSpec, SlotId, TrialSpec};
 use disp_campaign::run::{Plan, RunOptions};
-use disp_campaign::store::TrialStore;
-use disp_campaign::telemetry::{Telemetry, TelemetrySink, TrialEvent};
+use disp_campaign::store::{Held, TrialStore, TrialSummary};
+use disp_campaign::telemetry::{EventRef, EventSink};
 use disp_cluster::{plan_batches, ClusterBoard, SlotSpec, WaitStatus};
 use disp_core::scenario::Registry;
 use std::collections::{HashMap, VecDeque};
@@ -101,12 +101,18 @@ struct EventLog {
     /// End offset in `frames` of each retained frame, oldest first.
     ends: VecDeque<usize>,
     closed: bool,
+    /// Subscribers blocked waiting for news, and whether they have been
+    /// woken since the last of them began to wait: a burst of pushes
+    /// wakes them once, not once per event.
+    waiting: usize,
+    woken: bool,
 }
 
 impl EventLog {
-    fn push(&mut self, json: &str) {
+    /// Append one frame whose JSON `write` renders in place.
+    fn push_with(&mut self, write: impl FnOnce(&mut String)) {
         self.frames.push_str("data: ");
-        self.frames.push_str(json);
+        write(&mut self.frames);
         self.frames.push_str("\n\n");
         self.ends.push_back(self.frames.len());
         self.next_seq += 1;
@@ -139,11 +145,14 @@ impl EventLog {
     }
 
     /// Close the log and keep only its live frames, in buffers of their
-    /// exact size: a settled log never grows again.
+    /// exact size: a settled log never grows again. The frames move to a
+    /// fresh buffer rather than shrinking in place, which would leave the
+    /// grown buffer's tail as a heap hole beside a block that lives as
+    /// long as the job.
     fn close(&mut self) {
         self.closed = true;
         self.cut_dead();
-        self.frames.shrink_to_fit();
+        self.frames = self.frames.as_str().to_owned();
         self.ends.shrink_to_fit();
     }
 }
@@ -264,8 +273,9 @@ pub struct Job {
     /// Cooperative cancellation latch.
     cancel: AtomicBool,
     /// The `/results` body — result JSONL lines in grid order, each ending
-    /// in a newline (set exactly once, on `Done`).
-    results: Mutex<Option<Arc<str>>>,
+    /// in a newline (set exactly once, on `Done`, in a buffer of its exact
+    /// size).
+    results: Mutex<Option<Arc<String>>>,
     /// Memoized `?format=summary` document — built once on first request,
     /// not re-parsed from the lines per poll.
     summary: Mutex<Option<Arc<String>>>,
@@ -276,8 +286,9 @@ pub struct Job {
     events: Mutex<EventLog>,
     /// Wakes event-stream subscribers on every push and on close.
     events_cv: Condvar,
-    /// Streaming per-point statistics (label → stats), fed by telemetry;
-    /// dropped once the settled job's status document is memoized.
+    /// Streaming per-point statistics (label → stats), fed by the job's
+    /// events; dropped once the settled job's status document is
+    /// memoized.
     point_stats: Mutex<HashMap<String, PointStats>>,
     /// Decimated completion-over-time samples (`GET /runs/:id/timeline`).
     progress: Mutex<ProgressLog>,
@@ -307,7 +318,7 @@ pub struct JobSnapshot {
 
 impl Job {
     fn new(id: String, spec: CampaignSpec) -> Job {
-        let total = spec.trials().len();
+        let total = spec.slot_count();
         Job {
             id,
             spec,
@@ -352,7 +363,7 @@ impl Job {
 
     /// The finished results body (JSONL lines in grid order, each ending
     /// in a newline), if the job is `Done`.
-    pub fn results(&self) -> Option<Arc<str>> {
+    pub fn results(&self) -> Option<Arc<String>> {
         self.results.lock().unwrap().clone()
     }
 
@@ -403,16 +414,24 @@ impl Job {
         self.events.lock().unwrap().closed
     }
 
-    /// Append one rendered event to the (bounded) event log and wake
-    /// subscribers. No-op after close.
-    fn push_event(&self, json: &str) {
+    /// Append one event, its JSON rendered in place by `write`, to the
+    /// (bounded) event log and wake subscribers. No-op after close.
+    fn push_event_with(&self, write: impl FnOnce(&mut String)) {
         let mut log = self.events.lock().unwrap();
         if log.closed {
             return;
         }
-        log.push(json);
+        log.push_with(write);
+        let wake = log.waiting > 0 && !log.woken;
+        log.woken |= wake;
         drop(log);
-        self.events_cv.notify_all();
+        if wake {
+            self.events_cv.notify_all();
+        }
+    }
+
+    fn push_event(&self, json: &str) {
+        self.push_event_with(|frames| frames.push_str(json));
     }
 
     /// Push a `job_state` lifecycle event (queued/running/done/…).
@@ -431,31 +450,29 @@ impl Job {
         self.events_cv.notify_all();
     }
 
-    /// Absorb one telemetry event: append it to the event log and, for
-    /// completed/cached trials, fold the outcome into the per-point
-    /// streaming statistics.
-    pub fn record_trial_event(&self, event: &TrialEvent) {
-        match event {
-            TrialEvent::Completed {
-                label,
+    /// Record one trial event on the thread that produced it: render it
+    /// straight into the event log and, for completed and cached trials,
+    /// fold the outcome into the per-point streaming statistics.
+    pub fn record_event(&self, event: EventRef) {
+        self.push_event_with(|frames| event.write_json(frames));
+        let (label, time, moves) = match event {
+            EventRef::Completed {
+                slot,
                 time,
                 total_moves,
                 ..
-            }
-            | TrialEvent::Cached {
-                label,
-                time,
-                total_moves,
-                ..
-            } => {
-                let mut stats = self.point_stats.lock().unwrap();
-                let entry = stats.entry(label.clone()).or_default();
-                entry.moves.push(*total_moves as f64);
-                entry.time.push(*time as f64);
-            }
-            TrialEvent::Started { .. } | TrialEvent::Overflow { .. } => {}
-        }
-        self.push_event(&event.to_json_line());
+            } => (slot.label, time, total_moves),
+            EventRef::Cached(slot, summary) => (slot.label, summary.time, summary.total_moves),
+            EventRef::Started(_) => return,
+        };
+        let mut stats = self.point_stats.lock().unwrap();
+        // The label is copied once per point, at its first trial.
+        let entry = match stats.get_mut(label) {
+            Some(entry) => entry,
+            None => stats.entry(label.to_string()).or_default(),
+        };
+        entry.moves.push(moves as f64);
+        entry.time.push(time as f64);
     }
 
     /// Account one settled grid slot, live: `executed` trials ran fresh
@@ -553,8 +570,11 @@ impl Job {
                     closed: log.closed,
                 };
             }
+            log.waiting += 1;
+            log.woken = false;
             let (guard, timeout) = self.events_cv.wait_timeout(log, wait).unwrap();
             log = guard;
+            log.waiting -= 1;
             if timeout.timed_out() {
                 return EventBatch {
                     frames: String::new(),
@@ -828,26 +848,28 @@ impl JobManager {
     }
 }
 
-/// The per-job [`TelemetrySink`]: every event lands in the job's event log
-/// (feeding `GET /runs/:id/events` and the per-point online stats), and
-/// completed-trial wall times feed the service-wide duration histogram.
-struct JobSink {
-    job: Arc<Job>,
-    metrics: Arc<Metrics>,
+/// The job's [`EventSink`]: every event is recorded in the job's event log
+/// (feeding `GET /runs/:id/events` and the per-point online stats) on the
+/// thread that produced it — the executor or an engine thread, for local
+/// and cluster jobs alike — and completed-trial wall times feed the
+/// service-wide duration histogram.
+struct JobSink<'a> {
+    job: &'a Job,
+    metrics: &'a Metrics,
 }
 
-impl TelemetrySink for JobSink {
-    fn emit(&mut self, event: &TrialEvent) {
-        if let TrialEvent::Completed { wall_micros, .. } = event {
-            self.metrics.trial_duration_us.observe(*wall_micros);
+impl EventSink for JobSink<'_> {
+    fn emit(&self, event: EventRef) {
+        if let EventRef::Completed { wall_micros, .. } = event {
+            self.metrics.trial_duration_us.observe(wall_micros);
         }
-        self.job.record_trial_event(event);
+        self.job.record_event(event);
     }
 }
 
 /// The job's view of the trial cache — its store in the trial pipeline.
 /// Every hit and every fresh record moves the job's live counters, once
-/// per record, never from the (lossy) telemetry channel.
+/// per record.
 struct JobStore<'a> {
     job: &'a Job,
     cache: &'a TrialCache,
@@ -855,8 +877,8 @@ struct JobStore<'a> {
 }
 
 impl TrialStore for JobStore<'_> {
-    fn lookup(&self, trial: &TrialSpec) -> Option<TrialRecord> {
-        let hit = TrialStore::lookup(self.cache, trial);
+    fn lookup(&self, trial: &TrialSpec, slot: SlotId) -> Option<Held> {
+        let hit = TrialStore::lookup(self.cache, trial, slot);
         if hit.is_some() {
             self.job.note_trial(false);
         }
@@ -878,29 +900,25 @@ impl TrialStore for JobStore<'_> {
 /// cancellation and `Err` on a failed job (digest conflict, assembly hole)
 /// — surfaced as `Failed` with the message intact.
 fn execute_job(
-    job: &Arc<Job>,
+    job: &Job,
     cache: &TrialCache,
-    metrics: &Arc<Metrics>,
+    metrics: &Metrics,
     registry: &Registry,
     backend: &ExecBackend,
 ) -> Result<bool, String> {
-    let telemetry = Telemetry::start(Box::new(JobSink {
-        job: Arc::clone(job),
-        metrics: Arc::clone(metrics),
-    }));
-    let events = telemetry.handle();
+    let sink = JobSink { job, metrics };
     let store = JobStore {
         job,
         cache,
         metrics,
     };
-    let plan = Plan::new(job.spec.trials(), registry, Some(&store), Some(&events))?;
+    let plan = Plan::new(job.spec.trials(), registry, Some(&store), Some(&sink))?;
     let fresh: Vec<Option<TrialRecord>> = match backend {
         ExecBackend::Local { threads } => {
             let opts = RunOptions {
                 threads: *threads,
                 cancel: Some(&job.cancel),
-                telemetry: Some(&events),
+                events: Some(&sink),
                 ..RunOptions::default()
             };
             let (fresh, _) = plan.execute(registry, Some(&store), &opts);
@@ -910,17 +928,12 @@ fn execute_job(
                 .collect()
         }
         ExecBackend::Cluster { board, batch_size } => {
-            let mut sink = JobSink {
-                job: Arc::clone(job),
-                metrics: Arc::clone(metrics),
-            };
-            match execute_on_board(&plan, board, *batch_size, &store, &mut sink)? {
+            match execute_on_board(&plan, board, *batch_size, &store, &sink)? {
                 Some(fresh) => fresh,
                 None => return Ok(false),
             }
         }
     };
-    telemetry.finish();
     if job.cancel.load(Ordering::SeqCst) && fresh.iter().any(Option::is_none) {
         return Ok(false);
     }
@@ -929,13 +942,13 @@ fn execute_job(
     for _ in 0..plan.repeats() {
         job.note_trial(false);
     }
-    let mut body = String::new();
-    for record in plan.assemble(fresh)? {
-        body.push_str(&record.to_json_line());
-        body.push('\n');
+    // A warm job's body is sized exactly as it is assembled; any other
+    // moves to a fresh buffer of its size, as the event frames do.
+    let mut body = plan.assemble_lines(&fresh)?;
+    if body.capacity() > body.len() {
+        body = body.as_str().to_owned();
     }
-    // `Arc<str>` copies the body into one allocation of its exact size.
-    *job.results.lock().unwrap() = Some(body.into());
+    *job.results.lock().unwrap() = Some(Arc::new(body));
     Ok(true)
 }
 
@@ -954,7 +967,7 @@ fn execute_on_board(
     board: &ClusterBoard,
     batch_size: usize,
     store: &JobStore,
-    sink: &mut JobSink,
+    sink: &JobSink,
 ) -> Result<Option<Vec<Option<TrialRecord>>>, String> {
     let job = store.job;
     let mut by_id: HashMap<String, TrialRecord> = HashMap::new();
@@ -978,19 +991,18 @@ fn execute_on_board(
             let status = board.wait(&job.id, Duration::from_millis(200), &mut landed);
             for (worker, upload) in landed.drain(..) {
                 let record = upload.record;
+                let id = record.trial_id();
+                let slot = SlotId::of(&id, record.rep);
                 if upload.cached {
                     store.cache.insert(&record);
                     job.note_trial(false);
-                    sink.emit(&TrialEvent::cached(&record));
+                    sink.emit(EventRef::Cached(slot, TrialSummary::of(&record)));
                 } else {
                     store.insert(&record);
-                    sink.emit(&TrialEvent::completed_by(
-                        &record,
-                        upload.wall_micros,
-                        &worker,
-                    ));
+                    let wall = upload.wall_micros;
+                    sink.emit(EventRef::completed(slot, &record, wall, Some(&worker)));
                 }
-                by_id.insert(record.trial_id(), record);
+                by_id.insert(id, record);
             }
             match status {
                 WaitStatus::Done => break,

@@ -660,10 +660,10 @@ impl Adversary for TargetedAdversary {
         let ml = self.max_lag;
         let victim_turn = |s: u64| (s + 1).is_multiple_of(ml);
         let mut s = view.step;
-        for &a in view.active {
-            if !(view.victims)(a) || victim_turn(s) {
-                out.push(a);
-            }
+        if victim_turn(s) {
+            out.extend_from_slice(view.active);
+        } else {
+            out.extend(view.active.iter().filter(|&&a| !(view.victims)(a)));
         }
         if out.is_empty() && !view.active.is_empty() {
             // Every active agent is a victim: jump to the next victim turn.

@@ -1,6 +1,5 @@
-//! A slab of index-linked agent lists — the allocation-free backing store
-//! for protocol-side bookkeeping (rider queues, idle-guest pools, returned
-//! prober lists).
+//! Allocation-free backing stores for protocol-side bookkeeping: a slab of
+//! index-linked FIFO agent lists and an ordered agent set.
 //!
 //! Dispersion protocols keep several small, disjoint waiting lists of
 //! agents: the cohort riders still to be settled, the recruited guests
@@ -9,21 +8,18 @@
 //! (allocation on growth, memmove on sorted insertion) — measurable across
 //! the thousands of small trials a campaign grid runs.
 //!
-//! [`ListArena`] replaces all of them with one pair of `u32` link arrays
-//! sized to the agent count: each agent is a slab slot, each list is a
-//! [`ListHandle`] (head/tail/len), and membership is *intrusive* — an agent
-//! threads through at most one list at a time, which is exactly the
-//! protocol invariant (an agent is a rider *or* an idle guest *or* a
-//! returned prober, never two at once; debug builds assert it). After
-//! construction the arena never allocates: insertion and removal relink
-//! indices, and [`ListArena::reset`] returns the slab to the empty state in
-//! one pass for reuse across trials.
+//! [`ListArena`] holds the lists kept in arrival order in one pair of
+//! `u32` link arrays sized to the agent count: each agent is a slab slot,
+//! each list is a [`ListHandle`] (head/tail/len), and membership is
+//! *intrusive* — an agent threads through at most one list at a time
+//! (debug builds assert it). After construction the arena never allocates:
+//! insertion and removal relink indices, and [`ListArena::reset`] returns
+//! the slab to the empty state in one pass for reuse across trials.
 //!
-//! Order is part of the protocol contract, so the arena is a *sequence*
-//! slab, not a set: [`push_back`](ListArena::push_back) +
-//! [`pop_front`](ListArena::pop_front) give FIFO,
-//! [`insert_sorted`](ListArena::insert_sorted) maintains ascending index
-//! order (agent ids are index + 1, so ascending index = ascending id).
+//! [`AgentSet`] holds the lists kept in ascending id order: a two-level
+//! bitset over agent ids, so an insert costs O(1) wherever the id falls
+//! and the smallest member is found through one summary word per 4,096
+//! agents, instead of a walk from the front of a linked list.
 
 use crate::ids::AgentId;
 
@@ -156,39 +152,6 @@ impl ListArena {
         Some(AgentId(slot as u32))
     }
 
-    /// Insert `agent` keeping the list in ascending slot order. An id past
-    /// the tail appends in O(1) — SYNC returns probers and recruits guests
-    /// in ascending id order, so that is the common case — and any other
-    /// id walks from the front.
-    pub fn insert_sorted(&mut self, list: &mut ListHandle, agent: AgentId) {
-        let slot = agent.index() as u32;
-        if list.tail != NONE && slot > list.tail {
-            self.push_back(list, agent);
-            return;
-        }
-        if list.head == NONE || slot < list.head {
-            self.mark_linked(slot as usize);
-            self.next[slot as usize] = list.head;
-            if list.head == NONE {
-                list.tail = slot;
-            }
-            list.head = slot;
-            list.len += 1;
-            return;
-        }
-        self.mark_linked(slot as usize);
-        let mut at = list.head;
-        while self.next[at as usize] != NONE && self.next[at as usize] < slot {
-            at = self.next[at as usize];
-        }
-        self.next[slot as usize] = self.next[at as usize];
-        self.next[at as usize] = slot;
-        if self.next[slot as usize] == NONE {
-            list.tail = slot;
-        }
-        list.len += 1;
-    }
-
     /// Iterate the list front to back without removing.
     pub fn iter<'a>(&'a self, list: &ListHandle) -> ListIter<'a> {
         ListIter {
@@ -232,6 +195,101 @@ impl Iterator for ListIter<'_> {
     }
 }
 
+/// An ordered set of agent ids below a fixed capacity, as a two-level
+/// bitset: bit `i` of the lower level marks agent `i`, and bit `w` of the
+/// summary marks a nonzero lower word `w`. Insert and remove are O(1);
+/// [`AgentSet::first`] scans the summary, one word per 4,096 agents.
+/// Sized once; never allocates after construction.
+#[derive(Debug, Clone)]
+pub struct AgentSet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+    len: usize,
+}
+
+impl AgentSet {
+    /// An empty set for ids below `k`.
+    pub fn new(k: usize) -> AgentSet {
+        let words = k.div_ceil(64);
+        AgentSet {
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Add `agent`; `false` if it was a member already.
+    pub fn insert(&mut self, agent: AgentId) -> bool {
+        let i = agent.index();
+        let (w, bit) = (i / 64, 1 << (i % 64));
+        if self.words[w] & bit != 0 {
+            return false;
+        }
+        self.words[w] |= bit;
+        self.summary[w / 64] |= 1 << (w % 64);
+        self.len += 1;
+        true
+    }
+
+    /// Remove `agent`; `false` if it was not a member.
+    pub fn remove(&mut self, agent: AgentId) -> bool {
+        let i = agent.index();
+        let (w, bit) = (i / 64, 1 << (i % 64));
+        if self.words[w] & bit == 0 {
+            return false;
+        }
+        self.words[w] &= !bit;
+        if self.words[w] == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+        self.len -= 1;
+        true
+    }
+
+    /// The smallest member.
+    pub fn first(&self) -> Option<AgentId> {
+        let (s, &bits) = self.summary.iter().enumerate().find(|(_, &b)| b != 0)?;
+        let w = s * 64 + bits.trailing_zeros() as usize;
+        Some(AgentId((w * 64) as u32 + self.words[w].trailing_zeros()))
+    }
+
+    /// Remove and return the smallest member.
+    pub fn pop_first(&mut self) -> Option<AgentId> {
+        let first = self.first()?;
+        self.remove(first);
+        Some(first)
+    }
+
+    /// Move every member, ascending, to the end of `out`, leaving the set
+    /// empty. The caller-supplied buffer keeps this allocation-free after
+    /// warm-up.
+    pub fn drain_into(&mut self, out: &mut Vec<AgentId>) {
+        for (s, summary) in self.summary.iter_mut().enumerate() {
+            let mut nonzero = std::mem::take(summary);
+            while nonzero != 0 {
+                let w = s * 64 + nonzero.trailing_zeros() as usize;
+                nonzero &= nonzero - 1;
+                let mut bits = std::mem::take(&mut self.words[w]);
+                while bits != 0 {
+                    out.push(AgentId((w * 64) as u32 + bits.trailing_zeros()));
+                    bits &= bits - 1;
+                }
+            }
+        }
+        self.len = 0;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,62 +315,80 @@ mod tests {
         assert_eq!(list, ListHandle::new());
     }
 
+    fn members(set: &AgentSet) -> Vec<u32> {
+        let mut out = Vec::new();
+        set.clone().drain_into(&mut out);
+        out.into_iter().map(|a| a.0).collect()
+    }
+
     #[test]
     fn sorted_insertion_keeps_ascending_order() {
-        let mut arena = ListArena::new(16);
-        let mut list = ListHandle::new();
+        let mut set = AgentSet::new(16);
         for i in [7u32, 2, 11, 0, 5, 9] {
-            arena.insert_sorted(&mut list, AgentId(i));
+            assert!(set.insert(AgentId(i)));
         }
-        assert_eq!(ids(&arena, &list), vec![0, 2, 5, 7, 9, 11]);
-        // pop_front on a sorted list yields the smallest.
-        assert_eq!(arena.pop_front(&mut list), Some(AgentId(0)));
-        // Re-insertion after removal lands back in order, including at the
-        // tail (tail link must follow).
-        arena.insert_sorted(&mut list, AgentId(15));
-        arena.insert_sorted(&mut list, AgentId(3));
-        assert_eq!(ids(&arena, &list), vec![2, 3, 5, 7, 9, 11, 15]);
-        arena.push_back(&mut list, AgentId(0));
-        assert_eq!(ids(&arena, &list).last(), Some(&0));
+        assert!(!set.insert(AgentId(7)));
+        assert_eq!(members(&set), vec![0, 2, 5, 7, 9, 11]);
+        // pop_first yields the smallest.
+        assert_eq!(set.pop_first(), Some(AgentId(0)));
+        assert_eq!(set.first(), Some(AgentId(2)));
+        // Ids land in order wherever they fall, the top slot included.
+        set.insert(AgentId(15));
+        set.insert(AgentId(3));
+        assert_eq!(members(&set), vec![2, 3, 5, 7, 9, 11, 15]);
+        assert_eq!(set.len(), 7);
+        let mut out = vec![AgentId(99)];
+        set.drain_into(&mut out);
+        assert_eq!(out.len(), 8);
+        assert!(set.is_empty() && set.first().is_none());
     }
 
     #[test]
     fn sorted_insertion_matches_a_sorted_vec() {
-        // Ascending runs (the tail-append path) mixed with out-of-order
-        // ids and front pops, mirrored in a plain sorted Vec.
+        // Inserts anywhere (ascending runs included), removals, pops of
+        // the minimum and whole drains, mirrored in a plain sorted Vec, on
+        // a capacity that spans two summary words.
         use disp_rng::prelude::*;
-        let k = 64;
+        let k = 4_096 + 700;
         let mut rng = StdRng::seed_from_u64(5);
-        let mut arena = ListArena::new(k);
-        let mut list = ListHandle::new();
+        let mut set = AgentSet::new(k);
         let mut model: Vec<u32> = Vec::new();
-        for _ in 0..2_000 {
-            let free: Vec<u32> = (0..k as u32).filter(|i| !model.contains(i)).collect();
-            let ascending = free
-                .iter()
-                .copied()
-                .find(|&i| model.last().is_none_or(|&t| i > t));
-            let pick = match ascending {
-                Some(i) if rng.random_bool(0.6) => Some(i),
-                _ if !free.is_empty() && rng.random_bool(0.7) => {
-                    Some(free[rng.random_range(0..free.len())])
-                }
-                _ => None,
-            };
-            match pick {
-                Some(i) => {
-                    arena.insert_sorted(&mut list, AgentId(i));
+        let mut drained = Vec::new();
+        for step in 0..20_000 {
+            match rng.random_range(0..100u32) {
+                0..=49 => {
+                    let i = match model.last() {
+                        Some(&t) if rng.random_bool(0.3) && (t as usize) + 1 < k => t + 1,
+                        _ => rng.random_range(0..k as u32),
+                    };
                     let at = model.partition_point(|&m| m < i);
-                    model.insert(at, i);
+                    let absent = model.get(at) != Some(&i);
+                    if absent {
+                        model.insert(at, i);
+                    }
+                    assert_eq!(set.insert(AgentId(i)), absent);
                 }
-                None => {
+                50..=74 => {
                     let front = (!model.is_empty()).then(|| AgentId(model.remove(0)));
-                    assert_eq!(arena.pop_front(&mut list), front);
+                    assert_eq!(set.pop_first(), front);
+                }
+                75..=98 => {
+                    let i = rng.random_range(0..k as u32);
+                    let present = model.binary_search(&i).map(|at| model.remove(at));
+                    assert_eq!(set.remove(AgentId(i)), present.is_ok());
+                }
+                _ => {
+                    drained.clear();
+                    set.drain_into(&mut drained);
+                    let ids: Vec<u32> = drained.iter().map(|a| a.0).collect();
+                    assert_eq!(ids, model);
+                    model.clear();
                 }
             }
-            assert_eq!(ids(&arena, &list), model);
-            assert_eq!(list.len(), model.len());
+            assert_eq!(set.len(), model.len(), "step {step}");
+            assert_eq!(set.first(), model.first().map(|&i| AgentId(i)));
         }
+        assert_eq!(members(&set), model);
     }
 
     #[test]
@@ -327,9 +403,9 @@ mod tests {
         assert_eq!(out, vec![AgentId(4), AgentId(6), AgentId(1)]);
         assert!(list.is_empty());
         // Drained slots are immediately reusable.
-        arena.insert_sorted(&mut list, AgentId(6));
-        arena.insert_sorted(&mut list, AgentId(4));
-        assert_eq!(ids(&arena, &list), vec![4, 6]);
+        arena.push_back(&mut list, AgentId(6));
+        arena.push_back(&mut list, AgentId(4));
+        assert_eq!(ids(&arena, &list), vec![6, 4]);
     }
 
     #[test]
@@ -337,15 +413,15 @@ mod tests {
         let mut arena = ListArena::new(8);
         let mut riders = ListHandle::new();
         let mut guests = ListHandle::new();
-        arena.insert_sorted(&mut riders, AgentId(2));
-        arena.insert_sorted(&mut riders, AgentId(5));
-        arena.insert_sorted(&mut guests, AgentId(3));
+        arena.push_back(&mut riders, AgentId(2));
+        arena.push_back(&mut riders, AgentId(5));
+        arena.push_back(&mut guests, AgentId(3));
         assert_eq!(ids(&arena, &riders), vec![2, 5]);
         assert_eq!(ids(&arena, &guests), vec![3]);
         // Moving an agent between lists: remove, then insert.
         assert_eq!(arena.pop_front(&mut riders), Some(AgentId(2)));
-        arena.insert_sorted(&mut guests, AgentId(2));
-        assert_eq!(ids(&arena, &guests), vec![2, 3]);
+        arena.push_back(&mut guests, AgentId(2));
+        assert_eq!(ids(&arena, &guests), vec![3, 2]);
     }
 
     #[test]
@@ -357,7 +433,7 @@ mod tests {
         }
         arena.reset();
         let mut list = ListHandle::new();
-        arena.insert_sorted(&mut list, AgentId(1));
+        arena.push_back(&mut list, AgentId(1));
         assert_eq!(ids(&arena, &list), vec![1]);
     }
 

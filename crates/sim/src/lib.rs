@@ -88,7 +88,7 @@ pub use adversary::{
     Adversary, AdversaryError, AdversaryKind, LaggingAdversary, RandomSubsetAdversary,
     RoundRobinAdversary, StepView, TargetedAdversary,
 };
-pub use arena::{ListArena, ListHandle};
+pub use arena::{AgentSet, ListArena, ListHandle};
 pub use clock::Clock;
 pub use fault::{CrashPlan, DynamicAdversary};
 pub use ids::AgentId;

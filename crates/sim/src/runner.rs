@@ -122,6 +122,33 @@ fn should_sample(t: u64, interval: u64) -> bool {
     }
 }
 
+/// [`should_sample`] for a counter that only grows (the rounds, the
+/// steps): one comparison per round or step, and the division only once
+/// the counter reaches the next sample point.
+struct Sampler {
+    interval: u64,
+    next: u64,
+}
+
+impl Sampler {
+    fn new(interval: u64) -> Sampler {
+        Sampler { interval, next: 0 }
+    }
+
+    /// Whether `t`, larger than every earlier argument, is a sample point.
+    fn due(&mut self, t: u64) -> bool {
+        if t < self.next {
+            return false;
+        }
+        self.next = match self.interval {
+            0 => t.checked_add(1).and_then(u64::checked_next_power_of_two),
+            i => (t / i).checked_add(1).and_then(|q| q.checked_mul(i)),
+        }
+        .unwrap_or(u64::MAX);
+        should_sample(t, self.interval)
+    }
+}
+
 /// Sample one flight-recorder point from the current world + protocol
 /// state. Pure observation: nothing here mutates either, so an observed run
 /// is byte-identical to an unobserved one. Cost is O(classes) plus one
@@ -266,6 +293,7 @@ impl SyncRunner {
         let mut clock = Clock::new(k);
         let mut queue: Vec<AgentId> = Vec::new();
         let mut transitions: Vec<(AgentId, bool)> = Vec::new();
+        let mut sampler = Sampler::new(self.config.memory_sample_interval);
         // Fault plans are cloned so the runner stays reusable (`&self`).
         let mut dynamics = self.dynamics.clone();
         let mut crashes = self.crashes.clone();
@@ -321,7 +349,7 @@ impl SyncRunner {
                 }
             }
             clock.credit_round(k);
-            if should_sample(clock.rounds(), self.config.memory_sample_interval) {
+            if sampler.due(clock.rounds()) {
                 sample_memory(world, protocol);
             }
             observe_boundary(observer, world, protocol, clock.rounds(), 0);
@@ -404,6 +432,7 @@ impl<A: Adversary> AsyncRunner<A> {
         let mut batch: Vec<AgentId> = Vec::new();
         let mut transitions: Vec<(AgentId, bool)> = Vec::new();
         let mut woken_for_adv: Vec<AgentId> = Vec::new();
+        let mut sampler = Sampler::new(self.config.memory_sample_interval);
         // Pre-run park/wake calls are already reflected in the worklist;
         // the adversary discovers pre-parked agents lazily.
         world.drain_transitions(&mut transitions);
@@ -542,7 +571,7 @@ impl<A: Adversary> AsyncRunner<A> {
                 }
             }
             clock.finish_step(fire);
-            if should_sample(clock.steps(), self.config.memory_sample_interval) {
+            if sampler.due(clock.steps()) {
                 sample_memory(world, protocol);
             }
         }

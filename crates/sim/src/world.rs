@@ -135,13 +135,20 @@ pub struct World {
     active: Vec<AgentId>,
     /// `agent → index in active`, `NONE` when parked.
     active_pos: Vec<u32>,
-    /// Ascending copy of `active`, valid while `active_clean`. Runners read
-    /// the sorted worklist every round/step but the worklist itself only
-    /// changes on park/wake/crash — caching the sort here turns the common
-    /// quiet round's snapshot into a no-op (ASYNC) or a small memcpy (SYNC).
+    /// `active` in ascending order, as of the last refresh
+    /// ([`World::active_sorted`]). Runners read the sorted worklist every
+    /// round/step but the worklist itself only changes on
+    /// park/wake/crash, so a refresh applies just what changed since the
+    /// last one: point updates when few agents changed, one linear merge
+    /// otherwise.
     active_sorted: Vec<AgentId>,
-    /// Whether `active_sorted` currently mirrors `active`.
-    active_clean: bool,
+    /// Agents parked or woken since the last refresh (repeats allowed).
+    /// Bounded by `k`: past that, `resort` is set instead.
+    changed: Vec<AgentId>,
+    /// Whether the next refresh re-sorts `active` from scratch.
+    resort: bool,
+    /// The merge's output buffer, swapped with `active_sorted`.
+    merged: Vec<AgentId>,
     /// Genuine park/wake transitions (`true` = woke) since the last
     /// [`World::drain_transitions`] call, in occurrence order. The runners
     /// drain this every round/step: the SYNC runner to inject same-round
@@ -225,7 +232,9 @@ impl World {
             active: Vec::new(),
             active_pos: Vec::new(),
             active_sorted: Vec::new(),
-            active_clean: false,
+            changed: Vec::new(),
+            resort: false,
+            merged: Vec::new(),
             transitions: Vec::new(),
             moved: Vec::new(),
             liveness: None,
@@ -257,8 +266,10 @@ impl World {
             ride_start,
             active,
             active_pos,
-            mut active_sorted,
-            active_clean: _,
+            active_sorted,
+            changed,
+            resort: _,
+            merged,
             mut transitions,
             moved,
             liveness: _,
@@ -268,7 +279,6 @@ impl World {
         } = shell;
         cohorts.clear();
         free_cohorts.clear();
-        active_sorted.clear();
         transitions.clear();
         let mut world = World {
             graph,
@@ -284,7 +294,9 @@ impl World {
             active,
             active_pos,
             active_sorted,
-            active_clean: false,
+            changed,
+            resort: false,
+            merged,
             transitions,
             moved,
             liveness: None,
@@ -324,8 +336,13 @@ impl World {
         self.active.extend((0..k as u32).map(AgentId));
         self.active_pos.clear();
         self.active_pos.extend(0..k as u32);
-        self.active_sorted.clear();
-        self.active_clean = false;
+        // Sized for every agent once, so refreshes never allocate.
+        for sorted in [&mut self.active_sorted, &mut self.changed, &mut self.merged] {
+            sorted.clear();
+            sorted.reserve(k);
+        }
+        self.active_sorted.extend_from_slice(&self.active);
+        self.resort = false;
         // Link occupancy lists in reverse so list order is ascending by id
         // (link_to_node rewrites positions[i] with the same value).
         for i in (0..k).rev() {
@@ -503,13 +520,58 @@ impl World {
     /// worklist view), served from the cache — the sort reruns only when a
     /// park/wake/crash dirtied the worklist since the last call.
     pub(crate) fn active_sorted(&mut self) -> &[AgentId] {
-        if !self.active_clean {
-            self.active_sorted.clear();
-            self.active_sorted.extend_from_slice(&self.active);
-            self.active_sorted.sort_unstable();
-            self.active_clean = true;
+        const POINT_UPDATES: usize = 16;
+        let sorted = &mut self.active_sorted;
+        if self.resort {
+            sorted.clear();
+            sorted.extend_from_slice(&self.active);
+            sorted.sort_unstable();
+            self.resort = false;
+        } else if self.changed.len() <= POINT_UPDATES {
+            for &a in &self.changed {
+                let active = self.active_pos[a.index()] != NONE;
+                match sorted.binary_search(&a) {
+                    Err(i) if active => sorted.insert(i, a),
+                    Ok(i) if !active => {
+                        sorted.remove(i);
+                    }
+                    _ => {}
+                }
+            }
+        } else {
+            self.changed.sort_unstable();
+            self.changed.dedup();
+            let merged = &mut self.merged;
+            merged.clear();
+            let mut old = sorted.iter().copied().peekable();
+            for &a in &self.changed {
+                while let Some(b) = old.next_if(|&b| b < a) {
+                    merged.push(b);
+                }
+                old.next_if_eq(&a);
+                if self.active_pos[a.index()] != NONE {
+                    merged.push(a);
+                }
+            }
+            merged.extend(old);
+            std::mem::swap(sorted, merged);
         }
+        self.changed.clear();
         &self.active_sorted
+    }
+
+    /// Note a park or wake of `agent` for the next refresh of the sorted
+    /// worklist.
+    fn note_change(&mut self, agent: AgentId) {
+        if self.resort {
+            return;
+        }
+        if self.changed.len() == self.active_pos.len() {
+            self.changed.clear();
+            self.resort = true;
+        } else {
+            self.changed.push(agent);
+        }
     }
 
     /// The sorted active list together with the `agent → worklist slot`
@@ -539,7 +601,9 @@ impl World {
     /// (`true` = woke), in occurrence order.
     pub(crate) fn drain_transitions(&mut self, buf: &mut Vec<(AgentId, bool)>) {
         buf.clear();
-        buf.append(&mut self.transitions);
+        if !self.transitions.is_empty() {
+            buf.append(&mut self.transitions);
+        }
     }
 
     /// Remove `agent` from the worklist (no-op if already parked).
@@ -554,7 +618,7 @@ impl World {
             self.active_pos[last.index()] = i;
         }
         self.active_pos[agent.index()] = NONE;
-        self.active_clean = false;
+        self.note_change(agent);
         self.transitions.push((agent, false));
     }
 
@@ -565,7 +629,7 @@ impl World {
         }
         self.active_pos[agent.index()] = self.active.len() as u32;
         self.active.push(agent);
-        self.active_clean = false;
+        self.note_change(agent);
         self.transitions.push((agent, true));
     }
 
